@@ -19,14 +19,8 @@
  *     including the far-above-threshold tail (4e-3 .. 8e-3), where
  *     word-wide retry amplification costs the batched engine part of
  *     its lead.
- *   - BM_ThresholdSweepBatchedFullWidth/<W>: the full sweep at SIMD
- *     tile width W words (64 .. 512-bit shot planes).
  *   - BM_ThresholdSweepBatchedTail: the far-above-threshold tail alone
- *     (4e-3 .. 8e-3) on the current defaults, and
- *     BM_ThresholdSweepBatchedTailSiteScalarWord on the PR-4 execution
- *     shape (one-word planes, per-site geometric sampling) -- their
- *     ratio is the tail recovery of the SIMD planes + trace-level
- *     batched fault draws.
+ *     (4e-3 .. 8e-3) on the current defaults.
  *
  * `--json <path>` records the google-benchmark JSON report
  * (BENCH_mc_throughput.json snapshots).
@@ -183,25 +177,6 @@ BM_ThresholdSweepBatchedFull(benchmark::State &state)
 }
 BENCHMARK(BM_ThresholdSweepBatchedFull);
 
-/** The full sweep at a fixed SIMD tile width (words per plane); the
- *  counts are bit-identical across widths, only the throughput moves. */
-void
-BM_ThresholdSweepBatchedFullWidth(benchmark::State &state)
-{
-    McRunOptions options = singleThreadOptions();
-    options.batch.simdWidth = static_cast<std::size_t>(state.range(0));
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            thresholdSweep(kFullSweep, kSweepShots, 20050938, options));
-    state.SetItemsProcessed(state.iterations() * kFullSweep.size() * 2
-                            * kSweepShots);
-}
-BENCHMARK(BM_ThresholdSweepBatchedFullWidth)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8);
-
 /** Tail-only fixture on the current defaults. */
 void
 BM_ThresholdSweepBatchedTail(benchmark::State &state)
@@ -213,24 +188,6 @@ BM_ThresholdSweepBatchedTail(benchmark::State &state)
                             * kSweepShots);
 }
 BENCHMARK(BM_ThresholdSweepBatchedTail);
-
-/** Tail-only fixture on the PR-4 execution shape -- one-word planes,
- *  per-site geometric draws, 16-word groups -- so the SIMD-plane +
- *  trace-draw recovery on the tail is one in-record ratio. */
-void
-BM_ThresholdSweepBatchedTailSiteScalarWord(benchmark::State &state)
-{
-    McRunOptions options = singleThreadOptions();
-    options.batch.groupWords = 16;
-    options.batch.simdWidth = 1;
-    options.batch.faultSampling = FaultSampling::SiteGeometric;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            thresholdSweep(kTailSweep, kSweepShots, 20050938, options));
-    state.SetItemsProcessed(state.iterations() * kTailSweep.size() * 2
-                            * kSweepShots);
-}
-BENCHMARK(BM_ThresholdSweepBatchedTailSiteScalarWord);
 
 /** The PR-2 execution shape (single word, no compaction): the delta to
  *  BM_ThresholdSweepBatchedFull is the lane-compaction recovery on the

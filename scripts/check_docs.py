@@ -9,10 +9,12 @@ Two checks, both hard failures:
    relative to the linking file (absolute /-prefixed targets resolve
    from the repo root).
 
-2. docs/determinism.md must document every determinism-gate flag.
-   The authoritative flag list is parsed from the option handling in
-   tools/determinism_gate.cc (the `arg == "--flag"` comparisons), so
-   adding a gate axis without documenting it fails CI.
+2. docs/determinism.md must document every determinism-gate flag, and
+   only those. The authoritative flag list is parsed from the option
+   handling in tools/determinism_gate.cc (the `arg == "--flag"`
+   comparisons), so adding a gate axis without documenting it fails
+   CI, and so does a row of the flag table for a flag the gate no
+   longer parses.
 
 Usage: check_docs.py [--root REPO_ROOT]
 
@@ -29,6 +31,8 @@ import sys
 # by matching the bracket pair itself.
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 FLAG_RE = re.compile(r"arg\s*==\s*\"(--[a-z-]+)\"")
+# A documented flag is a row of the determinism.md flag table.
+DOC_FLAG_RE = re.compile(r"^\|\s*`(--[a-z-]+)", re.MULTILINE)
 
 
 def markdown_files(root):
@@ -84,8 +88,13 @@ def check_gate_flags(root):
         return ["no flags parsed from tools/determinism_gate.cc -- "
                 "has the option-handling idiom changed?"]
     doc_text = determinism_doc.read_text(encoding="utf-8")
-    return [f"docs/determinism.md: determinism-gate flag {flag} "
-            "is undocumented" for flag in flags if flag not in doc_text]
+    problems = [f"docs/determinism.md: determinism-gate flag {flag} "
+                "is undocumented" for flag in flags if flag not in doc_text]
+    documented = sorted(set(DOC_FLAG_RE.findall(doc_text)))
+    problems += [f"docs/determinism.md: documents flag {flag}, which "
+                 "tools/determinism_gate.cc no longer parses"
+                 for flag in documented if flag not in flags]
+    return problems
 
 
 def main(argv):

@@ -40,10 +40,6 @@ BatchedLogicalQubitExperiment::BatchedLogicalQubitExperiment(
     qla_assert(options_.groupWords >= 1
                    && options_.groupWords <= kMaxGroupWords,
                "groupWords must be in [1, ", kMaxGroupWords, "]");
-    qla_assert(options_.simdWidth == 1 || options_.simdWidth == 2
-                   || options_.simdWidth == 4 || options_.simdWidth == 8,
-               "simdWidth must be 1, 2, 4 or 8, got ",
-               options_.simdWidth);
     qla_assert(n_ <= 32, "bit-sliced decode supports block length <= 32");
     qla_assert(code_.xChecks().size() <= 8 && code_.zChecks().size() <= 8,
                "bit-sliced decode supports <= 8 check rows");
@@ -61,8 +57,7 @@ BatchedLogicalQubitExperiment::BatchedLogicalQubitExperiment(
         flips_[w].reserve(n_ * n_);
     }
     retry_pool_ = std::make_unique<PrepRetryPool>(
-        code_, rows_, max_prep_attempts_, classes_, shadow_of_primary_,
-        options_.faultSampling, options_.firePlanCache);
+        code_, rows_, max_prep_attempts_, classes_, shadow_of_primary_);
 }
 
 BatchedLogicalQubitExperiment::~BatchedLogicalQubitExperiment() = default;
@@ -203,8 +198,8 @@ BatchedLogicalQubitExperiment::recordAllTraces()
         traces_[1][t] = std::move(twin);
     }
 
-    // Per-class site counts and fire-plan skeletons power
-    // FaultSampling::TraceDraws; finalize after the shadow classes so
+    // Per-class site counts and fire-plan skeletons power the planned
+    // replay; finalize after the shadow classes so
     // every class id is covered. Unrecorded slots of the sparse trace
     // index space finalize to all-zero counts and empty skeletons.
     for (auto &variant : traces_)
@@ -265,8 +260,7 @@ BatchedLogicalQubitExperiment::replaySeg(Seg seg, std::size_t c,
                                  [traceIndex(seg, c, g, role, flag)];
     qla_assert(!t.ops.empty(), "trace not recorded");
     replayTraceGroup(t, frames_, models_.data(), active.w.data(),
-                     active.n, flips_.data(), options_.simdWidth,
-                     options_.faultSampling, options_.firePlanCache);
+                     active.n, flips_.data());
 }
 
 //
@@ -431,8 +425,8 @@ BatchedLogicalQubitExperiment::applyCorrection(std::size_t c,
             const std::size_t q = ion(c, g, role, i);
             // Fold the Pauli correction into the frame; the physical
             // gate can itself fault, on exactly the lanes that applied
-            // it. Corrections are rare and data-dependent, so they stay
-            // on the per-site shadow sampler in both sampling modes.
+            // it. Corrections are rare and data-dependent, so they draw
+            // from the per-site shadow sampler, not a trace plan.
             if (detect_x)
                 frames_.injectX(w, q, lanes);
             else

@@ -343,11 +343,14 @@ sharedTraceEffects(const FrameTrace &trace)
     std::lock_guard<std::mutex> lock(mu);
     std::vector<Slot> &slots = registry[h];
     for (const Slot &s : slots) {
+        // Empty traces (unrecorded slots) have null data(), which
+        // memcmp must not see even with a zero length.
         if (s.classes == trace.classSites.size()
             && s.ops.size() == trace.ops.size()
-            && std::memcmp(s.ops.data(), trace.ops.data(),
-                           trace.ops.size() * sizeof(FrameOp))
-                   == 0)
+            && (trace.ops.empty()
+                || std::memcmp(s.ops.data(), trace.ops.data(),
+                               trace.ops.size() * sizeof(FrameOp))
+                       == 0))
             return s.fx;
     }
     auto fx = std::make_shared<const TraceEffects>(
@@ -569,7 +572,7 @@ finalizeTraceClassSites(FrameTrace &trace, const NoiseClassTable &classes)
 
     // Fire-plan skeleton: record once, per trace, which classes the
     // replay samples and whether their probability is degenerate --
-    // the part of per-word TraceDraws planning that does not depend on
+    // the part of per-word replay planning that does not depend on
     // lane clocks. Degeneracy is a property of the class table, which
     // is append-only, so the classification cannot go stale.
     trace.walkPlan.clear();
@@ -612,16 +615,6 @@ BatchedNoiseModel::rearm(const RngFamily &family, std::uint64_t first_shot)
 }
 
 namespace {
-
-/** Per-site fires from the per-class geometric calendars. */
-struct SiteSampling
-{
-    static std::uint64_t fire(BatchedNoiseModel &model, std::uint8_t cls,
-                              std::uint64_t active)
-    {
-        return model.samplers[cls].sample(active, model.lanes);
-    }
-};
 
 /** Per-site fires popped from the pre-walked per-trace plans. */
 struct PlannedSampling
@@ -726,93 +719,54 @@ packWalkedPlan(ClassDrawPlan &plan, std::uint32_t sites,
 /**
  * Walk every active lane's clock over the whole trace, one walk per
  * non-degenerate class with sites, and leave the sorted fire schedules
- * in model.plans. This is the TraceDraws fast path's core saving: a
- * no-fire (class, lane) pair costs one counter update for the entire
- * trace instead of one calendar bump per site.
+ * in model.plans. This is the planned replay's core saving: a no-fire
+ * (class, lane) pair costs one counter update for the entire trace
+ * instead of one calendar bump per site. Only the classes in the
+ * trace's skeleton are touched: plans of absent classes are stale but
+ * unreachable, because the replay switch never fires a class without
+ * sites.
  */
 void
 planTraceDraws(const FrameTrace &trace, BatchedNoiseModel &model,
-               std::uint64_t active, bool fire_plan_cache)
+               std::uint64_t active)
 {
     qla_assert(trace.classSites.size() == model.draws.size(),
                "trace not finalized against this class table");
-    if (fire_plan_cache) {
-        // Skeleton path: only the classes this trace samples are
-        // touched (plans of absent classes are stale but unreachable --
-        // the replay switch never fires a class without sites). The
-        // walks and draws are identical to the legacy sweep below, so
-        // results are byte-identical either way.
-        for (const TraceClassWalk &entry : trace.walkPlan) {
-            ClassDrawPlan &plan = model.plans[entry.cls];
-            plan.ordinal = 0;
-            if (entry.degenerate) {
-                // Degenerate probabilities consume no stream (like
-                // Rng::bernoulli); replay still advances the ordinal.
-                plan.degenerate = true;
-                plan.dense = false;
-                plan.degenerate_fires = entry.degenerateFires;
-                plan.nextFireOrd
-                    = entry.degenerateFires ? 0 : ClassDrawPlan::kNoFire;
-                continue;
-            }
-            plan.degenerate = false;
-            if (plan.fires.size() < entry.sites)
-                plan.fires.resize(entry.sites); // value-init to zero
-            const std::int64_t scatters = model.draws[entry.cls].walkWord(
-                active, entry.sites, model.lanes, plan.fires.data());
-            packWalkedPlan(plan, entry.sites, scatters);
-        }
-        return;
-    }
-    for (std::size_t c = 0; c < model.draws.size(); ++c) {
-        ClassDrawPlan &plan = model.plans[c];
+    for (const TraceClassWalk &entry : trace.walkPlan) {
+        ClassDrawPlan &plan = model.plans[entry.cls];
         plan.ordinal = 0;
-        const std::int64_t sites = trace.classSites[c];
-        ClassDrawSampler &draw = model.draws[c];
-        if (!sites || draw.neverFires() || draw.alwaysFires()) {
-            // Replay still advances the ordinal site by site; degenerate
-            // probabilities consume no stream (like Rng::bernoulli).
+        if (entry.degenerate) {
+            // Degenerate probabilities consume no stream (like
+            // Rng::bernoulli); replay still advances the ordinal.
             plan.degenerate = true;
             plan.dense = false;
-            plan.degenerate_fires
-                = sites && draw.alwaysFires() ? ~std::uint64_t{0} : 0;
+            plan.degenerate_fires = entry.degenerateFires;
             plan.nextFireOrd
-                = plan.degenerate_fires ? 0 : ClassDrawPlan::kNoFire;
+                = entry.degenerateFires ? 0 : ClassDrawPlan::kNoFire;
             continue;
         }
         plan.degenerate = false;
-        if (plan.fires.size() < static_cast<std::size_t>(sites))
-            plan.fires.resize(sites); // new entries value-init to zero
-        const std::int64_t scatters
-            = draw.walkWord(active, sites, model.lanes, plan.fires.data());
-        packWalkedPlan(plan, static_cast<std::uint32_t>(sites), scatters);
+        if (plan.fires.size() < entry.sites)
+            plan.fires.resize(entry.sites); // value-init to zero
+        const std::int64_t scatters = model.draws[entry.cls].walkWord(
+            active, entry.sites, model.lanes, plan.fires.data());
+        packWalkedPlan(plan, entry.sites, scatters);
     }
 }
 
-/** Every plan must be exactly consumed by the replay it was built for. */
+/**
+ * Every planned class must be exactly consumed by the replay it was
+ * built for (classes outside the skeleton hold stale ordinals from
+ * earlier traces and are never fired).
+ */
 void
-verifyTracePlans(const FrameTrace &trace, const BatchedNoiseModel &model,
-                 bool fire_plan_cache)
+verifyTracePlans(const FrameTrace &trace, const BatchedNoiseModel &model)
 {
-    if (fire_plan_cache) {
-        // Only the skeleton's classes were planned; the others hold
-        // stale ordinals from earlier traces and were never fired.
-        for (const TraceClassWalk &entry : trace.walkPlan) {
-            qla_assert(model.plans[entry.cls].ordinal == entry.sites,
-                       "replay visited ", model.plans[entry.cls].ordinal,
-                       " sites of class ", entry.cls,
-                       ", trace declares ", entry.sites);
-        }
-        return;
-    }
-    for (std::size_t c = 0; c < model.plans.size(); ++c) {
-        qla_assert(model.plans[c].ordinal == trace.classSites[c],
-                   "replay visited ", model.plans[c].ordinal,
-                   " sites of class ", c, ", trace declares ",
-                   trace.classSites[c]);
-    }
-    (void)trace;
-    (void)model;
+    for (const TraceClassWalk &entry : trace.walkPlan)
+        qla_assert(model.plans[entry.cls].ordinal == entry.sites,
+                   "replay visited ", model.plans[entry.cls].ordinal,
+                   " sites of class ", entry.cls, ", trace declares ",
+                   entry.sites);
 }
 
 /**
@@ -1080,7 +1034,7 @@ replayCompiled(const FrameTrace &trace, std::uint64_t *x, std::uint64_t *z,
  * compile time; the single-word fast paths instantiate StaticStride
  * = 1, which turns every q * stride + i access into a plain q index.
  */
-template <int W, class Policy, int StaticStride = 0>
+template <int W, int StaticStride = 0>
 void
 replayTraceTile(const FrameTrace &trace, std::uint64_t *x,
                 std::uint64_t *z, std::size_t dyn_stride,
@@ -1098,7 +1052,7 @@ replayTraceTile(const FrameTrace &trace, std::uint64_t *x,
             if (!m[i])
                 continue;
             const std::uint64_t fired
-                = Policy::fire(models[i], cls, m[i]);
+                = PlannedSampling::fire(models[i], cls, m[i]);
             if (!fired)
                 continue;
             const auto d = quantum::drawPauli1(fired, models[i].lanes);
@@ -1112,7 +1066,7 @@ replayTraceTile(const FrameTrace &trace, std::uint64_t *x,
             if (!m[i])
                 continue;
             const std::uint64_t fired
-                = Policy::fire(models[i], cls, m[i]);
+                = PlannedSampling::fire(models[i], cls, m[i]);
             if (!fired)
                 continue;
             const auto d = quantum::drawPauli2(fired, models[i].lanes);
@@ -1134,7 +1088,7 @@ replayTraceTile(const FrameTrace &trace, std::uint64_t *x,
                 word = (measure_x ? zq : xq) & m[i];
                 xq &= ~m[i];
                 zq &= ~m[i];
-                word ^= Policy::fire(models[i], cls, m[i]);
+                word ^= PlannedSampling::fire(models[i], cls, m[i]);
             }
             flips[i].push_back(word);
         }
@@ -1259,50 +1213,51 @@ replayTraceTile(const FrameTrace &trace, std::uint64_t *x,
     }
 }
 
+/**
+ * Plan and replay one active word whose frame rows are packed (stride
+ * 1): the replayTrace shape, and the whole batch of a one-word group.
+ */
+void
+replayWord(const FrameTrace &trace, std::uint64_t *x, std::uint64_t *z,
+           BatchedNoiseModel &model, std::uint64_t active,
+           std::vector<std::uint64_t> &flips)
+{
+    planTraceDraws(trace, model, active);
+    if (trace.effects
+        && compiledIsCheaper(trace, model, x, z, 1, active, 1)) {
+        replayCompiled(trace, x, z, 1, model, active, flips);
+        return;
+    }
+    replayTraceTile<1, 1>(trace, x, z, 1, &model, &active, &flips);
+    verifyTracePlans(trace, model);
+}
+
 } // namespace
 
 void
 replayTrace(const FrameTrace &trace, quantum::BatchedPauliFrame &frame,
             BatchedNoiseModel &noise, std::uint64_t active,
-            std::vector<std::uint64_t> &flips, FaultSampling sampling,
-            bool fire_plan_cache)
+            std::vector<std::uint64_t> &flips)
 {
-    // The single-word replay is the W = 1, compile-time-stride-1 tile;
-    // an inactive word consumes no randomness under either policy, so
-    // skip planning when the mask is empty (the tile still pushes zero
-    // flip words).
-    flips.reserve(flips.size() + trace.numMeasurements);
-    if (sampling == FaultSampling::TraceDraws && active) {
-        planTraceDraws(trace, noise, active, fire_plan_cache);
-        if (fire_plan_cache && trace.effects
-            && compiledIsCheaper(trace, noise, frame.xData(),
-                                 frame.zData(), 1, active, 1)) {
-            replayCompiled(trace, frame.xData(), frame.zData(), 1, noise,
-                           active, flips);
-            return;
-        }
-        replayTraceTile<1, PlannedSampling, 1>(trace, frame.xData(),
-                                               frame.zData(), 1, &noise,
-                                               &active, &flips);
-        verifyTracePlans(trace, noise, fire_plan_cache);
+    // An inactive word consumes no randomness and changes no frame bit;
+    // it only appends its zero flip words.
+    if (!active) {
+        flips.resize(flips.size() + trace.numMeasurements);
         return;
     }
-    replayTraceTile<1, SiteSampling, 1>(trace, frame.xData(),
-                                        frame.zData(), 1, &noise,
-                                        &active, &flips);
+    flips.reserve(flips.size() + trace.numMeasurements);
+    replayWord(trace, frame.xData(), frame.zData(), noise, active, flips);
 }
 
 void
 replayTraceGroup(const FrameTrace &trace,
                  quantum::GroupPauliFrames &frames,
                  BatchedNoiseModel *models, const std::uint64_t *masks,
-                 std::size_t num_words, std::vector<std::uint64_t> *flips,
-                 std::size_t simd_width, FaultSampling sampling,
-                 bool fire_plan_cache)
+                 std::size_t num_words, std::vector<std::uint64_t> *flips)
 {
-    qla_assert(simd_width == 1 || simd_width == 2 || simd_width == 4
-                   || simd_width == 8,
-               "simdWidth must be 1, 2, 4 or 8, got ", simd_width);
+    static_assert(kReplayTileWords == 4,
+                  "the tile dispatch below instantiates 4-, 2- and 1-word "
+                  "planes");
     // The group's rows must be packed (or over-provisioned) for this
     // batch: reset(num_words) is the batch prologue that guarantees it.
     qla_assert(num_words <= frames.stride());
@@ -1320,31 +1275,15 @@ replayTraceGroup(const FrameTrace &trace,
     // run the compile-time-stride-1 kernel directly -- this is the L2
     // failureRate probe's whole batch.
     if (num_words == 1 && stride == 1) {
-        if (!masks[0])
-            return;
-        if (sampling == FaultSampling::TraceDraws) {
-            planTraceDraws(trace, models[0], masks[0], fire_plan_cache);
-            if (fire_plan_cache && trace.effects
-                && compiledIsCheaper(trace, models[0], x, z, 1, masks[0],
-                                     1)) {
-                replayCompiled(trace, x, z, 1, models[0], masks[0],
-                               flips[0]);
-                return;
-            }
-            replayTraceTile<1, PlannedSampling, 1>(trace, x, z, 1, models,
-                                                   masks, flips);
-            verifyTracePlans(trace, models[0], fire_plan_cache);
-        } else {
-            replayTraceTile<1, SiteSampling, 1>(trace, x, z, 1, models,
-                                                masks, flips);
-        }
+        if (masks[0])
+            replayWord(trace, x, z, models[0], masks[0], flips[0]);
         return;
     }
 
     std::size_t w0 = 0;
     while (w0 < num_words) {
         const std::size_t tile
-            = std::min(simd_width, std::bit_floor(num_words - w0));
+            = std::min(kReplayTileWords, std::bit_floor(num_words - w0));
         std::uint64_t any = 0;
         for (std::size_t i = 0; i < tile; ++i)
             any |= masks[w0 + i];
@@ -1352,73 +1291,52 @@ replayTraceGroup(const FrameTrace &trace,
             w0 += tile;
             continue;
         }
-        if (sampling == FaultSampling::TraceDraws) {
-            bool compiled = fire_plan_cache && trace.effects != nullptr;
-            for (std::size_t i = 0; i < tile; ++i)
-                if (masks[w0 + i]) {
-                    planTraceDraws(trace, models[w0 + i], masks[w0 + i],
-                                   fire_plan_cache);
-                    compiled = compiled
-                               && compiledIsCheaper(
-                                   trace, models[w0 + i], x + w0 + i,
-                                   z + w0 + i, stride, masks[w0 + i],
-                                   tile);
-                }
-            // When every word of the tile prices cheaper through the
-            // compiled effect model, replay word by word through it;
-            // inactive words still append their zero flip words to
-            // stay index-aligned. Mixed tiles and the cache-off mode
-            // keep the interpreter for the whole tile (the plans serve
-            // either consumer).
-            if (compiled) {
-                for (std::size_t i = 0; i < tile; ++i) {
-                    if (!masks[w0 + i]) {
-                        flips[w0 + i].resize(flips[w0 + i].size()
-                                             + trace.numMeasurements);
-                        continue;
-                    }
-                    replayCompiled(trace, x + w0 + i, z + w0 + i, stride,
-                                   models[w0 + i], masks[w0 + i],
-                                   flips[w0 + i]);
-                }
-                w0 += tile;
-                continue;
+        bool compiled = trace.effects != nullptr;
+        for (std::size_t i = 0; i < tile; ++i)
+            if (masks[w0 + i]) {
+                planTraceDraws(trace, models[w0 + i], masks[w0 + i]);
+                compiled = compiled
+                           && compiledIsCheaper(trace, models[w0 + i],
+                                                x + w0 + i, z + w0 + i,
+                                                stride, masks[w0 + i],
+                                                tile);
             }
-        }
-        const auto run = [&](auto policy) {
-            using P = decltype(policy);
-            switch (tile) {
-              case 8:
-                replayTraceTile<8, P>(trace, x + w0, z + w0, stride,
-                                      models + w0, masks + w0,
-                                      flips + w0);
-                break;
-              case 4:
-                replayTraceTile<4, P>(trace, x + w0, z + w0, stride,
-                                      models + w0, masks + w0,
-                                      flips + w0);
-                break;
-              case 2:
-                replayTraceTile<2, P>(trace, x + w0, z + w0, stride,
-                                      models + w0, masks + w0,
-                                      flips + w0);
-                break;
-              default:
-                replayTraceTile<1, P>(trace, x + w0, z + w0, stride,
-                                      models + w0, masks + w0,
-                                      flips + w0);
-                break;
+        // When every word of the tile prices cheaper through the
+        // compiled effect model, replay word by word through it;
+        // inactive words still append their zero flip words to stay
+        // index-aligned. Mixed tiles keep the interpreter for the whole
+        // tile (the plans serve either consumer).
+        if (compiled) {
+            for (std::size_t i = 0; i < tile; ++i) {
+                if (!masks[w0 + i]) {
+                    flips[w0 + i].resize(flips[w0 + i].size()
+                                         + trace.numMeasurements);
+                    continue;
+                }
+                replayCompiled(trace, x + w0 + i, z + w0 + i, stride,
+                               models[w0 + i], masks[w0 + i],
+                               flips[w0 + i]);
             }
-        };
-        if (sampling == FaultSampling::TraceDraws) {
-            run(PlannedSampling{});
-            for (std::size_t i = 0; i < tile; ++i)
-                if (masks[w0 + i])
-                    verifyTracePlans(trace, models[w0 + i],
-                                     fire_plan_cache);
-        } else {
-            run(SiteSampling{});
+            w0 += tile;
+            continue;
         }
+        switch (tile) {
+          case 4:
+            replayTraceTile<4>(trace, x + w0, z + w0, stride, models + w0,
+                               masks + w0, flips + w0);
+            break;
+          case 2:
+            replayTraceTile<2>(trace, x + w0, z + w0, stride, models + w0,
+                               masks + w0, flips + w0);
+            break;
+          default:
+            replayTraceTile<1>(trace, x + w0, z + w0, stride, models + w0,
+                               masks + w0, flips + w0);
+            break;
+        }
+        for (std::size_t i = 0; i < tile; ++i)
+            if (masks[w0 + i])
+                verifyTracePlans(trace, models[w0 + i]);
         w0 += tile;
     }
 }

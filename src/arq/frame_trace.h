@@ -13,9 +13,9 @@
  *
  * Fault sites reference noise classes -- deduplicated probabilities
  * registered in a NoiseClassTable at record time -- and a
- * BatchedNoiseModel binds one geometric-gap Bernoulli sampler per class
- * plus the 64 per-lane Rng streams, so replaying a trace consumes
- * randomness per lane exactly as the scalar engine would.
+ * BatchedNoiseModel binds one geometric-gap lane clock per class plus
+ * the 64 per-lane Rng streams, so every lane draws i.i.d. Bernoulli
+ * faults from its own stream, exactly as the scalar engine's shots do.
  */
 
 #ifndef QLA_ARQ_FRAME_TRACE_H
@@ -190,21 +190,20 @@ struct FrameTrace
     /**
      * Sampler calls per noise class over one full replay of this trace,
      * indexed by class id (filled by finalizeTraceClassSites). This is
-     * what lets FaultSampling::TraceDraws advance each lane's clock over
-     * a whole trace in one walk instead of one trial per site: the k-th
-     * sampler call of class c during replay is trial ordinal k of that
-     * class's pre-walked block.
+     * what lets replay advance each lane's clock over a whole trace in
+     * one walk instead of one trial per site: the k-th sampler call of
+     * class c during replay is trial ordinal k of that class's
+     * pre-walked block.
      */
     std::vector<std::uint32_t> classSites;
 
     /**
      * Fire-plan skeleton: the classes with sites in this trace, in
      * class-id order, pre-classified against the class table (filled by
-     * finalizeTraceClassSites alongside classSites). With the fire-plan
-     * cache on, per-word planning iterates these few entries and only
-     * draws gaps; the legacy path re-derives the same classification
-     * over the whole class table -- shadow retry classes included --
-     * for every word of every replay.
+     * finalizeTraceClassSites alongside classSites). Per-word planning
+     * iterates these few entries and only draws gaps, instead of
+     * scanning the whole class table -- shadow retry classes included
+     * -- for every word of every replay.
      */
     std::vector<TraceClassWalk> walkPlan;
 
@@ -223,8 +222,8 @@ struct FrameTrace
  * store them in trace.classSites (sized to the class table), and build
  * trace.walkPlan, the fire-plan skeleton of the classes that actually
  * appear. Must be called once after recording, before the trace is
- * replayed with FaultSampling::TraceDraws; the counting rules mirror
- * the replay switch exactly (asserted post-replay in debug builds).
+ * replayed; the counting rules mirror the replay switch exactly
+ * (asserted after every interpreted replay).
  */
 void finalizeTraceClassSites(FrameTrace &trace,
                              const NoiseClassTable &classes);
@@ -280,9 +279,9 @@ class FrameTraceBuilder
 
 /**
  * One noise class's pre-walked fire schedule for the trace currently
- * being replayed on one word (FaultSampling::TraceDraws). Rebuilt by the
- * per-trace planning pass; consumed one site ordinal at a time as the
- * replay switch reaches the class's sampler calls.
+ * being replayed on one word. Rebuilt by the per-trace planning pass;
+ * consumed one site ordinal at a time as the replay switch reaches the
+ * class's sampler calls.
  */
 struct ClassDrawPlan
 {
@@ -372,16 +371,17 @@ struct BatchedNoiseModel
             samplers[src_cls[c]].moveLaneTo(dst.samplers[dst_cls[c]],
                                             dst_lane, src_lane);
             // The trace-draw clock of the same class travels with the
-            // lane; in SiteGeometric runs these clocks are all unseen
-            // and the move is a no-op.
+            // lane: replayed fault sites draw from these clocks.
             draws[src_cls[c]].moveLaneTo(dst.draws[dst_cls[c]], dst_lane,
                                          src_lane);
         }
     }
 
     LaneRngs lanes;
+    /** Per-site word samplers; only the syndrome-conditioned
+     *  corrections draw from these (the other classes stay unseen). */
     std::vector<BernoulliWordSampler> samplers;
-    /** Trace-level clocks, one per class (FaultSampling::TraceDraws). */
+    /** Trace-level clocks, one per class: every replayed fault site. */
     std::vector<ClassDrawSampler> draws;
     /** Scratch fire schedules for the trace being replayed. */
     std::vector<ClassDrawPlan> plans;
@@ -392,41 +392,41 @@ struct BatchedNoiseModel
  * flip words are appended to @p flips in op order (the caller clears the
  * buffer between replays). Takes the concrete engine so every gate and
  * readout compiles to direct word operations -- replay is the Monte
- * Carlo's innermost loop. @p sampling selects how fault sites turn into
- * fired lanes (TraceDraws requires trace.classSites to be finalized).
- * @p fire_plan_cache selects whether TraceDraws planning reuses the
- * trace's finalized skeleton (walkPlan) or re-derives it from the full
- * class table per replay; both produce byte-identical results -- the
- * legacy path exists as the reference for the cache's A/B gate.
+ * Carlo's innermost loop. The trace must be finalized
+ * (finalizeTraceClassSites): the active lanes' clocks are walked over
+ * the whole trace first, then the word replays through the compiled
+ * effect model or the op interpreter, whichever the cost model prices
+ * cheaper -- both consume the same plans, so the choice never changes
+ * results.
  */
 void replayTrace(const FrameTrace &trace, quantum::BatchedPauliFrame &frame,
                  BatchedNoiseModel &noise, std::uint64_t active,
-                 std::vector<std::uint64_t> &flips,
-                 FaultSampling sampling = FaultSampling::SiteGeometric,
-                 bool fire_plan_cache = true);
+                 std::vector<std::uint64_t> &flips);
+
+/** Words per SIMD plane of the group replay (256-bit frame arithmetic;
+ *  the remainder of a group is carved into 2- and 1-word planes). */
+inline constexpr std::size_t kReplayTileWords = 4;
 
 /**
  * Replay @p trace on all @p num_words words of a shot group at once,
- * tiled into SIMD planes of up to @p simd_width words (1, 2, 4 or 8;
- * power-of-two tiles are carved greedily from the active range, so any
- * group width works with any plane width). Word w replays under mask
- * masks[w] with models[w]; its flip words are cleared and then appended
- * to flips[w] in op order. Words whose mask is zero inside an active
- * tile get zero flip words (length stays aligned); all-inactive tiles
- * are skipped entirely and their flip buffers only cleared.
+ * tiled into SIMD planes of kReplayTileWords words (smaller power-of-two
+ * tiles are carved greedily from the rest, so any group width works).
+ * Word w replays under mask masks[w] with models[w]; its flip words are
+ * cleared and then appended to flips[w] in op order. Words whose mask is
+ * zero inside an active tile get zero flip words (length stays
+ * aligned); all-inactive tiles are skipped entirely and their flip
+ * buffers only cleared.
  *
  * Each word's lane randomness is consumed exactly as a lone
  * replayTrace of that word would consume it, so results are
- * bit-identical for every simd_width -- the planes only restructure the
- * frame arithmetic.
+ * bit-identical for every group width -- the planes only restructure
+ * the frame arithmetic.
  */
 void replayTraceGroup(const FrameTrace &trace,
                       quantum::GroupPauliFrames &frames,
                       BatchedNoiseModel *models,
                       const std::uint64_t *masks, std::size_t num_words,
-                      std::vector<std::uint64_t> *flips,
-                      std::size_t simd_width, FaultSampling sampling,
-                      bool fire_plan_cache = true);
+                      std::vector<std::uint64_t> *flips);
 
 } // namespace qla::arq
 

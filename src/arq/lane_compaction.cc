@@ -248,8 +248,7 @@ PrepRetryPool::PrepRetryPool(const ecc::CssCode &code,
                              int max_prep_attempts,
                              const NoiseClassTable &parent_classes,
                              const std::vector<std::uint8_t>
-                                 &shadow_of_primary,
-                             FaultSampling sampling, bool fire_plan_cache)
+                                 &shadow_of_primary)
     : code_(code), n_(code.blockLength()),
       max_prep_attempts_(max_prep_attempts),
       frame_(std::max(3 * code.blockLength(),
@@ -278,8 +277,6 @@ PrepRetryPool::PrepRetryPool(const ecc::CssCode &code,
           return classes_;
       }())
 {
-    sampling_ = sampling;
-    fire_plan_cache_ = fire_plan_cache;
     // The class table is final only now (recording above may have added
     // classes), so the per-class site counts and fire-plan skeletons
     // that drive trace-level batched draws are finalized here, over
@@ -412,7 +409,7 @@ PrepRetryPool::runExtract(bool detect_x, const LaneSet &mask,
         runAttempts(detect_x, dense, 1, stats);
         flips_.clear();
         replayTrace(extract_traces_[detect_x ? 1 : 0], frame_, model_,
-                    dense, flips_, sampling_, fire_plan_cache_);
+                    dense, flips_);
         SyndromePlanes planes{};
         for (std::size_t j = 0; j < num_checks; ++j)
             planes[j] = parityPlane(rows[j], flips_.data());
@@ -453,7 +450,7 @@ PrepRetryPool::runVerifySeries(bool plus, const LaneSet &mask,
                 mig_.gatherRow(k, frames, site_q0[s] + i, frame_, i);
             flips_.clear();
             replayTrace(verify_traces_[plus ? 1 : 0], frame_, model_,
-                        dense, flips_, sampling_, fire_plan_cache_);
+                        dense, flips_);
             SyndromePlanes synd{};
             for (std::size_t j = 0; j < num_checks; ++j)
                 synd[j] = parityPlane(rows[j], flips_.data());
@@ -491,7 +488,7 @@ PrepRetryPool::runNetwork(bool plus, const LaneSet &mask,
                                g * n_ + i);
         flips_.clear();
         replayTrace(network_traces_[plus ? 1 : 0], frame_, model_,
-                    mig_.chunkMask(k), flips_, sampling_, fire_plan_cache_);
+                    mig_.chunkMask(k), flips_);
         for (std::size_t g = 0; g < num_rows; ++g)
             for (std::size_t i = 0; i < n_; ++i)
                 mig_.scatterRow(k, frames, row_q0[g] + i, frame_,
@@ -514,8 +511,7 @@ PrepRetryPool::runAttempts(bool plus, std::uint64_t mask,
     int attempt = first_attempt;
     for (;;) {
         flips_.clear();
-        replayTrace(trace, frame_, model_, mask, flips_, sampling_,
-                    fire_plan_cache_);
+        replayTrace(trace, frame_, model_, mask, flips_);
         SyndromePlanes synd{};
         const auto &rows = plus ? x_check_bits_ : z_check_bits_;
         for (std::size_t j = 0; j < rows.size(); ++j)

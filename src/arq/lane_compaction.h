@@ -233,18 +233,11 @@ class PrepRetryPool
      *                          the recorder the parent traces used).
      * @param parent_classes    The parent experiment's class table.
      * @param shadow_of_primary Parent shadow class of each primary id.
-     * @param sampling          The parent's fault-sampling granularity
-     *                          (pooled replays must draw the same way).
-     * @param fire_plan_cache   The parent's fire-plan cache setting
-     *                          (applied to the pool's own replays).
      */
     PrepRetryPool(const ecc::CssCode &code, const TileRowRecorder &recorder,
                   int max_prep_attempts,
                   const NoiseClassTable &parent_classes,
-                  const std::vector<std::uint8_t> &shadow_of_primary,
-                  FaultSampling sampling
-                  = FaultSampling::SiteGeometric,
-                  bool fire_plan_cache = true);
+                  const std::vector<std::uint8_t> &shadow_of_primary);
 
     /**
      * Run the remaining verified-preparation attempts (the first one
@@ -361,10 +354,6 @@ class PrepRetryPool
     BatchedNoiseModel model_;
     std::vector<std::uint64_t> flips_;
     SegmentPool mig_;
-    /** Parent's fault-sampling granularity, used for pooled replays. */
-    FaultSampling sampling_ = FaultSampling::SiteGeometric;
-    /** Parent's fire-plan cache setting, used for pooled replays. */
-    bool fire_plan_cache_ = true;
 };
 
 } // namespace qla::arq

@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/batched_sampler.h"
 #include "common/rng.h"
 #include "common/tech_params.h"
 #include "ecc/css_code.h"
@@ -227,10 +226,7 @@ class LogicalQubitExperiment
  * Execution-shape options for the batched engine. By the determinism
  * contract (see ROADMAP "Rng-splitting determinism"), every setting
  * produces bit-identical results -- shot i's outcome is a pure function
- * of (seed, i) -- so these only trade memory and throughput. The one
- * exception is faultSampling: its two modes consume each lane's stream
- * in different orders, so they are two (individually deterministic)
- * statistically identical realizations, not bit-identical twins.
+ * of (seed, i) -- so these only trade memory and throughput.
  */
 struct BatchOptions
 {
@@ -258,30 +254,6 @@ struct BatchOptions
      * laneCompaction; results are bit-identical for every value.
      */
     double migrationFillThreshold = 0.25;
-    /**
-     * 64-bit words per SIMD shot plane of the replay kernel (1, 2, 4 or
-     * 8): group replays are tiled into planes of this many adjacent
-     * words, so 4 gives 256-bit and 8 gives 512-bit frame arithmetic
-     * where the compiler can vectorize (see QLA_NATIVE_ARCH). Results
-     * are bit-identical for every width.
-     */
-    std::size_t simdWidth = 4;
-    /**
-     * Granularity of fault-site sampling (see common/batched_sampler.h):
-     * TraceDraws walks each lane's per-class clock over a whole trace at
-     * once and is the fast default; SiteGeometric is the PR-4 per-site
-     * calendar, kept as the statistical cross-check reference.
-     */
-    FaultSampling faultSampling = FaultSampling::TraceDraws;
-    /**
-     * Reuse each trace's finalized fire-plan skeleton (which classes
-     * have sites and whether they are degenerate -- see
-     * FrameTrace::walkPlan) when planning TraceDraws replays, instead
-     * of re-deriving it from the whole class table per (word, replay).
-     * Results are bit-identical either way; off keeps the legacy
-     * planning sweep as the A/B reference for the determinism gate.
-     */
-    bool firePlanCache = true;
 };
 
 /** Options for the parallel Monte-Carlo entry points. */

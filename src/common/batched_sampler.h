@@ -38,26 +38,6 @@ inline constexpr std::size_t kBatchLanes = 64;
 /** One private Rng per lane of a 64-shot batch. */
 using LaneRngs = std::array<Rng, kBatchLanes>;
 
-/**
- * Granularity at which replayed traces turn noise-class probabilities
- * into fired lanes (see arq/frame_trace.h). Both modes draw each lane's
- * faults i.i.d. Bernoulli(p) over the sites at which the lane was
- * active, from the lane's own stream, so they are statistically
- * identical; they realize different draw sequences, so results are
- * bit-identical across widths/groupings/threads *within* a mode only.
- */
-enum class FaultSampling : std::uint8_t {
-    /** One geometric-gap trial per (site, word): BernoulliWordSampler. */
-    SiteGeometric,
-    /**
-     * One batched walk per (fault class, trace, word): each active
-     * lane's remaining-trials clock is advanced over the trace's whole
-     * per-class site list at once (ClassDrawSampler), and the resulting
-     * fire positions are expanded to per-site lane masks before replay.
-     */
-    TraceDraws,
-};
-
 /** 1 / log2(1 - p) for geometric inversion; 0 for degenerate p. */
 double geometricInvLog2q(double p);
 
@@ -312,8 +292,8 @@ class BernoulliWordSampler
     // The calendar lives behind a pointer, zero-filled the first time
     // rebase arms a lane (every ring access is on behalf of an armed
     // lane). Keeping the 16 KiB ring out of the object matters twice:
-    // an experiment builds one sampler per (class, word) and in
-    // TraceDraws runs only the correction class ever arms, so inline
+    // an experiment builds one sampler per (class, word) and only the
+    // correction class ever arms (replays use ClassDrawSampler), so inline
     // rings would memset megabytes per experiment for buckets never
     // read -- and the lane-transplant paths (segment migration) poke a
     // handful of scalars in many samplers per moved lane, which with
@@ -323,8 +303,8 @@ class BernoulliWordSampler
 };
 
 /**
- * Trace-level batched Bernoulli(p) clock over 64 lanes
- * (FaultSampling::TraceDraws).
+ * Trace-level batched Bernoulli(p) clock over 64 lanes: the sampler
+ * behind every replayed fault site (see arq/frame_trace.h).
  *
  * Where BernoulliWordSampler takes one trial per site per word,
  * ClassDrawSampler advances each lane over a whole block of @p sites
@@ -337,8 +317,7 @@ class BernoulliWordSampler
  * contract across widths, groupings, compaction and threads holds
  * exactly as for the word sampler. Only the *order* in which a lane's
  * stream is consumed differs (gap draws grouped per class per trace
- * instead of interleaved per site), so SiteGeometric and TraceDraws
- * runs are statistically identical but not bit-identical to each other.
+ * instead of interleaved per site).
  */
 class ClassDrawSampler
 {
@@ -351,13 +330,6 @@ class ClassDrawSampler
     }
 
     double probability() const { return p_; }
-
-    /** p <= 0: no lane ever fires and no stream is consumed. */
-    bool neverFires() const { return p_ <= 0.0; }
-
-    /** p >= 1: every active lane fires at every site, drawing nothing
-     *  (like Rng::bernoulli, certainties consume no randomness). */
-    bool alwaysFires() const { return p_ >= 1.0; }
 
     /** Forget all lane state; lanes re-arm from their streams. */
     void disarm() { seen_ = 0; }
@@ -398,8 +370,10 @@ class ClassDrawSampler
     /**
      * Advance @p lane's clock over @p sites consecutive trials, calling
      * fn(ordinal) for every fired trial (0-based ordinal within the
-     * block). Degenerate probabilities must be special-cased by the
-     * caller via neverFires()/alwaysFires() -- they consume no stream.
+     * block). Degenerate probabilities (p <= 0 or p >= 1) must be
+     * special-cased by the caller -- like Rng::bernoulli, they consume
+     * no stream (trace planning classifies them once per trace, see
+     * arq::TraceClassWalk).
      */
     template <class Fn>
     void walkLane(std::size_t lane, std::int64_t sites, Rng &rng, Fn &&fn)

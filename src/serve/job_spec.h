@@ -17,7 +17,7 @@
  * merges verify every shard served the same job. Everything that can
  * change a result byte is part of the canonical text; execution knobs
  * that the determinism contract proves result-neutral (worker count,
- * SIMD width) are deliberately not.
+ * checkpoint cadence) are deliberately not.
  */
 
 #ifndef QLA_SERVE_JOB_SPEC_H

@@ -7,17 +7,25 @@
 #include <mutex>
 
 #include "arq/monte_carlo.h"
+#include "common/logging.h"
 #include "network/cosim.h"
 #include "sim/shot_scheduler.h"
 
 namespace qla::serve {
 
+void
+SweepCaches::reserveWorkers(std::size_t workers)
+{
+    while (perWorkerExperiments.size() < workers)
+        perWorkerExperiments.push_back(
+            std::make_unique<ExperimentCache>());
+}
+
 ExperimentCache &
 SweepCaches::workerCache(std::size_t worker)
 {
-    while (perWorkerExperiments.size() <= worker)
-        perWorkerExperiments.push_back(
-            std::make_unique<ExperimentCache>());
+    qla_assert(worker < perWorkerExperiments.size(),
+               "no experiment cache reserved for worker ", worker);
     return *perWorkerExperiments[worker];
 }
 
@@ -371,6 +379,10 @@ runSweepJob(const SweepJobSpec &spec, const RunnerOptions &options,
     };
 
     sim::ShotScheduler scheduler(options.workers);
+    // Workers index the per-worker caches concurrently, so the vector
+    // must be sized here, before any of them starts.
+    caches.reserveWorkers(
+        static_cast<std::size_t>(scheduler.threadCount()));
     scheduler.run(pending.size(), [&](std::size_t job, int worker) {
         {
             std::lock_guard<std::mutex> lock(state.mutex);

@@ -47,6 +47,10 @@ struct SweepCaches
     std::vector<std::unique_ptr<ExperimentCache>> perWorkerExperiments;
     WorkloadCache workloads;
 
+    /** Grow perWorkerExperiments to at least @p workers caches. Call
+     *  before the workers start: they index the vector concurrently. */
+    void reserveWorkers(std::size_t workers);
+    /** The cache of worker slot @p worker (must be reserved). */
     ExperimentCache &workerCache(std::size_t worker);
     /** Summed record/replay tallies across workers + workload cache. */
     CacheCounters counters() const;

@@ -265,46 +265,39 @@ TEST(BatchedMonteCarlo, ShotsIndependentOfBatchGrouping)
     }
 }
 
-TEST(BatchedMonteCarlo, GroupingCompactionAndWidthBitIdentical)
+TEST(BatchedMonteCarlo, GroupingAndCompactionBitIdentical)
 {
-    // The shot-group width, lane compaction (including the dense twin
-    // used for "Start Over" rounds and repeated level-2 extractions)
-    // and the SIMD tile width are pure execution-shape choices: every
-    // lane's draw sequence is preserved exactly, so failure counts must
-    // be bit-identical across all settings -- separately within each
-    // fault-sampling mode (the one axis that changes which trials the
-    // stream is spent on). Swept far above threshold so the compacted
-    // retry paths actually run.
+    // The shot-group width (and with it the SIMD tile carving) and lane
+    // compaction (including the dense twin used for "Start Over" rounds
+    // and repeated level-2 extractions) are pure execution-shape
+    // choices: every lane's draw sequence is preserved exactly, so
+    // failure counts must be bit-identical across all settings. Swept
+    // far above threshold so the compacted retry paths actually run.
     constexpr double kFill = BatchOptions{}.migrationFillThreshold;
-    for (const FaultSampling sampling :
-         {FaultSampling::TraceDraws, FaultSampling::SiteGeometric}) {
-        for (const double p : {8e-3, 2e-2}) {
-            for (const int level : {1, 2}) {
-                const std::size_t shots = level == 1 ? 3000 : 800;
-                std::uint64_t reference = 0;
-                bool have_reference = false;
-                for (const BatchOptions options :
-                     {BatchOptions{1, false, kFill, 1, sampling},
-                      BatchOptions{16, false, kFill, 2, sampling},
-                      BatchOptions{4, true, kFill, 4, sampling},
-                      BatchOptions{16, true, kFill, 8, sampling},
-                      BatchOptions{32, true, kFill, 4, sampling}}) {
-                    BatchedLogicalQubitExperiment experiment(
-                        ecc::steaneCode(), NoiseParameters::swept(p), {},
-                        16, options);
-                    const auto rate
-                        = experiment.failureRate(level, shots, 99);
-                    ASSERT_EQ(rate.trials(), shots);
-                    if (!have_reference) {
-                        reference = rate.successes();
-                        have_reference = true;
-                    } else {
-                        EXPECT_EQ(rate.successes(), reference)
-                            << "p=" << p << " level=" << level
-                            << " group=" << options.groupWords
-                            << " compaction=" << options.laneCompaction
-                            << " width=" << options.simdWidth;
-                    }
+    for (const double p : {8e-3, 2e-2}) {
+        for (const int level : {1, 2}) {
+            const std::size_t shots = level == 1 ? 3000 : 800;
+            std::uint64_t reference = 0;
+            bool have_reference = false;
+            for (const BatchOptions options :
+                 {BatchOptions{1, false, kFill},
+                  BatchOptions{16, false, kFill},
+                  BatchOptions{4, true, kFill},
+                  BatchOptions{7, true, kFill},
+                  BatchOptions{32, true, kFill}}) {
+                BatchedLogicalQubitExperiment experiment(
+                    ecc::steaneCode(), NoiseParameters::swept(p), {}, 16,
+                    options);
+                const auto rate = experiment.failureRate(level, shots, 99);
+                ASSERT_EQ(rate.trials(), shots);
+                if (!have_reference) {
+                    reference = rate.successes();
+                    have_reference = true;
+                } else {
+                    EXPECT_EQ(rate.successes(), reference)
+                        << "p=" << p << " level=" << level
+                        << " group=" << options.groupWords
+                        << " compaction=" << options.laneCompaction;
                 }
             }
         }
@@ -418,43 +411,6 @@ TEST(BatchedMonteCarlo, SubThresholdChiSquareMatchesScalar)
         / ((b1 + b0) * (s1 + s0) * (b1 + s1) * (b0 + s0));
     EXPECT_LT(chi2, 10.83) << "batched " << b1 << "/" << b.trials()
                            << " vs scalar " << s1 << "/" << s.trials();
-}
-
-TEST(BatchedMonteCarlo, SamplingGranularityChiSquareCrosscheck)
-{
-    // Per-site geometric draws and trace-level batched class draws
-    // spend each lane's stream in a different order, so the two modes
-    // realize different -- but identically distributed -- fault
-    // patterns. A 2x2 contingency chi-square on the level-1 failure
-    // counts guards the ClassDrawSampler's statistics against the
-    // long-standing site-geometric path; 10.83 is the chi-square(1)
-    // 99.9% quantile.
-    const double p = 8e-3;
-    const std::size_t shots = 8000;
-    BatchOptions site_options;
-    site_options.faultSampling = FaultSampling::SiteGeometric;
-    BatchOptions trace_options;
-    trace_options.faultSampling = FaultSampling::TraceDraws;
-    BatchedLogicalQubitExperiment site(ecc::steaneCode(),
-                                       NoiseParameters::swept(p), {}, 16,
-                                       site_options);
-    BatchedLogicalQubitExperiment trace(ecc::steaneCode(),
-                                        NoiseParameters::swept(p), {}, 16,
-                                        trace_options);
-    const auto a = site.failureRate(1, shots, 67);
-    const auto b = trace.failureRate(1, shots, 67);
-
-    const double a1 = static_cast<double>(a.successes());
-    const double a0 = static_cast<double>(a.trials() - a.successes());
-    const double b1 = static_cast<double>(b.successes());
-    const double b0 = static_cast<double>(b.trials() - b.successes());
-    ASSERT_GT(a1, 4.0);
-    ASSERT_GT(b1, 4.0);
-    const double n = a1 + a0 + b1 + b0;
-    const double chi2 = n * (a1 * b0 - a0 * b1) * (a1 * b0 - a0 * b1)
-        / ((a1 + a0) * (b1 + b0) * (a1 + b1) * (a0 + b0));
-    EXPECT_LT(chi2, 10.83) << "site " << a1 << "/" << a.trials()
-                           << " vs trace " << b1 << "/" << b.trials();
 }
 
 TEST(MonteCarlo, EstimateThresholdInterpolates)

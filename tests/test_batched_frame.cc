@@ -438,7 +438,7 @@ TEST(ClassDrawSampler, MatchesBernoulliStatistics)
 
 TEST(ClassDrawSampler, BlockBoundariesDoNotChangeFirePositions)
 {
-    // The SIMD width and shot grouping change how a trace's sites are
+    // The SIMD tiling and shot grouping change how a trace's sites are
     // blocked into walkLane calls, never which global trial ordinals
     // fire: walking one long block and walking the same trials in
     // ragged pieces must fire at identical global positions.
@@ -524,20 +524,18 @@ TEST(ClassDrawSampler, ExportImportEdgeCases)
     EXPECT_GE(remaining, 1);
     other.importLane(9, remaining);
     EXPECT_EQ(other.exportLane(9), remaining);
-
-    // Degenerate probabilities are caller-gated flags and draw nothing.
-    EXPECT_TRUE(ClassDrawSampler(0.0).neverFires());
-    EXPECT_TRUE(ClassDrawSampler(1.0).alwaysFires());
-    EXPECT_FALSE(ClassDrawSampler(0.5).neverFires());
-    EXPECT_FALSE(ClassDrawSampler(0.5).alwaysFires());
 }
 
-TEST(GroupReplay, SimdWidthsBitIdenticalLaneByLane)
+TEST(GroupReplay, TileCarvingBitIdenticalLaneByLane)
 {
-    // The tentpole contract of the SIMD shot planes: replaying a shot
-    // group through 2-, 4- or 8-word tiles must leave every lane of
-    // every word -- frame bits and flip words -- exactly as the one-word
-    // replay does, in both fault-sampling modes.
+    // The contract of the SIMD shot planes: a shot group of any width
+    // is carved into kReplayTileWords-word planes and then 2- and
+    // 1-word planes, and every carving must leave every lane of every
+    // word -- frame bits and flip words -- exactly as the one-word
+    // replay does. Group widths 1..8 cover the one-word fast path,
+    // every remainder, all-inactive tiles (words 4-5) and inactive
+    // words inside active tiles; sparse and dense masks alternate so
+    // both replay engines run.
     using namespace qla::arq;
     const std::size_t n = 6;
     NoiseClassTable classes;
@@ -556,50 +554,157 @@ TEST(GroupReplay, SimdWidthsBitIdenticalLaneByLane)
     FrameTrace trace = builder.take();
     finalizeTraceClassSites(trace, classes);
 
-    const std::size_t words = 8;
+    const std::size_t max_words = 8;
     RngFamily family(2026);
     Rng mask_rng(55);
-    std::vector<std::uint64_t> masks(words);
-    for (auto &m : masks)
-        m = mask_rng.next64() | mask_rng.next64();
-    masks[3] = 0; // a fully inactive word inside the group
+    std::vector<std::uint64_t> masks(max_words);
+    for (std::size_t w = 0; w < max_words; ++w)
+        masks[w] = w % 2 ? mask_rng.next64() & mask_rng.next64()
+                               & mask_rng.next64()
+                         : mask_rng.next64() | mask_rng.next64();
+    masks[3] = masks[4] = masks[5] = 0;
 
-    for (const FaultSampling sampling :
-         {FaultSampling::SiteGeometric, FaultSampling::TraceDraws}) {
-        // Reference: each word alone through the single-word replay.
-        std::vector<BatchedPauliFrame> ref_frames(words,
-                                                  BatchedPauliFrame(n));
-        std::vector<std::vector<std::uint64_t>> ref_flips(words);
+    // Reference: each word alone through the single-word replay.
+    std::vector<BatchedPauliFrame> ref_frames(max_words,
+                                              BatchedPauliFrame(n));
+    std::vector<std::vector<std::uint64_t>> ref_flips(max_words);
+    for (std::size_t w = 0; w < max_words; ++w) {
+        BatchedNoiseModel model(classes);
+        model.rearm(family, w * kBatchLanes);
+        replayTrace(trace, ref_frames[w], model, masks[w], ref_flips[w]);
+    }
+
+    for (std::size_t words = 1; words <= max_words; ++words) {
+        GroupPauliFrames frames(n, words);
+        std::vector<BatchedNoiseModel> models;
         for (std::size_t w = 0; w < words; ++w) {
-            BatchedNoiseModel model(classes);
-            model.rearm(family, w * kBatchLanes);
-            replayTrace(trace, ref_frames[w], model, masks[w],
-                        ref_flips[w], sampling);
+            models.emplace_back(classes);
+            models.back().rearm(family, w * kBatchLanes);
         }
-
-        for (const std::size_t width : {1, 2, 4, 8}) {
-            GroupPauliFrames frames(n, words);
-            std::vector<BatchedNoiseModel> models;
-            for (std::size_t w = 0; w < words; ++w) {
-                models.emplace_back(classes);
-                models.back().rearm(family, w * kBatchLanes);
-            }
-            std::vector<std::vector<std::uint64_t>> flips(words);
-            replayTraceGroup(trace, frames, models.data(), masks.data(),
-                             words, flips.data(), width, sampling);
-            for (std::size_t w = 0; w < words; ++w) {
-                if (!masks[w])
-                    continue; // inactive words only get cleared flips
+        std::vector<std::vector<std::uint64_t>> flips(words);
+        replayTraceGroup(trace, frames, models.data(), masks.data(), words,
+                         flips.data());
+        for (std::size_t w = 0; w < words; ++w) {
+            // Inactive words get zero flips, or none in skipped tiles.
+            if (masks[w]) {
                 ASSERT_EQ(flips[w], ref_flips[w])
-                    << "width " << width << " word " << w;
+                    << "group " << words << " word " << w;
+            } else {
+                ASSERT_EQ(std::count(flips[w].begin(), flips[w].end(), 0u),
+                          static_cast<std::ptrdiff_t>(flips[w].size()))
+                    << "group " << words << " word " << w;
+            }
+            for (std::size_t q = 0; q < n; ++q) {
+                ASSERT_EQ(frames.xWord(w, q), ref_frames[w].xWord(q))
+                    << "group " << words << " word " << w << " q " << q;
+                ASSERT_EQ(frames.zWord(w, q), ref_frames[w].zWord(q))
+                    << "group " << words << " word " << w << " q " << q;
+            }
+        }
+    }
+}
+
+namespace {
+
+/** A trace mixing plain gates, fused noisy steps, one- and two-qubit
+ *  fault sites (one class degenerate) and readouts, which keeps some
+ *  input-frame coordinates live to its end (no reset up front). */
+qla::arq::FrameTrace
+mixedTrace(qla::arq::NoiseClassTable &classes, std::size_t n, double p)
+{
+    qla::arq::FrameTraceBuilder b(classes);
+    for (std::size_t round = 0; round < 6; ++round) {
+        for (std::size_t q = 0; q < n; q += 2)
+            b.noisyCnot(q, q + 1, round % 2 ? q : q + 1, p, 2 * p);
+        b.noisyH(round % n, p);
+        b.noise2(p, 1, n - 2);
+        b.noise1(0.0, 2); // degenerate class: never fires
+        b.h(3);
+        b.s(3);
+        b.cnot(4, 1);
+        b.cz(2, 5);
+        b.swapGate(0, n - 1);
+        b.noise1Range(0, n, p);
+        const std::size_t target = (round + 3) % n;
+        b.noisyCnotMeas(round % n, target, target, p, 2 * p,
+                        round % 2 == 1, p);
+        b.reset(target);
+    }
+    b.measureRange(0, n / 2, false, p);
+    b.measureX(n - 2, p);
+    b.measureZ(n - 1, p);
+    qla::arq::FrameTrace trace = b.take();
+    qla::arq::finalizeTraceClassSites(trace, classes);
+    return trace;
+}
+
+} // namespace
+
+TEST(TraceReplay, CompiledMatchesInterpreterLaneByLane)
+{
+    // The compiled effect-list replay and the op interpreter consume
+    // the same fire plans and must leave identical flips and frames. A
+    // copy of the trace without its compiled model can only take the
+    // interpreter; the original takes whichever engine the cost model
+    // prices cheaper. Three consecutive replays per word carry lane
+    // clocks and plan scratch across replays.
+    using namespace qla::arq;
+    struct Case
+    {
+        const char *name;
+        double p;
+        bool sparseMasks;
+        bool randomFrame;
+    };
+    const Case cases[] = {
+        // Few fires on a clean frame: the compiled replay is cheaper
+        // and serves every word from merged sparse event lists.
+        {"sparse p=1e-3", 1e-3, true, false},
+        // Full masks far above threshold: dense plans.
+        {"full p=5e-2", 5e-2, false, true},
+        // Few lanes at a high rate: dense plans through the compiled
+        // replay, with live input-frame coordinates.
+        {"sparse p=5e-2", 5e-2, true, true},
+    };
+    const std::size_t n = 8;
+    for (const Case &c : cases) {
+        NoiseClassTable classes;
+        const FrameTrace trace = mixedTrace(classes, n, c.p);
+        ASSERT_TRUE(trace.effects);
+        FrameTrace interpreted = trace;
+        interpreted.effects = nullptr;
+        const FrameTrace *engines[2] = {&trace, &interpreted};
+        RngFamily family(31337);
+        Rng rng(4242);
+        for (std::uint64_t word = 0; word < 24; ++word) {
+            const std::uint64_t mask = c.sparseMasks
+                ? rng.next64() & rng.next64() & rng.next64()
+                : ~std::uint64_t{0};
+            std::vector<BatchedPauliFrame> frames(2, BatchedPauliFrame(n));
+            if (c.randomFrame) {
                 for (std::size_t q = 0; q < n; ++q) {
-                    ASSERT_EQ(frames.xWord(w, q), ref_frames[w].xWord(q))
-                        << "width " << width << " word " << w << " q "
-                        << q;
-                    ASSERT_EQ(frames.zWord(w, q), ref_frames[w].zWord(q))
-                        << "width " << width << " word " << w << " q "
-                        << q;
+                    const std::uint64_t xw = rng.next64();
+                    const std::uint64_t zw = rng.next64();
+                    for (BatchedPauliFrame &f : frames) {
+                        f.injectX(q, xw);
+                        f.injectZ(q, zw);
+                    }
                 }
+            }
+            std::vector<std::uint64_t> flips[2];
+            for (int e = 0; e < 2; ++e) {
+                BatchedNoiseModel model(classes);
+                model.rearm(family, word * kBatchLanes);
+                for (int rep = 0; rep < 3; ++rep)
+                    replayTrace(*engines[e], frames[e], model, mask,
+                                flips[e]);
+            }
+            ASSERT_EQ(flips[0], flips[1]) << c.name << " word " << word;
+            for (std::size_t q = 0; q < n; ++q) {
+                ASSERT_EQ(frames[0].xWord(q), frames[1].xWord(q))
+                    << c.name << " word " << word << " q " << q;
+                ASSERT_EQ(frames[0].zWord(q), frames[1].zWord(q))
+                    << c.name << " word " << word << " q " << q;
             }
         }
     }

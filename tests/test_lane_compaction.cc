@@ -100,8 +100,7 @@ describeOptions(const BatchOptions &options)
 {
     return "group=" + std::to_string(options.groupWords) + " compaction="
         + std::to_string(options.laneCompaction) + " fill="
-        + std::to_string(options.migrationFillThreshold) + " plancache="
-        + std::to_string(options.firePlanCache);
+        + std::to_string(options.migrationFillThreshold);
 }
 
 } // namespace
@@ -136,7 +135,6 @@ TEST(LaneCompaction, RandomizedBatchOptionsBitIdentical)
             options.laneCompaction = fuzz.uniformInt(4) != 0;
             options.migrationFillThreshold
                 = fills[fuzz.uniformInt(std::size(fills))];
-            options.firePlanCache = fuzz.uniformInt(2) != 0;
             const RunResult got = runExperiment(cfg.p, cfg.level,
                                                 cfg.shots, seed, options);
             expectStatsIdentical(got, reference,
@@ -180,77 +178,6 @@ TEST(LaneCompaction, ThreadedRunMatchesScalarGroupingReference)
                   ref_stats.prepAttempts.count())
             << threads;
     }
-}
-
-TEST(FirePlanCache, CachedReplayBitIdenticalToUncached)
-{
-    // The fire-plan cache (and the compiled replay engine it enables)
-    // must be invisible in results: plans are rebuilt per (word,
-    // replay) from the same draws either way, so cached and uncached
-    // runs are byte-identical counters. Sweep masks and retry shapes
-    // by level and p so partially-active words, degenerate classes and
-    // dense/sparse plan packings all occur.
-    struct Config
-    {
-        double p;
-        int level;
-        std::size_t shots;
-    };
-    const Config configs[] = {
-        {6e-3, 1, 1500}, {2.5e-2, 1, 800}, {1.4e-2, 2, 260}};
-    for (const Config &cfg : configs) {
-        BatchOptions uncached;
-        uncached.firePlanCache = false;
-        const RunResult reference = runExperiment(cfg.p, cfg.level,
-                                                  cfg.shots, 424243,
-                                                  uncached);
-        for (const std::size_t width : {std::size_t{1}, std::size_t{8}}) {
-            BatchOptions cached;
-            cached.firePlanCache = true;
-            cached.simdWidth = width;
-            const RunResult got = runExperiment(cfg.p, cfg.level,
-                                                cfg.shots, 424243, cached);
-            expectStatsIdentical(got, reference,
-                                 "p=" + std::to_string(cfg.p) + " L"
-                                     + std::to_string(cfg.level)
-                                     + " width=" + std::to_string(width));
-        }
-    }
-}
-
-TEST(FirePlanCache, SurvivesCompactionAndSegmentTransplant)
-{
-    // Lane compaction and SegmentPool migration rebuild words out of
-    // transplanted lanes mid-run; replays after a transplant must hit
-    // the same cached skeleton with fresh per-word draws and still be
-    // byte-identical to the uncached interpreter. Level 2 above
-    // threshold drives prep retries, twin migration and the
-    // verification-pair segment; fill = 4.0 migrates maximally
-    // eagerly.
-    BatchOptions uncached;
-    uncached.firePlanCache = false;
-    uncached.laneCompaction = true;
-    uncached.migrationFillThreshold = 4.0;
-    const RunResult reference = runExperiment(2.5e-2, 2, 240, 8675309,
-                                              uncached);
-    BatchOptions cached = uncached;
-    cached.firePlanCache = true;
-    const RunResult got = runExperiment(2.5e-2, 2, 240, 8675309, cached);
-    expectStatsIdentical(got, reference, "compaction+transplant");
-
-    // And with compaction off: never-compacted words keep full masks,
-    // exercising the all-lanes dense path against the same reference
-    // stream.
-    BatchOptions uncached_plain;
-    uncached_plain.firePlanCache = false;
-    uncached_plain.laneCompaction = false;
-    const RunResult plain_ref = runExperiment(2.5e-2, 2, 240, 8675309,
-                                              uncached_plain);
-    BatchOptions cached_plain = uncached_plain;
-    cached_plain.firePlanCache = true;
-    const RunResult plain_got = runExperiment(2.5e-2, 2, 240, 8675309,
-                                              cached_plain);
-    expectStatsIdentical(plain_got, plain_ref, "no-compaction");
 }
 
 //

@@ -10,19 +10,12 @@
  *       for every thread count (the determinism contract).
  *
  *   determinism_gate --mode spot --engine batched
- *       [--group G] [--compaction on|off] [--fill F] [--width W]
- *       [--sampling site|trace] [--fire-plan-cache on|off]
+ *       [--group G] [--compaction on|off] [--fill F]
  *       [--threads N] [--shots S]
  *       Single-point L1+L2 failure counts on the batched engine;
  *       identical output is required for every group width, for
- *       compaction on vs off, for every segment-migration fill
- *       threshold F, for every SIMD tile width W (1/2/4/8 words), and
- *       for the fire-plan cache on vs off (cached skeleton + compiled
- *       replay vs the legacy planning sweep + interpreter).
- *       --sampling picks the fault-sampling granularity; it is the one
- *       axis that changes the realized fault pattern (per-site vs
- *       trace-level batched draws), so runs are byte-comparable only
- *       within one sampling mode.
+ *       compaction on vs off and for every segment-migration fill
+ *       threshold F.
  *
  *   determinism_gate --mode spot --engine scalar [--shots S]
  *       The scalar reference engine's counts (self-reproducibility).
@@ -55,7 +48,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "apps/qcla.h"
@@ -94,17 +86,13 @@ runSweep(int threads, std::size_t shots)
 
 int
 runSpotBatched(std::size_t group, bool compaction, double fill,
-               std::size_t width, FaultSampling sampling,
-               bool fire_plan_cache, int threads, std::size_t shots)
+               int threads, std::size_t shots)
 {
     McRunOptions options;
     options.threads = threads;
     options.batch.groupWords = group;
     options.batch.laneCompaction = compaction;
     options.batch.migrationFillThreshold = fill;
-    options.batch.simdWidth = width;
-    options.batch.faultSampling = sampling;
-    options.batch.firePlanCache = fire_plan_cache;
     for (const int level : {1, 2}) {
         ExperimentStats stats;
         const auto rate = runLogicalExperiment(
@@ -314,11 +302,6 @@ printHelp()
         "  --compaction C     spot/batched: lane compaction on | off\n"
         "  --fill F           spot/batched: segment-migration fill "
         "threshold\n"
-        "  --width W          spot/batched: SIMD tile width in words\n"
-        "  --sampling S       spot/batched: site | trace fault "
-        "sampling\n"
-        "  --fire-plan-cache C  spot/batched: fire-plan cache on | "
-        "off\n"
         "  --fault-rate F     interconnect: uniform link-fault rate "
         "axis\n"
         "  --purification L   interconnect: purification-level axis\n"
@@ -346,9 +329,6 @@ main(int argc, char **argv)
     std::size_t group = BatchOptions{}.groupWords;
     bool compaction = true;
     double fill = BatchOptions{}.migrationFillThreshold;
-    std::size_t width = BatchOptions{}.simdWidth;
-    FaultSampling sampling = BatchOptions{}.faultSampling;
-    bool fire_plan_cache = BatchOptions{}.firePlanCache;
     double fault_rate = 0.0;
     int purification = 0;
     double link_fidelity = 1.0;
@@ -375,18 +355,16 @@ main(int argc, char **argv)
             shots = std::strtoull(next(), nullptr, 10);
         else if (arg == "--group")
             group = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--compaction")
-            compaction = std::strcmp(next(), "off") != 0;
-        else if (arg == "--fill")
+        else if (arg == "--compaction") {
+            const std::string value = next();
+            if (value != "on" && value != "off") {
+                std::fprintf(stderr, "--compaction takes on or off, got %s\n",
+                             value.c_str());
+                return 2;
+            }
+            compaction = value == "on";
+        } else if (arg == "--fill")
             fill = std::atof(next());
-        else if (arg == "--width")
-            width = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--sampling")
-            sampling = std::strcmp(next(), "site") == 0
-                ? FaultSampling::SiteGeometric
-                : FaultSampling::TraceDraws;
-        else if (arg == "--fire-plan-cache")
-            fire_plan_cache = std::strcmp(next(), "off") != 0;
         else if (arg == "--fault-rate")
             fault_rate = std::atof(next());
         else if (arg == "--purification")
@@ -412,8 +390,7 @@ main(int argc, char **argv)
     if (mode == "spot")
         return engine == "scalar"
             ? runSpotScalar(shots)
-            : runSpotBatched(group, compaction, fill, width, sampling,
-                             fire_plan_cache, threads, shots);
+            : runSpotBatched(group, compaction, fill, threads, shots);
     if (mode == "crosscheck")
         return runCrosscheck(shots);
     if (mode == "interconnect")
