@@ -16,6 +16,10 @@
 
 #include <benchmark/benchmark.h>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include <cstring>
 #include <string>
 #include <vector>
@@ -31,6 +35,16 @@ runGoogleBenchmarkMain(int argc, char **argv)
     benchmark::AddCustomContext("library_build_type", "release");
 #else
     benchmark::AddCustomContext("library_build_type", "debug");
+#endif
+#ifdef __linux__
+    // num_cpus counts the machine's cores. Stamp how many this run may
+    // use, which is what the *Threads* fixtures scale over (baselines
+    // are recorded pinned to one core with taskset).
+    cpu_set_t affinity;
+    CPU_ZERO(&affinity);
+    if (sched_getaffinity(0, sizeof(affinity), &affinity) == 0)
+        benchmark::AddCustomContext("affinity_cpus",
+                                    std::to_string(CPU_COUNT(&affinity)));
 #endif
     std::string json_path;
     std::vector<char *> args;

@@ -363,13 +363,8 @@ class CoSimEngine
         anchor.y /= static_cast<int>(gate.qubits.size());
         // Ancilla factories exist only in the compute region (the point
         // of the CQLA split), so gadget tiles must allocate there.
-        const TileFilter compute_only = [this](const TileCoord &t) {
-            return inCompute(t);
-        };
         for (int i = 0; i < gate.ancillaCount; ++i) {
-            const auto tile = hierarchy_on_
-                ? placement_.nearestFree(anchor, compute_only)
-                : placement_.nearestFree(anchor);
+            const auto tile = placement_.nearestFree(anchor, computeBand());
             if (!tile) {
                 for (const EntityId e : out)
                     releaseAncilla(e);
@@ -465,6 +460,15 @@ class CoSimEngine
         return regions_.tileKind(t.x) == arch::RegionKind::Compute;
     }
 
+    /** Tile columns of the compute region (the whole grid when the map
+     *  is uniform) and of the memory region (the rest). */
+    TileBand computeBand() const
+    {
+        return {0, regions_.computeIslandColumns()
+                       * placement_.tilesPerIslandX()};
+    }
+    TileBand memoryBand() const { return {computeBand().xEnd}; }
+
     /** True when @p q is an operand of an active gate other than
      *  @p gate (its tile must not move under that gate). */
     bool pinnedByOther(EntityId q, std::size_t gate) const
@@ -529,9 +533,6 @@ class CoSimEngine
             ++report_.memInPlaceMisses;
             return;
         }
-        const TileFilter compute_only = [this](const TileCoord &t) {
-            return inCompute(t);
-        };
         // Aim next to the gate's compute-resident operands; a gate
         // whose operands are all in memory fetches to the boundary
         // column nearest its row.
@@ -549,14 +550,12 @@ class CoSimEngine
             anchor.x /= resident;
             anchor.y /= resident;
         } else {
-            anchor = TileCoord{regions_.computeIslandColumns()
-                                       * placement_.tilesPerIslandX()
-                                   - 1,
+            anchor = TileCoord{computeBand().xEnd - 1,
                                placement_.tileOf(q).y};
         }
-        auto tile = placement_.nearestFree(anchor, compute_only);
+        auto tile = placement_.nearestFree(anchor, computeBand());
         if (!tile && evictColdest(g, slot))
-            tile = placement_.nearestFree(anchor, compute_only);
+            tile = placement_.nearestFree(anchor, computeBand());
         if (!tile) {
             ++report_.memInPlaceMisses;
             return;
@@ -603,11 +602,8 @@ class CoSimEngine
         }
         if (victim == kNoEntity)
             return false;
-        const TileFilter memory_only = [this](const TileCoord &t) {
-            return !inCompute(t);
-        };
         const auto tile = placement_.nearestFree(
-            placement_.tileOf(victim), memory_only);
+            placement_.tileOf(victim), memoryBand());
         if (!tile)
             return false; // memory full too: caller degrades in place
         const IslandCoord src = placement_.islandOf(victim);
@@ -828,22 +824,14 @@ class CoSimEngine
              g.interactionsFor[static_cast<std::size_t>(g.progress)]) {
                 const EntityId mover = entityOf(g, inter.mover);
                 const EntityId target = entityOf(g, inter.target);
-                bool moved = false;
-                if (hierarchy_on_) {
-                    // Drift must not cross the region boundary: a
-                    // fetched (compute) qubit stays cached, an
-                    // in-place-miss (memory) qubit stays in memory.
-                    const bool in_compute =
-                        inCompute(placement_.tileOf(mover));
-                    moved = placement_.driftToward(
+                // Drift must not cross the region boundary: a fetched
+                // (compute) qubit stays cached, an in-place-miss
+                // (memory) qubit stays in memory.
+                if (placement_.driftToward(
                         mover, target,
-                        [this, in_compute](const TileCoord &t) {
-                            return inCompute(t) == in_compute;
-                        });
-                } else {
-                    moved = placement_.driftToward(mover, target);
-                }
-                if (moved)
+                        inCompute(placement_.tileOf(mover))
+                            ? computeBand()
+                            : memoryBand()))
                     ++report_.driftMoves;
             }
         }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 
 #include "common/rng.h"
 
@@ -85,37 +84,22 @@ IslandMesh::usedSlots(const IslandCoord &from, Direction dir) const
     return used_[linkIndex(from, dir)];
 }
 
-namespace {
-
-/** Directed-link indices along a waypoint path. */
-std::vector<std::size_t>
-pathLinks(const IslandMesh &mesh, const std::vector<IslandCoord> &path,
-          const std::function<std::size_t(const IslandCoord &, Direction)>
-              &index)
+std::size_t
+IslandMesh::hopLink(const IslandCoord &a, const IslandCoord &b) const
 {
-    (void)mesh;
-    std::vector<std::size_t> links;
-    links.reserve(path.size() - 1);
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-        const IslandCoord &a = path[i];
-        const IslandCoord &b = path[i + 1];
-        Direction dir;
-        if (b.x == a.x + 1 && b.y == a.y)
-            dir = Direction::East;
-        else if (b.x == a.x - 1 && b.y == a.y)
-            dir = Direction::West;
-        else if (b.y == a.y + 1 && b.x == a.x)
-            dir = Direction::North;
-        else if (b.y == a.y - 1 && b.x == a.x)
-            dir = Direction::South;
-        else
-            qla_panic("non-adjacent hop in island path");
-        links.push_back(index(a, dir));
-    }
-    return links;
+    Direction dir;
+    if (b.x == a.x + 1 && b.y == a.y)
+        dir = Direction::East;
+    else if (b.x == a.x - 1 && b.y == a.y)
+        dir = Direction::West;
+    else if (b.y == a.y + 1 && b.x == a.x)
+        dir = Direction::North;
+    else if (b.y == a.y - 1 && b.x == a.x)
+        dir = Direction::South;
+    else
+        qla_panic("non-adjacent hop in island path");
+    return linkIndex(a, dir);
 }
-
-} // namespace
 
 bool
 IslandMesh::reservePath(const std::vector<IslandCoord> &path,
@@ -124,17 +108,13 @@ IslandMesh::reservePath(const std::vector<IslandCoord> &path,
     if (path.size() < 2)
         return true; // local delivery, no mesh links involved
 
-    const auto links = pathLinks(
-        *this, path,
-        [this](const IslandCoord &c, Direction d) {
-            return linkIndex(c, d);
-        });
-
-    for (std::size_t link : links)
+    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+        const std::size_t link = hopLink(path[i], path[i + 1]);
         if (used_[link] + pairs > capacityOf(link))
             return false;
-    for (std::size_t link : links) {
-        used_[link] += pairs;
+    }
+    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+        used_[hopLink(path[i], path[i + 1])] += pairs;
         window_reserved_ += pairs;
         total_reserved_ += pairs;
     }
@@ -146,13 +126,9 @@ IslandMesh::maxReservable(const std::vector<IslandCoord> &path) const
 {
     if (path.size() < 2)
         return ~std::uint64_t{0};
-    const auto links = pathLinks(
-        *this, path,
-        [this](const IslandCoord &c, Direction d) {
-            return linkIndex(c, d);
-        });
     std::uint64_t free = ~std::uint64_t{0};
-    for (std::size_t link : links) {
+    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+        const std::size_t link = hopLink(path[i], path[i + 1]);
         const std::uint64_t cap = capacityOf(link);
         const std::uint64_t f = used_[link] >= cap ? 0
                                                    : cap - used_[link];
@@ -264,14 +240,9 @@ IslandMesh::burstLinksOnPath(const std::vector<IslandCoord> &path) const
 {
     if (!faults_on_ || faults_.burstRate <= 0.0 || path.size() < 2)
         return 0;
-    const auto links = pathLinks(
-        *this, path,
-        [this](const IslandCoord &c, Direction d) {
-            return linkIndex(c, d);
-        });
     int bursts = 0;
-    for (std::size_t link : links)
-        bursts += burst_[link] != 0;
+    for (std::size_t i = 0; i + 1 < path.size(); ++i)
+        bursts += burst_[hopLink(path[i], path[i + 1])] != 0;
     return bursts;
 }
 

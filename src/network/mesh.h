@@ -195,6 +195,8 @@ class IslandMesh
 
   private:
     std::size_t linkIndex(const IslandCoord &from, Direction dir) const;
+    /** Directed link of the hop @p a -> @p b (adjacent islands). */
+    std::size_t hopLink(const IslandCoord &a, const IslandCoord &b) const;
     static IslandCoord neighbor(const IslandCoord &c, Direction dir);
 
     /** Capacity of link slot @p link this window (0 while down). */

@@ -9,7 +9,8 @@ TilePlacement::TilePlacement(int mesh_width, int mesh_height,
     : tile_width_(mesh_width * tiles_per_island_x),
       tile_height_(mesh_height), tiles_per_island_x_(tiles_per_island_x),
       occupant_(static_cast<std::size_t>(tile_width_) * tile_height_,
-                kNoEntity)
+                kNoEntity),
+      free_in_column_(static_cast<std::size_t>(tile_width_), tile_height_)
 {
     qla_assert(mesh_width > 0 && mesh_height > 0 && tiles_per_island_x > 0,
                "bad tile-grid parameters");
@@ -46,6 +47,7 @@ TilePlacement::assign(EntityId entity, const TileCoord &tile)
         tiles_.resize(entity + 1);
     tiles_[entity] = tile;
     occupant_[tileIndex(tile)] = entity;
+    --free_in_column_[static_cast<std::size_t>(tile.x)];
     ++occupied_;
 }
 
@@ -54,6 +56,7 @@ TilePlacement::release(EntityId entity)
 {
     const TileCoord tile = tileOf(entity);
     occupant_[tileIndex(tile)] = kNoEntity;
+    ++free_in_column_[static_cast<std::size_t>(tile.x)];
     tiles_[entity].reset();
     --occupied_;
 }
@@ -66,45 +69,38 @@ TilePlacement::moveTo(EntityId entity, const TileCoord &tile)
 }
 
 std::optional<TileCoord>
-TilePlacement::nearestFree(const TileCoord &near) const
+TilePlacement::nearestFree(const TileCoord &near, const TileBand &band) const
 {
     qla_assert(inBounds(near), "tile out of bounds");
-    // Expanding Manhattan rings; within a ring, a fixed deterministic
-    // walk (decreasing dx from +r to -r, y below before above).
-    const int max_radius = tile_width_ + tile_height_;
+    const int x_begin = std::max(band.xBegin, 0);
+    const int x_end = std::min(band.xEnd, tile_width_);
+    int free = 0;
+    for (int x = x_begin; x < x_end; ++x)
+        free += free_in_column_[static_cast<std::size_t>(x)];
+    if (free == 0)
+        return std::nullopt;
+    // Expanding Manhattan rings out to the band's farthest corner;
+    // within a ring, a fixed deterministic walk (decreasing dx from +r
+    // to -r, y below before above). Columns outside the band or without
+    // a free tile are skipped, which leaves the first hit unchanged.
+    const int max_radius =
+        std::max(near.x - x_begin, x_end - 1 - near.x)
+        + std::max(near.y, tile_height_ - 1 - near.y);
     for (int r = 0; r <= max_radius; ++r) {
-        for (int dx = r; dx >= -r; --dx) {
+        const int dx_hi = std::min(r, x_end - 1 - near.x);
+        const int dx_lo = std::max(-r, x_begin - near.x);
+        for (int dx = dx_hi; dx >= dx_lo; --dx) {
+            const int x = near.x + dx;
+            if (free_in_column_[static_cast<std::size_t>(x)] == 0)
+                continue;
             const int dy_mag = r - std::abs(dx);
-            for (int sign : {-1, +1}) {
-                if (dy_mag == 0 && sign == +1)
-                    continue;
-                const TileCoord t{near.x + dx, near.y + sign * dy_mag};
-                if (inBounds(t)
-                    && occupant_[tileIndex(t)] == kNoEntity)
-                    return t;
-            }
-        }
-    }
-    return std::nullopt;
-}
-
-std::optional<TileCoord>
-TilePlacement::nearestFree(const TileCoord &near,
-                           const TileFilter &eligible) const
-{
-    qla_assert(inBounds(near), "tile out of bounds");
-    const int max_radius = tile_width_ + tile_height_;
-    for (int r = 0; r <= max_radius; ++r) {
-        for (int dx = r; dx >= -r; --dx) {
-            const int dy_mag = r - std::abs(dx);
-            for (int sign : {-1, +1}) {
-                if (dy_mag == 0 && sign == +1)
-                    continue;
-                const TileCoord t{near.x + dx, near.y + sign * dy_mag};
-                if (inBounds(t) && occupant_[tileIndex(t)] == kNoEntity
-                    && eligible(t))
-                    return t;
-            }
+            const int below = near.y - dy_mag;
+            if (below >= 0 && occupant_[tileIndex({x, below})] == kNoEntity)
+                return TileCoord{x, below};
+            const int above = near.y + dy_mag;
+            if (dy_mag > 0 && above < tile_height_
+                && occupant_[tileIndex({x, above})] == kNoEntity)
+                return TileCoord{x, above};
         }
     }
     return std::nullopt;
@@ -112,32 +108,14 @@ TilePlacement::nearestFree(const TileCoord &near,
 
 bool
 TilePlacement::driftToward(EntityId entity, EntityId partner,
-                           const TileFilter &eligible)
-{
-    const TileCoord from = tileOf(entity);
-    const TileCoord target = tileOf(partner);
-    const IslandCoord target_island = islandOf(target);
-    if (islandOf(from) == target_island)
-        return false;
-    const auto free = nearestFree(target, eligible);
-    if (!free)
-        return false;
-    if (islandDistance(islandOf(*free), target_island)
-        >= islandDistance(islandOf(from), target_island))
-        return false;
-    moveTo(entity, *free);
-    return true;
-}
-
-bool
-TilePlacement::driftToward(EntityId entity, EntityId partner)
+                           const TileBand &band)
 {
     const TileCoord from = tileOf(entity);
     const TileCoord target = tileOf(partner);
     const IslandCoord target_island = islandOf(target);
     if (islandOf(from) == target_island)
         return false; // already co-located: nothing to gain
-    const auto free = nearestFree(target);
+    const auto free = nearestFree(target, band);
     if (!free)
         return false;
     // Only move when it brings the pair strictly closer in island-grid
@@ -161,18 +139,23 @@ TilePlacement::isBijective() const
             || occupant_[tileIndex(*tiles_[e])] != e)
             return false;
     }
-    // Reverse direction: every occupied tile points back at its entity.
+    // Reverse direction: every occupied tile points back at its entity,
+    // and every column's free count matches its empty tiles.
     std::size_t occupied_tiles = 0;
+    std::vector<int> free_in_column(free_in_column_.size(), 0);
     for (std::size_t i = 0; i < occupant_.size(); ++i) {
-        if (occupant_[i] == kNoEntity)
+        if (occupant_[i] == kNoEntity) {
+            ++free_in_column[i % free_in_column.size()];
             continue;
+        }
         ++occupied_tiles;
         const EntityId e = occupant_[i];
         if (!(e < tiles_.size() && tiles_[e]
               && tileIndex(*tiles_[e]) == i))
             return false;
     }
-    return placed == occupied_tiles && placed == occupied_;
+    return placed == occupied_tiles && placed == occupied_
+        && free_in_column == free_in_column_;
 }
 
 std::vector<EntityId>

@@ -17,10 +17,9 @@
 #define QLA_NETWORK_PLACEMENT_H
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
-
-#include <functional>
 
 #include "arch/region.h"
 #include "circuit/circuit.h"
@@ -46,9 +45,14 @@ using EntityId = std::size_t;
 
 inline constexpr EntityId kNoEntity = ~EntityId{0};
 
-/** Predicate restricting a tile search to a subset of the grid (e.g.
- *  one CQLA region). Must be pure and deterministic. */
-using TileFilter = std::function<bool(const TileCoord &)>;
+/** Half-open range of tile columns [xBegin, xEnd) restricting a tile
+ *  search (e.g. one CQLA region, which is a band of whole island
+ *  columns). Clipped to the grid; the default is the whole grid. */
+struct TileBand
+{
+    int xBegin = 0;
+    int xEnd = std::numeric_limits<int>::max();
+};
 
 /** Initial-placement policies. */
 enum class PlacementStrategy : std::uint8_t
@@ -126,35 +130,31 @@ class TilePlacement
     void moveTo(EntityId entity, const TileCoord &tile);
 
     /**
-     * Nearest free tile to @p near (deterministic: increasing Manhattan
-     * distance, ties broken by scan order). Empty when the grid is full.
-     */
-    std::optional<TileCoord> nearestFree(const TileCoord &near) const;
-
-    /**
-     * nearestFree restricted to tiles where @p eligible returns true
-     * (same deterministic ring walk). Used by the CQLA cache model to
-     * keep fetches inside the compute region and evictions inside the
-     * memory region.
+     * Nearest free tile to @p near inside @p band, or empty when the
+     * band has none. Deterministic ring walk (part of the determinism
+     * contract): increasing Manhattan distance; within a ring, dx
+     * decreasing from +r to -r, y below before y above. The walk only
+     * visits the band's columns, and a band with no free tile exits
+     * after summing its per-column free counts. @p near may lie outside
+     * the band. The CQLA cache model uses bands to keep fetches inside
+     * the compute region and evictions inside the memory region.
      */
     std::optional<TileCoord> nearestFree(const TileCoord &near,
-                                         const TileFilter &eligible) const;
+                                         const TileBand &band = {}) const;
 
     /**
-     * Drift move: relocate @p entity to the free tile nearest to
-     * @p partner's tile -- ideally on the partner's island, so the next
-     * interaction of the pair is island-local. No-op when the entity
-     * already shares the partner's island or no free tile exists.
+     * Drift move: relocate @p entity to the free tile of @p band nearest
+     * to @p partner's tile -- ideally on the partner's island, so the
+     * next interaction of the pair is island-local (a band keeps a
+     * drifting qubit inside its region). No-op when the entity already
+     * shares the partner's island or no free tile exists.
      * @return true when the entity moved.
      */
-    bool driftToward(EntityId entity, EntityId partner);
-
-    /** driftToward restricted to destination tiles where @p eligible
-     *  returns true (so a drifting qubit never leaves its region). */
     bool driftToward(EntityId entity, EntityId partner,
-                     const TileFilter &eligible);
+                     const TileBand &band = {});
 
-    /** Every entity on exactly one tile, every tile at most one entity. */
+    /** Every entity on exactly one tile, every tile at most one entity,
+     *  and the per-column free counts match the occupancy. */
     bool isBijective() const;
 
     /** Placed entity ids in increasing order (for deterministic scans). */
@@ -170,6 +170,7 @@ class TilePlacement
     int tile_height_;
     int tiles_per_island_x_;
     std::vector<EntityId> occupant_;          // per tile
+    std::vector<int> free_in_column_;         // per tile column
     std::vector<std::optional<TileCoord>> tiles_; // per entity id
     std::size_t occupied_ = 0;
 };

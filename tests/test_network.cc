@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <set>
+#include <tuple>
 
 #include "apps/qcla.h"
 #include "apps/qft.h"
@@ -364,6 +365,102 @@ TEST(TilePlacement, NearestFreeIsDeterministicAndNear)
     EXPECT_EQ(std::abs(a->x - 5) + std::abs(a->y - 2), 1);
 }
 
+namespace {
+
+/** Reference for TilePlacement::nearestFree: scan every free tile of the
+ *  band and keep the one with the smallest (Manhattan distance, ring-walk
+ *  rank) key -- within a ring, dx decreasing, then y below before above. */
+std::optional<TileCoord>
+bruteForceNearestFree(const TilePlacement &placement, const TileCoord &near,
+                      const TileBand &band)
+{
+    std::optional<TileCoord> best;
+    std::tuple<int, int, int> best_key;
+    const int x_end = std::min(band.xEnd, placement.tileWidth());
+    for (int x = std::max(band.xBegin, 0); x < x_end; ++x)
+        for (int y = 0; y < placement.tileHeight(); ++y) {
+            if (placement.occupantOf({x, y}) != kNoEntity)
+                continue;
+            const int dx = x - near.x, dy = y - near.y;
+            const std::tuple<int, int, int> key{
+                std::abs(dx) + std::abs(dy), -dx, dy > 0 ? 1 : 0};
+            if (!best || key < best_key) {
+                best = TileCoord{x, y};
+                best_key = key;
+            }
+        }
+    return best;
+}
+
+} // namespace
+
+TEST(TilePlacement, BandSearchMatchesBruteForceReference)
+{
+    Rng rng(2024);
+    std::uint64_t hits = 0, misses = 0;
+    for (int trial = 0; trial < 400; ++trial) {
+        const int mesh_w = 1 + static_cast<int>(rng.uniformInt(5));
+        const int mesh_h = 1 + static_cast<int>(rng.uniformInt(6));
+        const int tpx = 1 + static_cast<int>(rng.uniformInt(3));
+        TilePlacement placement(mesh_w, mesh_h, tpx);
+        const int w = placement.tileWidth(), h = placement.tileHeight();
+        // Occupancy density sweeps empty .. full grids.
+        const double density = static_cast<double>(trial % 11) / 10.0;
+        EntityId next = 0;
+        for (int y = 0; y < h; ++y)
+            for (int x = 0; x < w; ++x)
+                if (rng.bernoulli(density))
+                    placement.assign(next++, {x, y});
+        // Release some again on even trials so the column counts go
+        // both ways; odd trials keep full grids at density 1.
+        for (EntityId e = 0; trial % 2 == 0 && e < next; e += 3)
+            placement.release(e);
+        ASSERT_TRUE(placement.isBijective());
+
+        std::vector<TileBand> bands = {
+            TileBand{},                       // whole grid (unfiltered)
+            TileBand{0, w},                   // whole grid, explicit
+            TileBand{w / 2, w / 2},           // empty band
+            TileBand{w - 1, w},               // one column
+            TileBand{-3, w + 3},              // clipped to the grid
+        };
+        for (int b = 0; b < 4; ++b) {
+            const int x0 = static_cast<int>(rng.uniformInt(
+                static_cast<std::uint64_t>(w)));
+            const int x1 = x0 + 1
+                + static_cast<int>(rng.uniformInt(
+                    static_cast<std::uint64_t>(w - x0)));
+            bands.push_back(TileBand{x0, x1});
+        }
+        for (const TileBand &band : bands)
+            for (int q = 0; q < 4; ++q) {
+                // Anchors anywhere on the grid, so some lie outside
+                // the band.
+                const TileCoord near{
+                    static_cast<int>(rng.uniformInt(
+                        static_cast<std::uint64_t>(w))),
+                    static_cast<int>(rng.uniformInt(
+                        static_cast<std::uint64_t>(h)))};
+                const auto expect =
+                    bruteForceNearestFree(placement, near, band);
+                const auto got = placement.nearestFree(near, band);
+                ASSERT_EQ(got.has_value(), expect.has_value())
+                    << "trial " << trial << " near (" << near.x << ","
+                    << near.y << ") band [" << band.xBegin << ","
+                    << band.xEnd << ")";
+                if (expect) {
+                    EXPECT_EQ(*got, *expect) << "trial " << trial;
+                    ++hits;
+                } else {
+                    ++misses;
+                }
+            }
+    }
+    // Both outcomes were exercised.
+    EXPECT_GT(hits, 1000u);
+    EXPECT_GT(misses, 100u);
+}
+
 TEST(TilePlacement, DriftMovesTowardPartnerIsland)
 {
     TilePlacement placement(6, 1, 3);
@@ -383,6 +480,14 @@ TEST(TilePlacement, DriftMovesTowardPartnerIsland)
     tight.assign(1, {1, 0});
     EXPECT_FALSE(tight.driftToward(0, 1)); // partner island is full
     EXPECT_EQ(tight.tileOf(0), (TileCoord{0, 0}));
+    // A band keeps the mover inside it: the partner's island lies
+    // beyond the band, so the mover lands on the band's edge tile.
+    TilePlacement banded(6, 1, 3);
+    banded.assign(0, {0, 0});
+    banded.assign(1, {17, 0});
+    EXPECT_TRUE(banded.driftToward(0, 1, TileBand{0, 9}));
+    EXPECT_EQ(banded.tileOf(0), (TileCoord{8, 0}));
+    EXPECT_TRUE(banded.isBijective());
 }
 
 TEST(TilePlacement, HilbertOrderCoversEveryTileOnce)
