@@ -27,6 +27,8 @@ struct PendingDemand
     int relWindow = 0;    ///< Gate-relative window consuming the pairs.
     std::size_t slot = 0; ///< Demand index within that window.
     EprDemand demand;     ///< .pairs holds the *remaining* pairs.
+    /** Island distance of the demand; endpoints are fixed at emission. */
+    int distance = 0;
     int age = 0;
     /** Routing priority key, refreshed each window before sorting. */
     int urgency = 0;
@@ -185,10 +187,8 @@ class CoSimEngine
   private:
     std::uint64_t slotsForWindow() const
     {
-        SchedulerConfig sc;
-        sc.window = config_.window;
-        sc.purifiedPairServiceTime = config_.purifiedPairServiceTime;
-        const std::uint64_t slots = slotsPerChannel(sc);
+        const std::uint64_t slots = slotsPerChannel(
+            config_.window, config_.purifiedPairServiceTime);
         if (!config_.fidelity.enabled())
             return slots;
         // Purification traffic competes with program traffic: pumping a
@@ -451,6 +451,7 @@ class CoSimEngine
         pd.relWindow = rel;
         pd.slot = slot;
         pd.demand = EprDemand{src, dst, pairs, g.id};
+        pd.distance = islandDistance(src, dst);
         pending_.push_back(pd);
         ++g.undeliveredFor[static_cast<std::size_t>(rel)];
     }
@@ -619,8 +620,9 @@ class CoSimEngine
     {
         // Most urgent first: windows closest to consumption, then
         // oldest, then longest routes, then (gate, window, slot) to pin
-        // the order fully. Urgency is precomputed once per window; the
-        // comparator must stay lookup-free.
+        // the order fully. Urgency is precomputed once per window and
+        // distance once at emission; the comparator must stay
+        // lookup-free.
         for (PendingDemand &pd : pending_) {
             const ActiveGate &g = gateById(pd.gate);
             // Pre-active gates cannot consume this window; their
@@ -634,12 +636,8 @@ class CoSimEngine
                           return a.urgency < b.urgency;
                       if (a.age != b.age)
                           return a.age > b.age;
-                      const int da = islandDistance(a.demand.source,
-                                                    a.demand.destination);
-                      const int db = islandDistance(b.demand.source,
-                                                    b.demand.destination);
-                      if (da != db)
-                          return da > db;
+                      if (a.distance != b.distance)
+                          return a.distance > b.distance;
                       if (a.gate != b.gate)
                           return a.gate < b.gate;
                       if (a.relWindow != b.relWindow)
@@ -656,19 +654,18 @@ class CoSimEngine
                 still_pending.push_back(pd);
                 continue;
             }
-            RouteDelivery delivery;
+            delivery_.grabs.clear();
             const std::uint64_t moved = router_.routePairs(
                 mesh_, pd.demand, pd.demand.pairs, route_stats_,
-                noisy_ ? &delivery : nullptr);
+                noisy_ ? &delivery_ : nullptr);
             std::uint64_t usable = moved;
             bool abandon = false;
             if (noisy_)
-                usable = processDelivery(pd, delivery, abandon);
+                usable = processDelivery(pd, delivery_, abandon);
             report_.pairsRoutedOnMesh += usable;
             pd.demand.pairs -= usable;
             if (pd.demand.pairs == 0) {
-                route_length_sum_ += islandDistance(
-                    pd.demand.source, pd.demand.destination);
+                route_length_sum_ += pd.distance;
                 ++routed_count_;
                 --gateById(pd.gate).undeliveredFor[
                     static_cast<std::size_t>(pd.relWindow)];
@@ -916,6 +913,8 @@ class CoSimEngine
 
     // PR 7 noisy-delivery state (inert on the clean path).
     bool noisy_ = false;       ///< Any fault/fidelity machinery active.
+    /** Grabs of the demand being routed (reused, cleared per demand). */
+    RouteDelivery delivery_;
     bool fidelity_on_ = false; ///< Delivered pairs carry a fidelity.
     double loss_rate_ = 0.0;
     LinkPurificationPlan link_plan_;

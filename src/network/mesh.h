@@ -14,7 +14,9 @@
 #ifndef QLA_NETWORK_MESH_H
 #define QLA_NETWORK_MESH_H
 
+#include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <vector>
 
 #include "common/logging.h"
@@ -39,6 +41,48 @@ int islandDistance(const IslandCoord &a, const IslandCoord &b);
 
 /** Directions of mesh links. */
 enum class Direction : std::uint8_t { East, West, North, South };
+
+/**
+ * A candidate route: a start island and three axis-aligned legs whose
+ * axes alternate -- x, y, x, or y, x, y when @c yFirst. A leg may be
+ * empty. The mesh walks a route's links by index arithmetic, so trying
+ * a shape builds no path.
+ */
+struct MeshRoute
+{
+    IslandCoord from;
+    bool yFirst = false;
+    /** Signed leg lengths in islands (+x east, +y north). */
+    int legs[3] = {0, 0, 0};
+
+    /**
+     * Route from @p from to @p to whose first leg moves @p first_leg
+     * along the first axis; the second leg closes the other axis and the
+     * third the rest of the first. A first leg covering the whole
+     * first-axis offset is the dimension-ordered route.
+     */
+    static MeshRoute via(const IslandCoord &from, const IslandCoord &to,
+                         bool y_first, int first_leg)
+    {
+        const int d_first = y_first ? to.y - from.y : to.x - from.x;
+        const int d_second = y_first ? to.x - from.x : to.y - from.y;
+        return {from, y_first, {first_leg, d_second, d_first - first_leg}};
+    }
+
+    /** Dimension-ordered route: the first axis closed, then the other. */
+    static MeshRoute dimensionOrdered(const IslandCoord &from,
+                                      const IslandCoord &to, bool y_first)
+    {
+        return via(from, to, y_first, y_first ? to.y - from.y
+                                              : to.x - from.x);
+    }
+
+    /** Links the route crosses. */
+    int hops() const
+    {
+        return std::abs(legs[0]) + std::abs(legs[1]) + std::abs(legs[2]);
+    }
+};
 
 /**
  * Stochastic link-fault model (PR 7 noisy-interconnect co-design).
@@ -132,16 +176,18 @@ class IslandMesh
     std::uint64_t usedSlots(const IslandCoord &from, Direction dir) const;
 
     /**
-     * Try to reserve @p pairs slots on every directed link along
-     * @p path (consecutive adjacent islands). All-or-nothing.
-     * @return true when the reservation succeeded.
+     * Largest reservation @p route can currently accept: the minimum free
+     * slots over its links, returned as 0 at the first full link without
+     * walking the rest; UINT64_MAX for a zero-hop route.
      */
-    bool reservePath(const std::vector<IslandCoord> &path,
-                     std::uint64_t pairs);
+    std::uint64_t maxReservable(const MeshRoute &route) const;
 
-    /** Largest reservation the path can currently accept (min over its
-     *  links of the free slots); UINT64_MAX for a trivial path. */
-    std::uint64_t maxReservable(const std::vector<IslandCoord> &path) const;
+    /**
+     * Reserve @p pairs slots on every link of @p route, which must stay
+     * within maxReservable(route) (a link over capacity panics).
+     * @return bursting links the route crosses this window.
+     */
+    int reserve(const MeshRoute &route, std::uint64_t pairs);
 
     /** Begin a new window: clears all reservations, accumulates stats. */
     void advanceWindow();
@@ -160,9 +206,6 @@ class IslandMesh
 
     /** Link carries a depolarization burst this window. */
     bool linkBurst(const IslandCoord &from, Direction dir) const;
-
-    /** Bursting links crossed by @p path in the current window. */
-    int burstLinksOnPath(const std::vector<IslandCoord> &path) const;
 
     /** @name Fault-process event counters
      *  For the statistical crosscheck that injected faults match their
@@ -194,9 +237,19 @@ class IslandMesh
     std::uint64_t reservedThisWindow() const { return window_reserved_; }
 
   private:
+    /** One leg of a route as directed-link indices: @p count links
+     *  from @p first, @p stride apart. */
+    struct LinkRun
+    {
+        std::ptrdiff_t first = 0;
+        std::ptrdiff_t stride = 0;
+        int count = 0;
+    };
+
     std::size_t linkIndex(const IslandCoord &from, Direction dir) const;
-    /** Directed link of the hop @p a -> @p b (adjacent islands). */
-    std::size_t hopLink(const IslandCoord &a, const IslandCoord &b) const;
+    /** Split @p route into its legs' link runs (bounds asserted on the
+     *  endpoints and waypoints); @return the number of non-empty legs. */
+    int linkRuns(const MeshRoute &route, LinkRun (&runs)[3]) const;
     static IslandCoord neighbor(const IslandCoord &c, Direction dir);
 
     /** Capacity of link slot @p link this window (0 while down). */
@@ -227,10 +280,6 @@ class IslandMesh
     std::uint64_t burst_trials_ = 0;
     std::uint64_t link_windows_down_ = 0;
 };
-
-/** Step from @p a toward @p b (dimension-ordered); a != b required. */
-Direction stepToward(const IslandCoord &a, const IslandCoord &b,
-                     bool y_first);
 
 } // namespace qla::network
 

@@ -6,90 +6,9 @@
 namespace qla::network {
 
 std::uint64_t
-slotsPerChannel(const SchedulerConfig &config)
+slotsPerChannel(Seconds window, Seconds pair_service_time)
 {
-    return static_cast<std::uint64_t>(config.window
-                                      / config.purifiedPairServiceTime);
-}
-
-std::vector<IslandCoord>
-EprRouter::dimensionOrderedPath(const IslandCoord &from,
-                                const IslandCoord &to, bool y_first)
-{
-    std::vector<IslandCoord> path{from};
-    IslandCoord cur = from;
-    auto walk_x = [&]() {
-        while (cur.x != to.x) {
-            cur.x += (to.x > cur.x) ? 1 : -1;
-            path.push_back(cur);
-        }
-    };
-    auto walk_y = [&]() {
-        while (cur.y != to.y) {
-            cur.y += (to.y > cur.y) ? 1 : -1;
-            path.push_back(cur);
-        }
-    };
-    if (y_first) {
-        walk_y();
-        walk_x();
-    } else {
-        walk_x();
-        walk_y();
-    }
-    return path;
-}
-
-std::vector<IslandCoord>
-EprRouter::detourPath(const IslandCoord &from, const IslandCoord &to,
-                      int x_shift)
-{
-    // Route via a shifted column: x-first to the detour column, then y,
-    // then x to the destination.
-    const IslandCoord mid1{from.x + x_shift, from.y};
-    const IslandCoord mid2{from.x + x_shift, to.y};
-    std::vector<IslandCoord> path{from};
-    IslandCoord cur = from;
-    auto walk_to = [&](const IslandCoord &wp) {
-        while (cur.x != wp.x) {
-            cur.x += (wp.x > cur.x) ? 1 : -1;
-            path.push_back(cur);
-        }
-        while (cur.y != wp.y) {
-            cur.y += (wp.y > cur.y) ? 1 : -1;
-            path.push_back(cur);
-        }
-    };
-    walk_to(mid1);
-    walk_to(mid2);
-    walk_to(to);
-    return path;
-}
-
-std::vector<IslandCoord>
-EprRouter::detourPathRow(const IslandCoord &from, const IslandCoord &to,
-                         int y_shift)
-{
-    // Route via a shifted row: y-first to the detour row, then x, then
-    // y to the destination.
-    const IslandCoord mid1{from.x, from.y + y_shift};
-    const IslandCoord mid2{to.x, from.y + y_shift};
-    std::vector<IslandCoord> path{from};
-    IslandCoord cur = from;
-    auto walk_to = [&](const IslandCoord &wp) {
-        while (cur.y != wp.y) {
-            cur.y += (wp.y > cur.y) ? 1 : -1;
-            path.push_back(cur);
-        }
-        while (cur.x != wp.x) {
-            cur.x += (wp.x > cur.x) ? 1 : -1;
-            path.push_back(cur);
-        }
-    };
-    walk_to(mid1);
-    walk_to(mid2);
-    walk_to(to);
-    return path;
+    return static_cast<std::uint64_t>(window / pair_service_time);
 }
 
 std::uint64_t
@@ -102,40 +21,39 @@ EprRouter::routePairs(IslandMesh &mesh, const EprDemand &demand,
 
     std::uint64_t remaining = pairs;
     bool first_path = true;
-    auto grab = [&](const std::vector<IslandCoord> &path) {
+    auto grab = [&](const MeshRoute &route) {
         if (remaining == 0)
             return;
         const std::uint64_t amount = std::min(remaining,
-                                              mesh.maxReservable(path));
+                                              mesh.maxReservable(route));
         if (amount == 0)
             return;
         if (!first_path)
             ++stats.backoffReroutes;
-        const bool ok = mesh.reservePath(path, amount);
-        qla_assert(ok, "reservation within free capacity failed");
+        const int bursts = mesh.reserve(route, amount);
         remaining -= amount;
         first_path = false;
         if (delivery != nullptr)
-            delivery->grabs.push_back(
-                {amount, static_cast<int>(path.size()) - 1,
-                 mesh.burstLinksOnPath(path)});
+            delivery->grabs.push_back({amount, route.hops(), bursts});
     };
 
     // Greedy: grab everything the dimension-ordered route offers, then
-    // back off onto the alternate shape, then detour columns and rows.
-    grab(dimensionOrderedPath(demand.source, demand.destination, false));
-    grab(dimensionOrderedPath(demand.source, demand.destination, true));
+    // back off onto the alternate shape, then detour columns and rows (a
+    // row detour is the only alternate for islands in the same row, which
+    // the 100-cell floor plan makes the common case).
+    const IslandCoord &from = demand.source;
+    const IslandCoord &to = demand.destination;
+    grab(MeshRoute::dimensionOrdered(from, to, false));
+    grab(MeshRoute::dimensionOrdered(from, to, true));
     for (int r = 1; r <= detour_radius_ && remaining > 0; ++r) {
         for (int sign : {+1, -1}) {
             const int shift = sign * r;
-            const int col = demand.source.x + shift;
+            const int col = from.x + shift;
             if (col >= 0 && col < mesh.width())
-                grab(detourPath(demand.source, demand.destination,
-                                shift));
-            const int row = demand.source.y + shift;
+                grab(MeshRoute::via(from, to, false, shift));
+            const int row = from.y + shift;
             if (row >= 0 && row < mesh.height())
-                grab(detourPathRow(demand.source, demand.destination,
-                                   shift));
+                grab(MeshRoute::via(from, to, true, shift));
         }
     }
     return pairs - remaining;
@@ -153,7 +71,8 @@ GreedyEprScheduler::GreedyEprScheduler(const SchedulerConfig &config,
 std::uint64_t
 GreedyEprScheduler::slotsPerChannel() const
 {
-    return network::slotsPerChannel(config_);
+    return network::slotsPerChannel(config_.window,
+                                    config_.purifiedPairServiceTime);
 }
 
 SchedulerReport

@@ -65,8 +65,9 @@ struct SchedulerConfig
     std::uint64_t seed = 12345;
 };
 
-/** Pairs one channel can carry per scheduling window. */
-std::uint64_t slotsPerChannel(const SchedulerConfig &config);
+/** Pairs one channel can carry per scheduling window of length @p window
+ *  when each purified pair holds the channel for @p pair_service_time. */
+std::uint64_t slotsPerChannel(Seconds window, Seconds pair_service_time);
 
 /** Counters the router accumulates while placing traffic. */
 struct RouteStats
@@ -96,7 +97,9 @@ struct RouteDelivery
 /**
  * Greedy multi-path router over the island mesh: grab everything the
  * dimension-ordered route offers, back off onto the alternate
- * dimension order, then detour through shifted columns and rows.
+ * dimension order, then detour through shifted columns (legs x, y, x)
+ * and rows (legs y, x, y). Each shape is a MeshRoute the mesh walks in
+ * place; a try stops at the first full link.
  */
 class EprRouter
 {
@@ -105,23 +108,6 @@ class EprRouter
         : detour_radius_(detour_radius)
     {
     }
-
-    /** Dimension-ordered path between two islands. */
-    static std::vector<IslandCoord> dimensionOrderedPath(
-        const IslandCoord &from, const IslandCoord &to, bool y_first);
-
-    /** Path detouring through a column shifted @p x_shift from the
-     *  source. */
-    static std::vector<IslandCoord> detourPath(const IslandCoord &from,
-                                               const IslandCoord &to,
-                                               int x_shift);
-
-    /** Path detouring through a row shifted @p y_shift from the source
-     *  (the only alternate route for islands in the same row, which the
-     *  100-cell floor plan makes the common case). */
-    static std::vector<IslandCoord> detourPathRow(const IslandCoord &from,
-                                                  const IslandCoord &to,
-                                                  int y_shift);
 
     /**
      * Route up to @p pairs of the demand in the current window,

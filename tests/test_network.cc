@@ -33,33 +33,39 @@ TEST(IslandMesh, CapacityAccounting)
 {
     IslandMesh mesh(4, 4, 2, 10); // 20 pairs per directed link
     EXPECT_EQ(mesh.linkCapacity(), 20u);
-    const std::vector<IslandCoord> path{{0, 0}, {1, 0}, {2, 0}};
-    EXPECT_EQ(mesh.maxReservable(path), 20u);
-    EXPECT_TRUE(mesh.reservePath(path, 15));
-    EXPECT_EQ(mesh.maxReservable(path), 5u);
-    EXPECT_FALSE(mesh.reservePath(path, 6)); // over capacity
-    EXPECT_TRUE(mesh.reservePath(path, 5));
-    EXPECT_EQ(mesh.maxReservable(path), 0u);
+    const MeshRoute route{{0, 0}, false, {2, 0, 0}}; // (0,0) -> (2,0)
+    EXPECT_EQ(route.hops(), 2);
+    EXPECT_EQ(mesh.maxReservable(route), 20u);
+    mesh.reserve(route, 15);
+    EXPECT_EQ(mesh.usedSlots({1, 0}, Direction::East), 15u);
+    EXPECT_EQ(mesh.reservedThisWindow(), 30u);
+    EXPECT_EQ(mesh.maxReservable(route), 5u);
+    EXPECT_DEATH(mesh.reserve(route, 6), "exceeds link capacity");
+    mesh.reserve(route, 5);
+    EXPECT_EQ(mesh.maxReservable(route), 0u);
 }
 
 TEST(IslandMesh, DirectedLinksAreIndependent)
 {
     IslandMesh mesh(3, 3, 1, 10);
-    const std::vector<IslandCoord> east{{0, 0}, {1, 0}};
-    const std::vector<IslandCoord> west{{1, 0}, {0, 0}};
-    EXPECT_TRUE(mesh.reservePath(east, 10));
+    const MeshRoute east{{0, 0}, false, {1, 0, 0}};
+    const MeshRoute west{{1, 0}, false, {-1, 0, 0}};
+    mesh.reserve(east, 10);
     // The opposite direction has its own channels.
-    EXPECT_TRUE(mesh.reservePath(west, 10));
-    EXPECT_FALSE(mesh.reservePath(east, 1));
+    EXPECT_EQ(mesh.maxReservable(west), 10u);
+    mesh.reserve(west, 10);
+    EXPECT_EQ(mesh.maxReservable(east), 0u);
+    EXPECT_DEATH(mesh.reserve(east, 1), "exceeds link capacity");
 }
 
 TEST(IslandMesh, WindowAdvanceClearsReservations)
 {
     IslandMesh mesh(3, 3, 1, 10);
-    const std::vector<IslandCoord> path{{0, 0}, {1, 0}};
-    EXPECT_TRUE(mesh.reservePath(path, 10));
+    const MeshRoute route{{0, 0}, false, {1, 0, 0}};
+    mesh.reserve(route, 10);
+    EXPECT_EQ(mesh.maxReservable(route), 0u);
     mesh.advanceWindow();
-    EXPECT_EQ(mesh.maxReservable(path), 10u);
+    EXPECT_EQ(mesh.maxReservable(route), 10u);
     EXPECT_EQ(mesh.windowsElapsed(), 1u);
 }
 
@@ -67,7 +73,7 @@ TEST(IslandMesh, UtilizationAggregation)
 {
     IslandMesh mesh(2, 1, 1, 10); // a single east/west link pair
     EXPECT_EQ(mesh.totalLinks(), 2u);
-    mesh.reservePath({{0, 0}, {1, 0}}, 5);
+    mesh.reserve({{0, 0}, false, {1, 0, 0}}, 5);
     mesh.advanceWindow();
     // 5 of 20 available slots used.
     EXPECT_NEAR(mesh.aggregateUtilization(), 0.25, 1e-12);
@@ -76,8 +82,9 @@ TEST(IslandMesh, UtilizationAggregation)
 TEST(IslandMesh, TrivialPathNeedsNoCapacity)
 {
     IslandMesh mesh(2, 2, 1, 1);
-    EXPECT_TRUE(mesh.reservePath({{0, 0}}, 1000));
-    EXPECT_EQ(mesh.maxReservable({{1, 1}}), ~std::uint64_t{0});
+    EXPECT_EQ(mesh.reserve(MeshRoute{{0, 0}}, 1000), 0);
+    EXPECT_EQ(mesh.reservedThisWindow(), 0u);
+    EXPECT_EQ(mesh.maxReservable(MeshRoute{{1, 1}}), ~std::uint64_t{0});
 }
 
 TEST(Workload, GeneratesBoundedDemands)
@@ -218,6 +225,23 @@ TEST(Scheduler, UtilizationWithinPhysicalBounds)
 
 namespace {
 
+/** Islands a route visits, stepping its legs one hop at a time. */
+std::vector<IslandCoord>
+routeIslands(const MeshRoute &route)
+{
+    std::vector<IslandCoord> islands{route.from};
+    IslandCoord at = route.from;
+    for (int leg = 0; leg < 3; ++leg) {
+        int &axis = (route.yFirst != (leg == 1)) ? at.y : at.x;
+        const int step = route.legs[leg] > 0 ? 1 : -1;
+        for (int i = 0; i < std::abs(route.legs[leg]); ++i) {
+            axis += step;
+            islands.push_back(at);
+        }
+    }
+    return islands;
+}
+
 void
 expectValidWalk(const std::vector<IslandCoord> &path,
                 const IslandCoord &from, const IslandCoord &to,
@@ -256,19 +280,19 @@ TEST(EprRouter, PathsAreValidMeshWalks)
             continue;
         for (const bool y_first : {false, true})
             expectValidWalk(
-                EprRouter::dimensionOrderedPath(from, to, y_first),
+                routeIslands(MeshRoute::dimensionOrdered(from, to, y_first)),
                 from, to, width, height);
         for (int shift = -2; shift <= 2; ++shift) {
             if (shift == 0)
                 continue;
             if (from.x + shift >= 0 && from.x + shift < width)
                 expectValidWalk(
-                    EprRouter::detourPath(from, to, shift), from, to,
-                    width, height);
+                    routeIslands(MeshRoute::via(from, to, false, shift)),
+                    from, to, width, height);
             if (from.y + shift >= 0 && from.y + shift < height)
                 expectValidWalk(
-                    EprRouter::detourPathRow(from, to, shift), from, to,
-                    width, height);
+                    routeIslands(MeshRoute::via(from, to, true, shift)),
+                    from, to, width, height);
         }
     }
 }
@@ -277,10 +301,228 @@ TEST(EprRouter, DimensionOrderedPathIsShortest)
 {
     const IslandCoord from{1, 1}, to{4, 5};
     for (const bool y_first : {false, true}) {
-        const auto path = EprRouter::dimensionOrderedPath(from, to,
-                                                          y_first);
-        EXPECT_EQ(path.size(), 1u + 3u + 4u);
+        const auto route = MeshRoute::dimensionOrdered(from, to, y_first);
+        EXPECT_EQ(route.hops(), 3 + 4);
+        EXPECT_EQ(routeIslands(route).size(), 1u + 3u + 4u);
     }
+}
+
+namespace {
+
+/** The path builders the router used before routes were walked in
+ *  place, kept as the reference: every island of the walk, in order. */
+std::vector<IslandCoord>
+referenceDimensionOrderedPath(const IslandCoord &from,
+                              const IslandCoord &to, bool y_first)
+{
+    std::vector<IslandCoord> path{from};
+    IslandCoord cur = from;
+    auto walk_x = [&]() {
+        while (cur.x != to.x) {
+            cur.x += (to.x > cur.x) ? 1 : -1;
+            path.push_back(cur);
+        }
+    };
+    auto walk_y = [&]() {
+        while (cur.y != to.y) {
+            cur.y += (to.y > cur.y) ? 1 : -1;
+            path.push_back(cur);
+        }
+    };
+    if (y_first) {
+        walk_y();
+        walk_x();
+    } else {
+        walk_x();
+        walk_y();
+    }
+    return path;
+}
+
+std::vector<IslandCoord>
+referenceDetourPath(const IslandCoord &from, const IslandCoord &to,
+                    int x_shift)
+{
+    // Route via a shifted column: x-first to the detour column, then y,
+    // then x to the destination.
+    const IslandCoord mid1{from.x + x_shift, from.y};
+    const IslandCoord mid2{from.x + x_shift, to.y};
+    std::vector<IslandCoord> path{from};
+    IslandCoord cur = from;
+    auto walk_to = [&](const IslandCoord &wp) {
+        while (cur.x != wp.x) {
+            cur.x += (wp.x > cur.x) ? 1 : -1;
+            path.push_back(cur);
+        }
+        while (cur.y != wp.y) {
+            cur.y += (wp.y > cur.y) ? 1 : -1;
+            path.push_back(cur);
+        }
+    };
+    walk_to(mid1);
+    walk_to(mid2);
+    walk_to(to);
+    return path;
+}
+
+std::vector<IslandCoord>
+referenceDetourPathRow(const IslandCoord &from, const IslandCoord &to,
+                       int y_shift)
+{
+    // Route via a shifted row: y-first to the detour row, then x, then
+    // y to the destination.
+    const IslandCoord mid1{from.x, from.y + y_shift};
+    const IslandCoord mid2{to.x, from.y + y_shift};
+    std::vector<IslandCoord> path{from};
+    IslandCoord cur = from;
+    auto walk_to = [&](const IslandCoord &wp) {
+        while (cur.y != wp.y) {
+            cur.y += (wp.y > cur.y) ? 1 : -1;
+            path.push_back(cur);
+        }
+        while (cur.x != wp.x) {
+            cur.x += (wp.x > cur.x) ? 1 : -1;
+            path.push_back(cur);
+        }
+    };
+    walk_to(mid1);
+    walk_to(mid2);
+    walk_to(to);
+    return path;
+}
+
+Direction
+hopDirection(const IslandCoord &a, const IslandCoord &b)
+{
+    if (b.x != a.x)
+        return b.x > a.x ? Direction::East : Direction::West;
+    return b.y > a.y ? Direction::North : Direction::South;
+}
+
+/** Used slots of every directed link, (island, direction) order. */
+std::vector<std::uint64_t>
+usedSnapshot(const IslandMesh &mesh)
+{
+    std::vector<std::uint64_t> used;
+    for (int y = 0; y < mesh.height(); ++y)
+        for (int x = 0; x < mesh.width(); ++x)
+            for (const Direction dir :
+                 {Direction::East, Direction::West, Direction::North,
+                  Direction::South}) {
+                const bool inside =
+                    (dir == Direction::East && x + 1 < mesh.width())
+                    || (dir == Direction::West && x > 0)
+                    || (dir == Direction::North && y + 1 < mesh.height())
+                    || (dir == Direction::South && y > 0);
+                used.push_back(inside ? mesh.usedSlots({x, y}, dir) : 0);
+            }
+    return used;
+}
+
+/** Check @p route against the reference @p path: same islands in the
+ *  same order (so the same directed links), same hop count, and on
+ *  @p mesh the same free capacity, reserved links and burst count. */
+void
+expectRouteMatchesPath(const IslandMesh &mesh, const MeshRoute &route,
+                       const std::vector<IslandCoord> &path, Rng &rng)
+{
+    ASSERT_EQ(routeIslands(route), path);
+    ASSERT_EQ(route.hops(), static_cast<int>(path.size()) - 1);
+
+    std::uint64_t free = ~std::uint64_t{0};
+    int bursts = 0;
+    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+        const Direction dir = hopDirection(path[i], path[i + 1]);
+        free = std::min(free, mesh.freeSlots(path[i], dir));
+        bursts += mesh.linkBurst(path[i], dir) ? 1 : 0;
+    }
+    ASSERT_EQ(mesh.maxReservable(route), free);
+    if (free == 0 || path.size() < 2)
+        return;
+
+    IslandMesh after = mesh;
+    const std::uint64_t pairs = 1 + rng.uniformInt(free);
+    ASSERT_EQ(after.reserve(route, pairs), bursts);
+    EXPECT_EQ(after.reservedThisWindow(),
+              mesh.reservedThisWindow() + pairs * route.hops());
+    std::vector<std::uint64_t> expected = usedSnapshot(mesh);
+    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+        const Direction dir = hopDirection(path[i], path[i + 1]);
+        expected[(static_cast<std::size_t>(path[i].y) * mesh.width()
+                  + path[i].x) * 4 + static_cast<std::size_t>(dir)] +=
+            pairs;
+    }
+    EXPECT_EQ(usedSnapshot(after), expected);
+}
+
+} // namespace
+
+TEST(EprRouter, RoutesMatchReferencePaths)
+{
+    // Every shape the router tries (both dimension orders, and column
+    // and row detours for each shift within the detour radius) against
+    // the path builders it replaced, on meshes down to 2x1 and single
+    // rows/columns, with endpoints forced onto the edges half the time.
+    const int radius = SchedulerConfig{}.detourRadius;
+    const std::pair<int, int> sizes[] = {{2, 1}, {5, 1}, {1, 4},
+                                         {3, 3}, {7, 5}, {12, 12}};
+    Rng rng(14);
+    std::uint64_t checked = 0;
+    for (const auto &[width, height] : sizes) {
+        for (int trial = 0; trial < 120; ++trial) {
+            auto pick = [&](int extent) {
+                const int v = static_cast<int>(rng.uniformInt(extent));
+                if (trial % 2 == 0)
+                    return v;
+                return rng.bernoulli(0.5) ? 0 : extent - 1;
+            };
+            const IslandCoord from{pick(width), pick(height)};
+            const IslandCoord to{pick(width), pick(height)};
+            if (from == to)
+                continue;
+
+            // Load the mesh: down links, bursts and partial reservations
+            // so the capacity walk meets full, partly used and free links.
+            IslandMesh mesh(width, height, 2, 5);
+            LinkFaultConfig faults;
+            faults.seed = 100 + trial;
+            mesh.setLinkFaults(faults.atRate(0.3));
+            for (int w = 0; w < trial % 3; ++w)
+                mesh.advanceWindow();
+            for (int load = 0; load < width * height; ++load) {
+                const IslandCoord a{
+                    static_cast<int>(rng.uniformInt(width)),
+                    static_cast<int>(rng.uniformInt(height))};
+                const MeshRoute hop = MeshRoute::dimensionOrdered(
+                    a, {pick(width), pick(height)}, rng.bernoulli(0.5));
+                const std::uint64_t room = mesh.maxReservable(hop);
+                if (hop.hops() > 0 && room > 0)
+                    mesh.reserve(hop, 1 + rng.uniformInt(room));
+            }
+
+            for (const bool y_first : {false, true}) {
+                expectRouteMatchesPath(
+                    mesh, MeshRoute::dimensionOrdered(from, to, y_first),
+                    referenceDimensionOrderedPath(from, to, y_first), rng);
+                ++checked;
+            }
+            for (int shift = -radius; shift <= radius; ++shift) {
+                if (from.x + shift >= 0 && from.x + shift < width) {
+                    expectRouteMatchesPath(
+                        mesh, MeshRoute::via(from, to, false, shift),
+                        referenceDetourPath(from, to, shift), rng);
+                    ++checked;
+                }
+                if (from.y + shift >= 0 && from.y + shift < height) {
+                    expectRouteMatchesPath(
+                        mesh, MeshRoute::via(from, to, true, shift),
+                        referenceDetourPathRow(from, to, shift), rng);
+                    ++checked;
+                }
+            }
+        }
+    }
+    EXPECT_GT(checked, 3000u);
 }
 
 TEST(EprRouter, CapacityNeverExceededWithinWindow)
