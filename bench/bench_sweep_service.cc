@@ -4,14 +4,18 @@
  *
  * Benchmarks
  *   - BM_SweepServiceColdRecord: one threshold job on a fresh
- *     SweepCaches instance -- every noise point records its frame
- *     traces before the shots replay (the first-query cost).
+ *     SweepCaches instance -- every noise point constructs its
+ *     experiment, binding its noise classes to the shared tile
+ *     recording and allocating frames and samplers, before the shots
+ *     replay (the cold-query cost). Only the first query of a process
+ *     records the tile schedule; every later iteration binds to that
+ *     recording, so this lands close to the warm cache.
  *   - BM_SweepServiceWarmCache: the same job on caches kept warm by a
- *     prior run -- recorded traces replay, nothing re-records (the
- *     repeated-query cost). The serve-layer cache contract is that
- *     warm output is byte-identical to cold (asserted here and in
- *     tests/test_sweep_service.cc); the ratio of these two benchmarks
- *     is the record/replay speedup the CI bench gate tracks.
+ *     prior run -- the cached experiments replay, nothing is
+ *     constructed (the repeated-query cost). The serve-layer cache
+ *     contract is that warm output is byte-identical to cold (asserted
+ *     here and in tests/test_sweep_service.cc); the CI bench gate
+ *     tracks both against their baselines.
  *   - BM_SweepServiceResultCacheReplay: the same job resubmitted to a
  *     SweepService that already served it -- pure result-cache lookup,
  *     no simulation at all.
@@ -32,8 +36,8 @@ using namespace qla::serve;
 
 namespace {
 
-/** Few shots over several points: construction (trace recording)
- *  dominates cold runs, which is exactly the gap the caches close. */
+/** Few shots over several points, so experiment construction is a
+ *  visible share of a cold run: the gap the caches close. */
 SweepJobSpec
 fixtureSpec()
 {
@@ -54,7 +58,7 @@ BM_SweepServiceColdRecord(benchmark::State &state)
     RunnerOptions options;
     options.workers = 1;
     for (auto _ : state) {
-        SweepCaches caches; // Fresh: every point re-records.
+        SweepCaches caches; // Fresh: every point is constructed.
         const RunOutcome outcome = runSweepJob(spec, options, caches);
         if (!outcome.complete)
             state.SkipWithError("cold run incomplete");

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <mutex>
 
 #include "arq/lane_compaction.h"
+#include "arq/tile_schedule.h"
 #include "common/logging.h"
 
 
@@ -27,22 +29,133 @@ LaneSet::activeWords() const
     return words;
 }
 
+/**
+ * The recorded tile schedule of one experiment shape. Immutable once
+ * built and shared by every experiment bound to it -- noise points,
+ * workers, twins -- so everything here is a function of the shape
+ * alone; per-point probabilities live in each experiment's class table.
+ */
+struct BatchedLogicalQubitExperiment::Recording
+{
+    /** Record the schedule against @p classes: the five fixed rates
+     *  and their shadow classes, already registered. */
+    Recording(const ecc::CssCode &code, const NoiseParameters &noise,
+              const LayoutDistances &layout,
+              const NoiseClassTable &classes);
+
+    // Trace variants: [0] full-width primary classes, [1] shadow-class
+    // twins for narrowed-mask replays.
+    std::array<std::vector<FrameTrace>, 2> traces;
+    /** Shadow class of each primary class (index = primary id). */
+    std::vector<std::uint8_t> shadowOfPrimary;
+    std::uint8_t clsCorr = 0; // shadow gate1 class for corrections
+    RelocatedSegments relocated;
+};
+
+namespace {
+
+/**
+ * Everything a recording depends on, compared by value: the code's
+ * content, the layout, the attempt cap, the class id of each of the
+ * five fixed rates (which rates coincide), and each primary class's
+ * degeneracy (0 normal, 1 for p <= 0, 2 for p >= 1).
+ */
+struct RecordingKey
+{
+    std::size_t blockLength = 0;
+    std::vector<ecc::QubitMask> xChecks;
+    std::vector<ecc::QubitMask> zChecks;
+    ecc::QubitMask logicalX = 0;
+    ecc::QubitMask logicalZ = 0;
+    LayoutDistances layout;
+    int maxPrepAttempts = 0;
+    std::array<std::uint8_t, 5> slots{};
+    std::vector<std::uint8_t> degeneracy;
+
+    bool operator==(const RecordingKey &) const = default;
+};
+
+} // namespace
+
+BatchedLogicalQubitExperiment::Binding
+BatchedLogicalQubitExperiment::bind(const ecc::CssCode &code,
+                                    const NoiseParameters &noise,
+                                    const LayoutDistances &layout,
+                                    int max_prep_attempts)
+{
+    qla_assert(max_prep_attempts >= 1);
+    qla_assert(code.blockLength() <= 32,
+               "bit-sliced decode supports block length <= 32");
+    qla_assert(code.xChecks().size() <= 8 && code.zChecks().size() <= 8,
+               "bit-sliced decode supports <= 8 check rows");
+
+    // The fixed fault classes, registered in recording order so the
+    // class ids are those the recording's ops carry; then a shadow
+    // class space over the same probabilities: retry / conditional-path
+    // replays get samplers of their own and never park and unpark the
+    // full-width samplers' lane clocks.
+    const TileRowRecorder rows(code, noise, layout);
+    const std::array<double, 5> rates = {
+        noise.gate1Error, noise.gate2Error, noise.measureError,
+        rows.moveProbability(layout.intraBlockCells,
+                             layout.intraBlockTurns),
+        rows.interBlockMoveProbability()};
+    Binding binding;
+    RecordingKey key{code.blockLength(), code.xChecks(), code.zChecks(),
+                     code.logicalX(), code.logicalZ(), layout,
+                     max_prep_attempts, {}, {}};
+    for (std::size_t r = 0; r < rates.size(); ++r)
+        key.slots[r] = binding.classes.classOf(rates[r]);
+    const std::vector<double> primary = binding.classes.probabilities();
+    for (const double p : primary) {
+        binding.classes.newClass(p);
+        key.degeneracy.push_back(p <= 0.0 ? 1 : p >= 1.0 ? 2 : 0);
+    }
+
+    // The process-wide recording cache: one entry per distinct key,
+    // never evicted (a process sees few shapes; a Figure-7 sweep has
+    // one). The first experiment of a shape records it under the lock,
+    // so concurrent first use records once and every caller gets the
+    // same instance.
+    static std::mutex mu;
+    static std::vector<
+        std::pair<RecordingKey, std::shared_ptr<const Recording>>>
+        recordings;
+    std::lock_guard<std::mutex> lock(mu);
+    for (const auto &[k, recording] : recordings) {
+        if (k == key) {
+            binding.recording = recording;
+            return binding;
+        }
+    }
+    binding.recording = std::make_shared<const Recording>(
+        code, noise, layout, binding.classes);
+    recordings.emplace_back(std::move(key), binding.recording);
+    return binding;
+}
+
 BatchedLogicalQubitExperiment::BatchedLogicalQubitExperiment(
     const ecc::CssCode &code, NoiseParameters noise, LayoutDistances layout,
     int max_prep_attempts, BatchOptions options)
-    : code_(code), noise_(noise), layout_(layout),
-      max_prep_attempts_(max_prep_attempts), options_(options),
-      n_(code.blockLength()), rows_(code_, noise_, layout_),
+    : BatchedLogicalQubitExperiment(
+          code, max_prep_attempts, options,
+          bind(code, noise, layout, max_prep_attempts))
+{
+}
+
+BatchedLogicalQubitExperiment::BatchedLogicalQubitExperiment(
+    const ecc::CssCode &code, int max_prep_attempts, BatchOptions options,
+    Binding binding)
+    : code_(code), max_prep_attempts_(max_prep_attempts),
+      options_(options), n_(code.blockLength()),
+      classes_(std::move(binding.classes)),
+      recording_(std::move(binding.recording)),
       frames_(3 * code.blockLength() * code.blockLength() * 3,
               options.groupWords)
 {
-    qla_assert(max_prep_attempts_ >= 1);
     qla_assert(options_.groupWords >= 1
                    && options_.groupWords <= kMaxGroupWords,
                "groupWords must be in [1, ", kMaxGroupWords, "]");
-    qla_assert(n_ <= 32, "bit-sliced decode supports block length <= 32");
-    qla_assert(code_.xChecks().size() <= 8 && code_.zChecks().size() <= 8,
-               "bit-sliced decode supports <= 8 check rows");
     for (const ecc::QubitMask row : code_.xChecks())
         x_check_bits_.push_back(bitListOf(row));
     for (const ecc::QubitMask row : code_.zChecks())
@@ -50,24 +163,23 @@ BatchedLogicalQubitExperiment::BatchedLogicalQubitExperiment(
     logical_x_bits_ = bitListOf(code_.logicalX());
     logical_z_bits_ = bitListOf(code_.logicalZ());
 
-    const NoiseClassTable &table = recordAllTraces();
     models_.reserve(options_.groupWords);
     for (std::size_t w = 0; w < options_.groupWords; ++w) {
-        models_.emplace_back(table);
+        models_.emplace_back(classes_);
         flips_[w].reserve(n_ * n_);
     }
     retry_pool_ = std::make_unique<PrepRetryPool>(
-        code_, rows_, max_prep_attempts_, classes_, shadow_of_primary_);
+        code_, recording_->relocated, max_prep_attempts_, classes_);
 }
 
 BatchedLogicalQubitExperiment::~BatchedLogicalQubitExperiment() = default;
 
 std::size_t
-BatchedLogicalQubitExperiment::ion(std::size_t c, std::size_t g, Role role,
-                                   std::size_t i) const
+BatchedLogicalQubitExperiment::ion(std::size_t n, std::size_t c,
+                                   std::size_t g, Role role, std::size_t i)
 {
-    qla_assert(c < 3 && g < n_ && i < n_);
-    return ((c * n_ + g) * 3 + static_cast<std::size_t>(role)) * n_ + i;
+    qla_assert(c < 3 && g < n && i < n);
+    return ((c * n + g) * 3 + static_cast<std::size_t>(role)) * n + i;
 }
 
 //
@@ -80,169 +192,166 @@ BatchedLogicalQubitExperiment::ion(std::size_t c, std::size_t g, Role role,
 //
 
 std::size_t
-BatchedLogicalQubitExperiment::traceIndex(Seg seg, std::size_t c,
-                                          std::size_t g, std::size_t role,
-                                          bool flag) const
+BatchedLogicalQubitExperiment::traceIndex(std::size_t n, Seg seg,
+                                          std::size_t c, std::size_t g,
+                                          std::size_t role, bool flag)
 {
-    return ((((static_cast<std::size_t>(seg) * 3 + c) * n_ + g) * 3 + role)
+    return ((((static_cast<std::size_t>(seg) * 3 + c) * n + g) * 3 + role)
             << 1)
         | static_cast<std::size_t>(flag);
 }
 
-const NoiseClassTable &
-BatchedLogicalQubitExperiment::recordAllTraces()
-{
-    // Register the fixed fault classes up front so the class ids are
-    // stable before any trace is recorded.
-    classes_.classOf(noise_.gate1Error);
-    classes_.classOf(noise_.gate2Error);
-    classes_.classOf(noise_.measureError);
-    classes_.classOf(rows_.moveProbability(layout_.intraBlockCells,
-                                           layout_.intraBlockTurns));
-    classes_.classOf(rows_.interBlockMoveProbability());
+namespace {
 
-    traces_[0].resize(traceIndex(Seg::LogicalGate, 2, n_ - 1, 2, true)
-                      + 1);
+/** Shadow-class twin of a primary-class trace (ops only). */
+FrameTrace
+shadowTrace(FrameTrace trace, const std::vector<std::uint8_t> &shadow)
+{
+    for (FrameOp &op : trace.ops) {
+        switch (op.kind) {
+          case FrameOp::Kind::Noise1:
+          case FrameOp::Kind::Noise2:
+          case FrameOp::Kind::MeasureZ:
+          case FrameOp::Kind::MeasureX:
+          case FrameOp::Kind::NoisyH:
+          case FrameOp::Kind::Noise1Range:
+          case FrameOp::Kind::MeasureZRange:
+          case FrameOp::Kind::MeasureXRange:
+            op.cls = shadow[op.cls];
+            break;
+          case FrameOp::Kind::NoisyCnotMT:
+          case FrameOp::Kind::NoisyCnotMC:
+            op.cls = shadow[op.cls];
+            op.cls2 = shadow[op.cls2];
+            break;
+          case FrameOp::Kind::NoisyCnotMTMeasZ:
+          case FrameOp::Kind::NoisyCnotMTMeasX:
+          case FrameOp::Kind::NoisyCnotMCMeasZ:
+          case FrameOp::Kind::NoisyCnotMCMeasX:
+            op.cls = shadow[op.cls];
+            op.cls2 = shadow[op.cls2];
+            op.cls3 = shadow[op.cls3];
+            break;
+          default:
+            break;
+        }
+    }
+    return trace;
+}
+
+/** Shadow class of each primary class of a table registered as
+ *  bind() does: primaries first, then one shadow each, in order. */
+std::vector<std::uint8_t>
+shadowMap(const NoiseClassTable &classes)
+{
+    const std::size_t primary = classes.probabilities().size() / 2;
+    std::vector<std::uint8_t> shadow(primary);
+    for (std::size_t k = 0; k < primary; ++k)
+        shadow[k] = static_cast<std::uint8_t>(primary + k);
+    return shadow;
+}
+
+} // namespace
+
+BatchedLogicalQubitExperiment::Recording::Recording(
+    const ecc::CssCode &code, const NoiseParameters &noise,
+    const LayoutDistances &layout, const NoiseClassTable &classes)
+    : shadowOfPrimary(shadowMap(classes)),
+      clsCorr(shadowOfPrimary[0]), // gate1 is bind()'s first class
+      relocated(TileRowRecorder(code, noise, layout), code.blockLength(),
+                classes, shadowOfPrimary)
+{
+    const std::size_t n = code.blockLength();
+    const TileRowRecorder rows(code, noise, layout);
+    // The builders register into a copy, so a class the recorders add
+    // beyond bind()'s fixed ones is caught below instead of shifting
+    // the shadow ids.
+    NoiseClassTable table = classes;
+    const auto at = [&](Seg seg, std::size_t c, std::size_t g,
+                        std::size_t role, bool flag) -> FrameTrace & {
+        return traces[0][traceIndex(n, seg, c, g, role, flag)];
+    };
+
+    traces[0].resize(traceIndex(n, Seg::LogicalGate, 2, n - 1, 2, true)
+                     + 1);
     for (std::size_t c = 0; c < 3; ++c) {
-        for (std::size_t g = 0; g < n_; ++g) {
+        for (std::size_t g = 0; g < n; ++g) {
             for (const Role role : {Role::Data, Role::Ancilla}) {
-                const std::size_t q0
-                    = ion(c, g, role, 0);
-                const std::size_t v0 = ion(c, g, Role::Verify, 0);
+                const std::size_t q0 = ion(n, c, g, role, 0);
+                const std::size_t v0 = ion(n, c, g, Role::Verify, 0);
+                const auto r = static_cast<std::size_t>(role);
                 for (const bool plus : {false, true}) {
-                    FrameTraceBuilder prep(classes_);
-                    rows_.prepRound(prep, q0, v0, plus);
-                    traces_[0][traceIndex(Seg::PrepRound, c, g,
-                                          static_cast<std::size_t>(role),
-                                          plus)] = prep.take();
-                    FrameTraceBuilder pair(classes_);
-                    rows_.verifyPair(pair, q0, v0, plus);
-                    traces_[0][traceIndex(Seg::VerifyPair, c, g,
-                                          static_cast<std::size_t>(role),
-                                          plus)] = pair.take();
+                    FrameTraceBuilder prep(table);
+                    rows.prepRound(prep, q0, v0, plus);
+                    at(Seg::PrepRound, c, g, r, plus) = prep.take();
+                    FrameTraceBuilder pair(table);
+                    rows.verifyPair(pair, q0, v0, plus);
+                    at(Seg::VerifyPair, c, g, r, plus) = pair.take();
                 }
             }
             for (const bool detect_x : {false, true}) {
-                FrameTraceBuilder ext(classes_);
-                rows_.extractRound(ext, ion(c, g, Role::Data, 0),
-                                   ion(c, g, Role::Ancilla, 0), detect_x);
-                traces_[0][traceIndex(Seg::ExtractRound, c, g, 0,
-                                      detect_x)] = ext.take();
+                FrameTraceBuilder ext(table);
+                rows.extractRound(ext, ion(n, c, g, Role::Data, 0),
+                                  ion(n, c, g, Role::Ancilla, 0), detect_x);
+                at(Seg::ExtractRound, c, g, 0, detect_x) = ext.take();
             }
         }
         for (const bool plus : {false, true}) {
-            FrameTraceBuilder net(classes_);
-            rows_.l2Network(net, ion(c, 0, Role::Data, 0), 3 * n_, plus);
-            traces_[0][traceIndex(Seg::L2Network, c, 0, 0, plus)]
-                = net.take();
+            FrameTraceBuilder net(table);
+            rows.l2Network(net, ion(n, c, 0, Role::Data, 0), 3 * n, plus);
+            at(Seg::L2Network, c, 0, 0, plus) = net.take();
         }
     }
     for (const bool detect_x : {false, true}) {
-        FrameTraceBuilder cnot(classes_);
-        recordL2Cnot(cnot, detect_x);
-        traces_[0][traceIndex(Seg::L2Cnot, 0, 0, 0, detect_x)]
-            = cnot.take();
-        FrameTraceBuilder readout(classes_);
-        recordL2Readout(readout, detect_x);
-        traces_[0][traceIndex(Seg::L2Readout, 0, 0, 0, detect_x)]
-            = readout.take();
-    }
-    for (const int level : {1, 2}) {
-        FrameTraceBuilder gate(classes_);
-        recordLogicalGate(gate, level);
-        traces_[0][traceIndex(Seg::LogicalGate, 0, 0, 0, level == 2)]
-            = gate.take();
-    }
-
-    // A shadow class space over the same probabilities: retry /
-    // conditional-path replays get samplers of their own and never park
-    // and unpark the full-width samplers' lane clocks.
-    const std::size_t primary_classes = classes_.probabilities().size();
-    shadow_of_primary_.resize(primary_classes);
-    for (std::size_t k = 0; k < primary_classes; ++k)
-        shadow_of_primary_[k]
-            = classes_.newClass(classes_.probabilities()[k]);
-    cls_corr_ = shadow_of_primary_[classes_.classOf(noise_.gate1Error)];
-    traces_[1].resize(traces_[0].size());
-    for (std::size_t t = 0; t < traces_[0].size(); ++t) {
-        FrameTrace twin = traces_[0][t];
-        for (FrameOp &op : twin.ops) {
-            switch (op.kind) {
-              case FrameOp::Kind::Noise1:
-              case FrameOp::Kind::Noise2:
-              case FrameOp::Kind::MeasureZ:
-              case FrameOp::Kind::MeasureX:
-              case FrameOp::Kind::NoisyH:
-              case FrameOp::Kind::Noise1Range:
-              case FrameOp::Kind::MeasureZRange:
-              case FrameOp::Kind::MeasureXRange:
-                op.cls = shadow_of_primary_[op.cls];
-                break;
-              case FrameOp::Kind::NoisyCnotMT:
-              case FrameOp::Kind::NoisyCnotMC:
-                op.cls = shadow_of_primary_[op.cls];
-                op.cls2 = shadow_of_primary_[op.cls2];
-                break;
-              case FrameOp::Kind::NoisyCnotMTMeasZ:
-              case FrameOp::Kind::NoisyCnotMTMeasX:
-              case FrameOp::Kind::NoisyCnotMCMeasZ:
-              case FrameOp::Kind::NoisyCnotMCMeasX:
-                op.cls = shadow_of_primary_[op.cls];
-                op.cls2 = shadow_of_primary_[op.cls2];
-                op.cls3 = shadow_of_primary_[op.cls3];
-                break;
-              default:
-                break;
+        // Transversal logical CNOT data <-> ancilla conglomeration,
+        // then the destructive readout of the ancilla conglomeration.
+        const std::size_t ac = detect_x ? 1 : 2;
+        const double p_move = rows.interBlockMoveProbability();
+        FrameTraceBuilder cnot(table);
+        for (std::size_t g = 0; g < n; ++g) {
+            for (std::size_t i = 0; i < n; ++i) {
+                const std::size_t qd = ion(n, 0, g, Role::Data, i);
+                const std::size_t qa = ion(n, ac, g, Role::Data, i);
+                if (detect_x)
+                    cnot.noisyCnot(qd, qa, qa, p_move, noise.gate2Error);
+                else
+                    cnot.noisyCnot(qa, qd, qa, p_move, noise.gate2Error);
             }
         }
-        traces_[1][t] = std::move(twin);
+        at(Seg::L2Cnot, 0, 0, 0, detect_x) = cnot.take();
+        FrameTraceBuilder readout(table);
+        for (std::size_t g = 0; g < n; ++g)
+            readout.measureRange(ion(n, ac, g, Role::Data, 0), n,
+                                 !detect_x, noise.measureError);
+        at(Seg::L2Readout, 0, 0, 0, detect_x) = readout.take();
     }
+    for (const int level : {1, 2}) {
+        // The noisy transversal logical gate under test.
+        FrameTraceBuilder gate(table);
+        const std::size_t groups = level == 1 ? 1 : n;
+        for (std::size_t g = 0; g < groups; ++g)
+            gate.noise1Range(ion(n, 0, g, Role::Data, 0), n,
+                             noise.gate1Error);
+        at(Seg::LogicalGate, 0, 0, 0, level == 2) = gate.take();
+    }
+    qla_assert(table.probabilities().size()
+                   == classes.probabilities().size(),
+               "tile recording registered a class beyond the five fixed "
+               "rates");
 
-    // Per-class site counts and fire-plan skeletons power the planned
-    // replay; finalize after the shadow classes so
-    // every class id is covered. Unrecorded slots of the sparse trace
-    // index space finalize to all-zero counts and empty skeletons.
-    for (auto &variant : traces_)
+    traces[1].resize(traces[0].size());
+    for (std::size_t t = 0; t < traces[0].size(); ++t)
+        traces[1][t] = shadowTrace(traces[0][t], shadowOfPrimary);
+
+    // Per-class site counts, fire-plan skeletons and compiled effect
+    // models power the planned replay; finalize after the shadow
+    // classes so every class id is covered. Unrecorded slots of the
+    // sparse trace index space are never replayed (replaySeg asserts)
+    // and stay unfinalized.
+    for (auto &variant : traces)
         for (FrameTrace &t : variant)
-            finalizeTraceClassSites(t, classes_);
-    return classes_;
-}
-
-void
-BatchedLogicalQubitExperiment::recordL2Cnot(FrameTraceBuilder &tb,
-                                            bool detect_x)
-{
-    const std::size_t ac = detect_x ? 1 : 2;
-    const double p_move = rows_.interBlockMoveProbability();
-    for (std::size_t g = 0; g < n_; ++g) {
-        for (std::size_t i = 0; i < n_; ++i) {
-            const std::size_t qd = ion(0, g, Role::Data, i);
-            const std::size_t qa = ion(ac, g, Role::Data, i);
-            if (detect_x)
-                tb.noisyCnot(qd, qa, qa, p_move, noise_.gate2Error);
-            else
-                tb.noisyCnot(qa, qd, qa, p_move, noise_.gate2Error);
-        }
-    }
-}
-
-void
-BatchedLogicalQubitExperiment::recordL2Readout(FrameTraceBuilder &tb,
-                                               bool detect_x)
-{
-    const std::size_t ac = detect_x ? 1 : 2;
-    for (std::size_t g = 0; g < n_; ++g)
-        tb.measureRange(ion(ac, g, Role::Data, 0), n_, !detect_x,
-                        noise_.measureError);
-}
-
-void
-BatchedLogicalQubitExperiment::recordLogicalGate(FrameTraceBuilder &tb,
-                                                 int level)
-{
-    const std::size_t groups = level == 1 ? 1 : n_;
-    for (std::size_t g = 0; g < groups; ++g)
-        tb.noise1Range(ion(0, g, Role::Data, 0), n_, noise_.gate1Error);
+            if (!t.ops.empty())
+                finalizeTraceClassSites(t, classes);
 }
 
 void
@@ -256,8 +365,9 @@ BatchedLogicalQubitExperiment::replaySeg(Seg seg, std::size_t c,
     // sampler a lane draws from at a given site must be a function of
     // that lane's own control-flow path, or a shot's randomness would
     // depend on which word it shares with whom.
-    const FrameTrace &t = traces_[shadow_ ? 1 : 0]
-                                 [traceIndex(seg, c, g, role, flag)];
+    const FrameTrace &t = recording_->traces[shadow_ ? 1 : 0]
+                                            [traceIndex(n_, seg, c, g, role,
+                                                        flag)];
     qla_assert(!t.ops.empty(), "trace not recorded");
     replayTraceGroup(t, frames_, models_.data(), active.w.data(),
                      active.n, flips_.data());
@@ -432,7 +542,7 @@ BatchedLogicalQubitExperiment::applyCorrection(std::size_t c,
             else
                 frames_.injectZ(w, q, lanes);
             quantum::depolarize1(frames_, w, q,
-                                 models_[w].samplers[cls_corr_],
+                                 models_[w].samplers[recording_->clsCorr],
                                  models_[w].lanes, lanes);
         }
     }
@@ -670,7 +780,7 @@ BatchedLogicalQubitExperiment::ecCycleL2(const LaneSet &active,
                     else
                         frames_.injectZ(w, q, lanes);
                     quantum::depolarize1(frames_, w, q,
-                                         models_[w].samplers[cls_corr_],
+                                         models_[w].samplers[recording_->clsCorr],
                                          models_[w].lanes, lanes);
                 }
             }
@@ -702,14 +812,14 @@ BatchedLogicalQubitExperiment::twin()
 {
     if (!twin_) {
         // A migration regroups at most groupWords * 64 lanes, so the
-        // twin never needs more dense words than the parent has.
-        twin_ = std::make_unique<BatchedLogicalQubitExperiment>(
-            code_, noise_, layout_, max_prep_attempts_, options_);
+        // twin never needs more dense words than the parent has. It
+        // binds to this experiment's recording and class table, so
+        // class ids coincide and sampler clocks transplant
+        // index-for-index.
+        twin_.reset(new BatchedLogicalQubitExperiment(
+            code_, max_prep_attempts_, options_,
+            Binding{classes_, recording_}));
         twin_->subtree_enabled_ = false;
-        // The twin records the identical schedule from the identical
-        // noise table, so class ids coincide and sampler clocks
-        // transplant index-for-index.
-        qla_assert(twin_->shadow_of_primary_ == shadow_of_primary_);
     }
     return *twin_;
 }
@@ -728,9 +838,9 @@ BatchedLogicalQubitExperiment::twinClassMap() const
     // The subtree replays shadow sites only, so the lanes'
     // primary-class clocks stay home untouched: only the shadow
     // classes migrate, index-for-index (identity map -- the twin
-    // records the identical schedule from the identical noise table).
-    return {shadow_of_primary_.data(), shadow_of_primary_.data(),
-            shadow_of_primary_.size()};
+    // shares this experiment's recording and class table).
+    const std::vector<std::uint8_t> &shadow = recording_->shadowOfPrimary;
+    return {shadow.data(), shadow.data(), shadow.size()};
 }
 
 void

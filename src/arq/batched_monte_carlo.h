@@ -3,8 +3,8 @@
  * Word-parallel (64 shots per word) Figure-7 logical-qubit Monte Carlo.
  *
  * The batched twin of LogicalQubitExperiment: the Figure-5 tile schedule
- * is recorded once as flat FrameTraces (arq/frame_trace.h) and replayed
- * on the BatchedPauliFrame engine, with the experiment's data-dependent
+ * is recorded as flat FrameTraces (arq/frame_trace.h) and replayed on
+ * the BatchedPauliFrame engine, with the experiment's data-dependent
  * control flow -- verified-preparation retry, syndrome-conditioned
  * re-extraction, per-lane corrections -- driven by narrowing lane masks
  * instead of branching per shot. All classical processing (syndrome
@@ -20,6 +20,15 @@
  * regrouped -- rng streams and sampler clocks carried along -- into
  * fresh dense words (arq/lane_compaction.h) instead of replaying every
  * nearly-empty word.
+ *
+ * Recording: the schedule belongs to the layout, not to the error rate.
+ * A recording depends only on the code, the layout distances, the
+ * attempt cap and the rate *pattern* -- which of the five fixed rates
+ * (gate1, gate2, measure, intra-block move, inter-block move) coincide,
+ * and which are degenerate (p <= 0 or p >= 1). So each distinct shape
+ * is recorded once per process and shared, immutable, by every noise
+ * point, worker and twin of that shape; constructing an experiment at a
+ * new error rate only binds its own class probabilities to it.
  *
  * Noise is sampled per lane from RngFamily streams indexed by the global
  * shot number, so a shot's result is independent of which 64-shot word
@@ -41,7 +50,6 @@
 #include "arq/bitslice.h"
 #include "arq/frame_trace.h"
 #include "arq/monte_carlo.h"
-#include "arq/tile_schedule.h"
 #include "ecc/css_code.h"
 #include "quantum/batched_frame.h"
 #include "sim/stats.h"
@@ -135,7 +143,38 @@ class BatchedLogicalQubitExperiment
 
     const BatchOptions &options() const { return options_; }
 
+    /** True when both experiments replay the same tile recording (one
+     *  per code, layout, attempt cap and rate pattern per process). */
+    bool sharesRecordingWith(const BatchedLogicalQubitExperiment &other)
+        const
+    {
+        return recording_ == other.recording_;
+    }
+
   private:
+    struct Recording;
+
+    /** A class table and the shared recording it binds to. */
+    struct Binding
+    {
+        NoiseClassTable classes;
+        std::shared_ptr<const Recording> recording;
+    };
+
+    /**
+     * Register this point's classes -- the five fixed rates, then one
+     * shadow class per primary -- and look up the recording of its
+     * shape, recording it on first use.
+     */
+    static Binding bind(const ecc::CssCode &code, const NoiseParameters &noise,
+                        const LayoutDistances &layout,
+                        int max_prep_attempts);
+
+    /** Shared by the public constructor and twin(). */
+    BatchedLogicalQubitExperiment(const ecc::CssCode &code,
+                                  int max_prep_attempts,
+                                  BatchOptions options, Binding binding);
+
     enum class Role : std::size_t { Data = 0, Ancilla = 1, Verify = 2 };
 
     /** Straight-line segments of the recorded tile schedule. */
@@ -155,19 +194,19 @@ class BatchedLogicalQubitExperiment
     /** Per-word syndrome planes of one shot group. */
     using GroupSyndrome = std::array<SyndromePlanes, kMaxGroupWords>;
 
+    /** Tile qubit of ion @p i in row (c, g, role), block length @p n. */
+    static std::size_t ion(std::size_t n, std::size_t c, std::size_t g,
+                           Role role, std::size_t i);
     std::size_t ion(std::size_t c, std::size_t g, Role role,
-                    std::size_t i) const;
+                    std::size_t i) const
+    {
+        return ion(n_, c, g, role, i);
+    }
 
-    //
-    // Trace recording (runs once, in the constructor).
-    //
-
-    std::size_t traceIndex(Seg seg, std::size_t c, std::size_t g,
-                           std::size_t role, bool flag) const;
-    const NoiseClassTable &recordAllTraces();
-    void recordL2Cnot(FrameTraceBuilder &tb, bool detect_x);
-    void recordL2Readout(FrameTraceBuilder &tb, bool detect_x);
-    void recordLogicalGate(FrameTraceBuilder &tb, int level);
+    /** Slot of a segment in the (sparse) trace index space. */
+    static std::size_t traceIndex(std::size_t n, Seg seg, std::size_t c,
+                                  std::size_t g, std::size_t role,
+                                  bool flag);
 
     /**
      * Replay a recorded segment on every active word of the group. The
@@ -232,11 +271,11 @@ class BatchedLogicalQubitExperiment
     // subtrees -- the level-2 "Start Over" rounds and the repeated
     // level-2 extraction -- migrate their surviving lanes into a dense
     // twin experiment and run there in full, one migration amortized
-    // over the whole subtree (thousands of ops). The twin is the same
-    // experiment type, so its traces, class ids and nested prep pool
-    // are identical; migration transplants each lane's rng stream and
-    // shadow-sampler clocks, keeping results bit-identical with the
-    // in-place replay.
+    // over the whole subtree (thousands of ops). The twin is bound to
+    // the parent's recording and class table, so its traces, class ids
+    // and nested prep pool's segments are the parent's own; migration
+    // transplants each lane's rng stream and shadow-sampler clocks,
+    // keeping results bit-identical with the in-place replay.
     //
 
     /** One attempt round of the level-2 verified ancilla preparation;
@@ -249,9 +288,9 @@ class BatchedLogicalQubitExperiment
     BatchedLogicalQubitExperiment &twin();
     /**
      * The twin's migration engine (shared SegmentPool, identity class
-     * map over the shadow classes: the twin records the identical
-     * schedule from the identical noise table, so class ids coincide
-     * and clocks transplant index-for-index).
+     * map over the shadow classes: the twin shares the parent's
+     * recording and class table, so class ids coincide and clocks
+     * transplant index-for-index).
      */
     SegmentPool &twinPool();
     /** Class map of a twin migration (shadow classes, identity). */
@@ -288,19 +327,13 @@ class BatchedLogicalQubitExperiment
     std::vector<BitList> z_check_bits_;
     BitList logical_x_bits_;
     BitList logical_z_bits_;
-    NoiseParameters noise_;
-    LayoutDistances layout_;
     int max_prep_attempts_;
     BatchOptions options_;
     std::size_t n_; // block length (7)
-    TileRowRecorder rows_;
+    /** This point's fault probabilities, in the recording's class ids. */
     NoiseClassTable classes_;
-    // Trace variants: [0] full-width primary classes, [1] shadow-class
-    // twins for narrowed-mask replays; see recordAllTraces.
-    std::array<std::vector<FrameTrace>, 2> traces_;
-    std::uint8_t cls_corr_ = 0; // shadow gate1 class for corrections
-    /** Shadow class of each primary class (index = primary id). */
-    std::vector<std::uint8_t> shadow_of_primary_;
+    /** The tile schedule: traces, shadow map, relocated segments. */
+    std::shared_ptr<const Recording> recording_;
     /**
      * True while replaying a retry / conditional subtree. Decides the
      * trace variant structurally -- a lane's sampler assignment at a
@@ -311,8 +344,7 @@ class BatchedLogicalQubitExperiment
     bool shadow_ = false;
     // The group's frames live in one contiguous qubit-major allocation
     // so replaySeg can run SIMD planes of adjacent words; one noise
-    // model per word (models follow classes_/traces_: built in the ctor
-    // body after recordAllTraces).
+    // model per word over classes_.
     quantum::GroupPauliFrames frames_;
     std::vector<BatchedNoiseModel> models_;
     std::array<std::vector<std::uint64_t>, kMaxGroupWords> flips_;

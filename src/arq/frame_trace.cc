@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
-#include <mutex>
-#include <unordered_map>
 
 #include "common/logging.h"
 
@@ -306,59 +303,6 @@ compileTraceEffects(const FrameTrace &trace)
     return fx;
 }
 
-/**
- * Process-wide registry of compiled effect models, keyed by the op
- * stream (plus the class-table size, which fixes classSiteIds' shape).
- * Sweeps reconstruct the same experiment shape once per error rate and
- * worker; the traces they record are byte-identical, so compilation
- * happens once per distinct shape for the process lifetime. Entries are
- * never evicted -- distinct shapes are few (one per code/layout pair).
- */
-std::shared_ptr<const TraceEffects>
-sharedTraceEffects(const FrameTrace &trace)
-{
-    struct Slot
-    {
-        std::vector<FrameOp> ops;
-        std::size_t classes;
-        std::shared_ptr<const TraceEffects> fx;
-    };
-    static std::mutex mu;
-    static std::unordered_map<std::uint64_t, std::vector<Slot>> registry;
-
-    // FNV-1a over the raw op bytes: FrameOp is 8 packed bytes with no
-    // padding (static_assert'd), so the bytes are exactly the fields.
-    std::uint64_t h = 14695981039346656037ull;
-    const auto mix = [&h](const void *p, std::size_t n) {
-        const unsigned char *b = static_cast<const unsigned char *>(p);
-        for (std::size_t i = 0; i < n; ++i) {
-            h ^= b[i];
-            h *= 1099511628211ull;
-        }
-    };
-    mix(trace.ops.data(), trace.ops.size() * sizeof(FrameOp));
-    const std::uint64_t classes = trace.classSites.size();
-    mix(&classes, sizeof classes);
-
-    std::lock_guard<std::mutex> lock(mu);
-    std::vector<Slot> &slots = registry[h];
-    for (const Slot &s : slots) {
-        // Empty traces (unrecorded slots) have null data(), which
-        // memcmp must not see even with a zero length.
-        if (s.classes == trace.classSites.size()
-            && s.ops.size() == trace.ops.size()
-            && (trace.ops.empty()
-                || std::memcmp(s.ops.data(), trace.ops.data(),
-                               trace.ops.size() * sizeof(FrameOp))
-                       == 0))
-            return s.fx;
-    }
-    auto fx = std::make_shared<const TraceEffects>(
-        compileTraceEffects(trace));
-    slots.push_back({trace.ops, trace.classSites.size(), fx});
-    return fx;
-}
-
 } // namespace
 
 std::uint8_t
@@ -573,8 +517,9 @@ finalizeTraceClassSites(FrameTrace &trace, const NoiseClassTable &classes)
     // Fire-plan skeleton: record once, per trace, which classes the
     // replay samples and whether their probability is degenerate --
     // the part of per-word replay planning that does not depend on
-    // lane clocks. Degeneracy is a property of the class table, which
-    // is append-only, so the classification cannot go stale.
+    // lane clocks. Each class's degeneracy is part of the tile
+    // recording's key (arq/batched_monte_carlo.cc), so every noise
+    // point bound to a shared recording agrees with this skeleton.
     trace.walkPlan.clear();
     const auto &probs = classes.probabilities();
     for (std::size_t c = 0; c < num_classes; ++c) {
@@ -588,7 +533,8 @@ finalizeTraceClassSites(FrameTrace &trace, const NoiseClassTable &classes)
         trace.walkPlan.push_back(entry);
     }
 
-    trace.effects = sharedTraceEffects(trace);
+    trace.effects = std::make_shared<const TraceEffects>(
+        compileTraceEffects(trace));
 }
 
 BatchedNoiseModel::BatchedNoiseModel(const NoiseClassTable &classes)

@@ -208,11 +208,12 @@ struct FrameTrace
     std::vector<TraceClassWalk> walkPlan;
 
     /**
-     * Compiled linear-effect model (see TraceEffects), shared through a
-     * process-wide registry: the model is a pure function of the op
-     * stream, so structurally identical traces -- every reconstruction
-     * of the same experiment shape, swept error rates included -- point
-     * at one compiled instance instead of recompiling per experiment.
+     * Compiled linear-effect model (see TraceEffects), built once by
+     * finalizeTraceClassSites. The model is a pure function of the op
+     * stream; the tile traces live in one recording per experiment
+     * shape (arq/batched_monte_carlo.cc), so every noise point, worker
+     * and twin of that shape replays the same compiled instance. Null
+     * means the replay can only take the op interpreter.
      */
     std::shared_ptr<const TraceEffects> effects;
 };
@@ -221,9 +222,9 @@ struct FrameTrace
  * Count each noise class's sampler calls over one replay of @p trace,
  * store them in trace.classSites (sized to the class table), and build
  * trace.walkPlan, the fire-plan skeleton of the classes that actually
- * appear. Must be called once after recording, before the trace is
- * replayed; the counting rules mirror the replay switch exactly
- * (asserted after every interpreted replay).
+ * appear, and compile trace.effects. Must be called once after
+ * recording, before the trace is replayed; the counting rules mirror
+ * the replay switch exactly (asserted after every interpreted replay).
  */
 void finalizeTraceClassSites(FrameTrace &trace,
                              const NoiseClassTable &classes);

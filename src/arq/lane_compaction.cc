@@ -243,62 +243,54 @@ collectTraceClasses(const FrameTrace &trace, bool (&used)[256])
 
 } // namespace
 
-PrepRetryPool::PrepRetryPool(const ecc::CssCode &code,
-                             const TileRowRecorder &recorder,
-                             int max_prep_attempts,
-                             const NoiseClassTable &parent_classes,
-                             const std::vector<std::uint8_t>
-                                 &shadow_of_primary)
-    : code_(code), n_(code.blockLength()),
-      max_prep_attempts_(max_prep_attempts),
-      frame_(std::max(3 * code.blockLength(),
-                      code.blockLength() * code.blockLength())),
-      model_([&]() -> const NoiseClassTable & {
-          // Record the relocated segments with the same recorder that
-          // produced the parent traces: identical op sequences,
-          // pool-local class ids.
-          const std::size_t n = code.blockLength();
-          for (const bool plus : {false, true}) {
-              FrameTraceBuilder prep(classes_);
-              recorder.prepRound(prep, 0, n, plus);
-              prep_traces_[plus ? 1 : 0] = prep.take();
-              FrameTraceBuilder verify(classes_);
-              recorder.verifyPair(verify, 0, n, plus);
-              verify_traces_[plus ? 1 : 0] = verify.take();
-              FrameTraceBuilder network(classes_);
-              recorder.l2Network(network, 0, n, plus);
-              network_traces_[plus ? 1 : 0] = network.take();
-          }
-          for (const bool detect_x : {false, true}) {
-              FrameTraceBuilder extract(classes_);
-              recorder.extractRound(extract, 2 * n, 0, detect_x);
-              extract_traces_[detect_x ? 1 : 0] = extract.take();
-          }
-          return classes_;
-      }())
+RelocatedSegments::RelocatedSegments(
+    const TileRowRecorder &recorder, std::size_t block_length,
+    const NoiseClassTable &parent_classes,
+    const std::vector<std::uint8_t> &shadow_of_primary)
 {
+    // Record the relocated segments with the same recorder that
+    // produced the parent traces: identical op sequences, pool-local
+    // class ids.
+    const std::size_t n = block_length;
+    NoiseClassTable classes;
+    for (const bool plus : {false, true}) {
+        FrameTraceBuilder prep_tb(classes);
+        recorder.prepRound(prep_tb, 0, n, plus);
+        prep[plus ? 1 : 0] = prep_tb.take();
+        FrameTraceBuilder verify_tb(classes);
+        recorder.verifyPair(verify_tb, 0, n, plus);
+        verify[plus ? 1 : 0] = verify_tb.take();
+        FrameTraceBuilder network_tb(classes);
+        recorder.l2Network(network_tb, 0, n, plus);
+        network[plus ? 1 : 0] = network_tb.take();
+    }
+    for (const bool detect_x : {false, true}) {
+        FrameTraceBuilder extract_tb(classes);
+        recorder.extractRound(extract_tb, 2 * n, 0, detect_x);
+        extract[detect_x ? 1 : 0] = extract_tb.take();
+    }
+
     // The class table is final only now (recording above may have added
     // classes), so the per-class site counts and fire-plan skeletons
     // that drive trace-level batched draws are finalized here, over
     // every relocated trace.
-    for (auto *pair : {&prep_traces_, &verify_traces_, &network_traces_,
-                       &extract_traces_})
+    for (auto *pair : {&prep, &verify, &network, &extract})
         for (FrameTrace &trace : *pair)
-            finalizeTraceClassSites(trace, classes_);
+            finalizeTraceClassSites(trace, classes);
 
     // Map each pool class to the parent's *shadow* class of the same
     // probability: pooled segments always replay shadow sites, so a
     // migrated lane's clock transplants between its home shadow sampler
     // and the pool sampler of the matching class. Probabilities
     // identify the class uniquely because classOf deduplicates.
-    const auto &pool_probs = classes_.probabilities();
+    const auto &pool_probs = classes.probabilities();
     const auto &parent_probs = parent_classes.probabilities();
-    std::vector<std::uint8_t> shadow_of_pool(pool_probs.size());
+    parentOf.resize(pool_probs.size());
     for (std::size_t c = 0; c < pool_probs.size(); ++c) {
         bool found = false;
         for (std::size_t k = 0; k < shadow_of_primary.size(); ++k) {
             if (parent_probs[k] == pool_probs[c]) {
-                shadow_of_pool[c] = shadow_of_primary[k];
+                parentOf[c] = shadow_of_primary[k];
                 found = true;
                 break;
             }
@@ -310,7 +302,7 @@ PrepRetryPool::PrepRetryPool(const ecc::CssCode &code,
     // reference (derived from the recorded ops, so it can never drift
     // from the replay); runExtract also runs the prep retry loop, so
     // its set is the union of the two.
-    const auto buildClasses = [&](SegmentClasses &seg,
+    const auto buildClasses = [&](Classes &seg,
                                   std::initializer_list<
                                       const std::array<FrameTrace, 2> *>
                                       traces) {
@@ -322,14 +314,32 @@ PrepRetryPool::PrepRetryPool(const ecc::CssCode &code,
             if (!used[c])
                 continue;
             seg.dense.push_back(static_cast<std::uint8_t>(c));
-            seg.home.push_back(shadow_of_pool[c]);
+            seg.home.push_back(parentOf[c]);
         }
     };
-    buildClasses(prep_classes_, {&prep_traces_});
-    buildClasses(verify_classes_, {&verify_traces_});
-    buildClasses(network_classes_, {&network_traces_});
-    buildClasses(extract_classes_, {&prep_traces_, &extract_traces_});
+    buildClasses(prepClasses, {&prep});
+    buildClasses(verifyClasses, {&verify});
+    buildClasses(networkClasses, {&network});
+    buildClasses(extractClasses, {&prep, &extract});
+}
 
+PrepRetryPool::PrepRetryPool(const ecc::CssCode &code,
+                             const RelocatedSegments &segments,
+                             int max_prep_attempts,
+                             const NoiseClassTable &parent_classes)
+    : code_(code), n_(code.blockLength()),
+      max_prep_attempts_(max_prep_attempts), segments_(segments),
+      frame_(std::max(3 * code.blockLength(),
+                      code.blockLength() * code.blockLength())),
+      model_([&] {
+          // This point's pool classes: each takes the probability of
+          // the parent shadow class it transplants to.
+          NoiseClassTable classes;
+          for (const std::uint8_t parent : segments.parentOf)
+              classes.newClass(parent_classes.probabilities()[parent]);
+          return classes;
+      }())
+{
     for (const ecc::QubitMask row : code_.xChecks())
         x_check_bits_.push_back(bitListOf(row));
     for (const ecc::QubitMask row : code_.zChecks())
@@ -346,7 +356,7 @@ PrepRetryPool::runRetries(bool plus, const LaneSet &mask, int first_attempt,
                           std::size_t role_q0, ExperimentStats *stats)
 {
     mig_.plan(mask);
-    const SamplerClassMap prep_map = prep_classes_.map();
+    const SamplerClassMap prep_map = segments_.prepClasses.map();
     for (std::size_t k = 0; k < mig_.chunkCount(); ++k) {
         mig_.transplantIn(k, models, model_, prep_map);
         runAttempts(plus, mig_.chunkMask(k), first_attempt, stats);
@@ -368,7 +378,7 @@ PrepRetryPool::runPrepSeries(bool plus, const LaneSet &mask,
                              ExperimentStats *stats)
 {
     mig_.plan(mask);
-    const SamplerClassMap prep_map = prep_classes_.map();
+    const SamplerClassMap prep_map = segments_.prepClasses.map();
     for (std::size_t k = 0; k < mig_.chunkCount(); ++k) {
         mig_.transplantIn(k, models, model_, prep_map);
         for (std::size_t s = 0; s < num_sites; ++s) {
@@ -397,7 +407,7 @@ PrepRetryPool::runExtract(bool detect_x, const LaneSet &mask,
     std::uint64_t nontrivial = 0;
     std::uint64_t total = 0;
     mig_.plan(mask);
-    const SamplerClassMap extract_map = extract_classes_.map();
+    const SamplerClassMap extract_map = segments_.extractClasses.map();
     for (std::size_t k = 0; k < mig_.chunkCount(); ++k) {
         mig_.transplantIn(k, models, model_, extract_map);
         for (std::size_t i = 0; i < n_; ++i)
@@ -408,7 +418,7 @@ PrepRetryPool::runExtract(bool detect_x, const LaneSet &mask,
         // the data row.
         runAttempts(detect_x, dense, 1, stats);
         flips_.clear();
-        replayTrace(extract_traces_[detect_x ? 1 : 0], frame_, model_,
+        replayTrace(segments_.extract[detect_x ? 1 : 0], frame_, model_,
                     dense, flips_);
         SyndromePlanes planes{};
         for (std::size_t j = 0; j < num_checks; ++j)
@@ -441,7 +451,7 @@ PrepRetryPool::runVerifySeries(bool plus, const LaneSet &mask,
     const std::size_t num_checks = rows.size();
     const BitList &logical = plus ? logical_x_bits_ : logical_z_bits_;
     mig_.plan(mask);
-    const SamplerClassMap verify_map = verify_classes_.map();
+    const SamplerClassMap verify_map = segments_.verifyClasses.map();
     for (std::size_t k = 0; k < mig_.chunkCount(); ++k) {
         mig_.transplantIn(k, models, model_, verify_map);
         const std::uint64_t dense = mig_.chunkMask(k);
@@ -449,7 +459,7 @@ PrepRetryPool::runVerifySeries(bool plus, const LaneSet &mask,
             for (std::size_t i = 0; i < n_; ++i)
                 mig_.gatherRow(k, frames, site_q0[s] + i, frame_, i);
             flips_.clear();
-            replayTrace(verify_traces_[plus ? 1 : 0], frame_, model_,
+            replayTrace(segments_.verify[plus ? 1 : 0], frame_, model_,
                         dense, flips_);
             SyndromePlanes synd{};
             for (std::size_t j = 0; j < num_checks; ++j)
@@ -479,7 +489,7 @@ PrepRetryPool::runNetwork(bool plus, const LaneSet &mask,
 {
     qla_assert(num_rows <= n_);
     mig_.plan(mask);
-    const SamplerClassMap network_map = network_classes_.map();
+    const SamplerClassMap network_map = segments_.networkClasses.map();
     for (std::size_t k = 0; k < mig_.chunkCount(); ++k) {
         mig_.transplantIn(k, models, model_, network_map);
         for (std::size_t g = 0; g < num_rows; ++g)
@@ -487,7 +497,7 @@ PrepRetryPool::runNetwork(bool plus, const LaneSet &mask,
                 mig_.gatherRow(k, frames, row_q0[g] + i, frame_,
                                g * n_ + i);
         flips_.clear();
-        replayTrace(network_traces_[plus ? 1 : 0], frame_, model_,
+        replayTrace(segments_.network[plus ? 1 : 0], frame_, model_,
                     mig_.chunkMask(k), flips_);
         for (std::size_t g = 0; g < num_rows; ++g)
             for (std::size_t i = 0; i < n_; ++i)
@@ -504,7 +514,7 @@ PrepRetryPool::runAttempts(bool plus, std::uint64_t mask,
     const std::size_t num_checks = plus ? x_check_bits_.size()
                                         : z_check_bits_.size();
     const BitList &logical = plus ? logical_x_bits_ : logical_z_bits_;
-    const FrameTrace &trace = prep_traces_[plus ? 1 : 0];
+    const FrameTrace &trace = segments_.prep[plus ? 1 : 0];
     // Mirrors the in-place retry loop of prepVerified exactly: the
     // first dense replay is attempt number first_attempt for every
     // migrated lane (they all survived the same earlier attempts).

@@ -22,8 +22,9 @@
  *   frame rows and result bit-planes between home lane positions and
  *   dense slots.
  *
- * - PrepRetryPool owns relocated traces (recorded by the same
- *   TileRowRecorder as the in-place traces, at fixed scratch rows) for
+ * - PrepRetryPool replays relocated traces (RelocatedSegments, recorded
+ *   by the same TileRowRecorder as the in-place traces, at fixed
+ *   scratch rows, and shared with the rest of the tile recording) for
  *   the segments that replay against a small scratch frame: verified
  *   preparation retries, the level-1 repeat extraction, the level-2
  *   verification pair, and the level-2 encoding network. Its noise
@@ -34,8 +35,8 @@
  * Whole sparse subtrees (level-2 "Start Over" rounds, repeated level-2
  * extraction) instead migrate into a dense twin experiment
  * (arq/batched_monte_carlo.cc) -- same SegmentPool engine, identity
- * class map, no relocation needed because the twin shares the tile's
- * qubit indexing.
+ * class map, no relocation needed because the twin is bound to the
+ * parent's recording and shares the tile's qubit indexing.
  *
  * The determinism contract survives because a migrated lane consumes
  * draws at exactly the sites, and in exactly the order, it would have
@@ -214,9 +215,12 @@ class SegmentPool
 };
 
 /**
- * Dense replay engine for the relocated tile-schedule segments: any
- * sparse trace segment that touches a bounded set of rows migrates
- * through here instead of replaying nearly-empty words in place.
+ * The relocated segment traces of one tile recording: the prep /
+ * verify-pair, extract and level-2 network segments, recorded by the
+ * same TileRowRecorder as the in-place traces but at the fixed scratch
+ * rows of a PrepRetryPool. Like the rest of the recording it is
+ * immutable and shared by every experiment bound to it; each
+ * experiment's pool only adds scratch state.
  *
  * Scratch-row layout (rows are blockLength() qubits wide):
  *   - prep / verify-pair segments: target row [0, n), verification row
@@ -224,20 +228,76 @@ class SegmentPool
  *   - extract segment: ancilla row [0, n), verification row [n, 2n),
  *     data row [2n, 3n);
  *   - level-2 network: group g's data row at [g n, (g+1) n).
+ *
+ * Its noise classes are pool-local; each maps to the parent's shadow
+ * class of the same probability.
  */
-class PrepRetryPool
+struct RelocatedSegments
 {
-  public:
+    /**
+     * The sampler classes one pooled segment kind transplants: exactly
+     * the pool classes its traces reference (paired with the parent
+     * shadow classes of the same probability). Transplanting the full
+     * class table instead would tax every pooled prep retry with the
+     * clocks of classes only the network/extract segments sample.
+     */
+    struct Classes
+    {
+        std::vector<std::uint8_t> home;  // parent shadow class ids
+        std::vector<std::uint8_t> dense; // pool class ids
+
+        SamplerClassMap map() const
+        {
+            return {home.data(), dense.data(), home.size()};
+        }
+    };
+
     /**
      * @param recorder          Records the relocated segments (must be
      *                          the recorder the parent traces used).
      * @param parent_classes    The parent experiment's class table.
      * @param shadow_of_primary Parent shadow class of each primary id.
      */
-    PrepRetryPool(const ecc::CssCode &code, const TileRowRecorder &recorder,
+    RelocatedSegments(const TileRowRecorder &recorder,
+                      std::size_t block_length,
+                      const NoiseClassTable &parent_classes,
+                      const std::vector<std::uint8_t> &shadow_of_primary);
+
+    // Indexed by plus / detect_x.
+    std::array<FrameTrace, 2> prep;
+    std::array<FrameTrace, 2> verify;
+    std::array<FrameTrace, 2> network;
+    std::array<FrameTrace, 2> extract;
+    Classes prepClasses;
+    Classes verifyClasses;
+    Classes networkClasses;
+    Classes extractClasses; // prep + extract (runExtract preps)
+    /** Parent shadow class of each pool class: a pool's per-point
+     *  class table takes its probabilities from there. */
+    std::vector<std::uint8_t> parentOf;
+};
+
+/**
+ * Dense replay engine for the relocated tile-schedule segments: any
+ * sparse trace segment that touches a bounded set of rows migrates
+ * through here instead of replaying nearly-empty words in place. The
+ * traces come from a shared RelocatedSegments; the pool owns only the
+ * scratch frame, noise model and migration plan of one experiment.
+ */
+class PrepRetryPool
+{
+  public:
+    /**
+     * @param segments       The parent's relocated segments (must
+     *                       outlive the pool).
+     * @param parent_classes The parent experiment's class table: the
+     *                       pool samplers take their probabilities from
+     *                       its shadow classes.
+     */
+    PrepRetryPool(const ecc::CssCode &code,
+                  const RelocatedSegments &segments,
                   int max_prep_attempts,
-                  const NoiseClassTable &parent_classes,
-                  const std::vector<std::uint8_t> &shadow_of_primary);
+                  const NoiseClassTable &parent_classes);
 
     /**
      * Run the remaining verified-preparation attempts (the first one
@@ -311,24 +371,6 @@ class PrepRetryPool
                     std::vector<BatchedNoiseModel> &models);
 
   private:
-    /**
-     * The sampler classes one pooled segment kind transplants: exactly
-     * the pool classes its traces reference (paired with the parent
-     * shadow classes of the same probability). Transplanting the full
-     * class table instead would tax every pooled prep retry with the
-     * clocks of classes only the network/extract segments sample.
-     */
-    struct SegmentClasses
-    {
-        std::vector<std::uint8_t> home; // parent shadow class ids
-        std::vector<std::uint8_t> dense; // pool class ids
-
-        SamplerClassMap map() const
-        {
-            return {home.data(), dense.data(), home.size()};
-        }
-    };
-
     /** Dense retry loop of one site; pool frame rows hold the result. */
     void runAttempts(bool plus, std::uint64_t mask, int first_attempt,
                      ExperimentStats *stats);
@@ -336,16 +378,7 @@ class PrepRetryPool
     const ecc::CssCode &code_;
     std::size_t n_; // block length
     int max_prep_attempts_;
-    NoiseClassTable classes_;
-    // Relocated segment traces, indexed by plus / detect_x.
-    std::array<FrameTrace, 2> prep_traces_;
-    std::array<FrameTrace, 2> verify_traces_;
-    std::array<FrameTrace, 2> network_traces_;
-    std::array<FrameTrace, 2> extract_traces_;
-    SegmentClasses prep_classes_;
-    SegmentClasses verify_classes_;
-    SegmentClasses network_classes_;
-    SegmentClasses extract_classes_; // prep + extract (runExtract preps)
+    const RelocatedSegments &segments_;
     std::vector<BitList> x_check_bits_;
     std::vector<BitList> z_check_bits_;
     BitList logical_x_bits_;

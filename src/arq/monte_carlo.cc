@@ -650,10 +650,12 @@ thresholdSweep(const std::vector<double> &physical_errors,
     std::vector<ChunkResult> results(chunks.size());
 
     sim::ShotScheduler scheduler(options.threads);
-    // Construction records the tile traces, so a worker reuses its
-    // cached experiment across levels and chunks of the same point;
-    // block distribution means a worker mostly walks one point's
-    // chunks before stealing elsewhere, so a few slots suffice.
+    // Construction binds the point's noise classes to the shared tile
+    // recording (recorded once per process) and allocates the frames
+    // and samplers, so a worker reuses its cached experiment across
+    // levels and chunks of the same point; block distribution means a
+    // worker mostly walks one point's chunks before stealing elsewhere,
+    // so a few slots suffice.
     std::vector<WorkerCache> cache(scheduler.threadCount());
     scheduler.run(chunks.size(), [&](std::size_t job, int worker) {
         const ShotChunk &chunk = chunks[job];

@@ -70,6 +70,8 @@ struct LayoutDistances
     int intraBlockTurns = 0;
     Cells interBlockCells = 12;
     int interBlockTurns = 2;
+
+    bool operator==(const LayoutDistances &) const = default;
 };
 
 /** Counters accumulated across one experiment. */

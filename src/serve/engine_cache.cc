@@ -42,8 +42,9 @@ ExperimentCache::acquire(double p, std::size_t group_words)
     }
     arq::BatchOptions batch;
     batch.groupWords = group_words;
-    // Same construction as thresholdSweep's worker cache: recording the
-    // level-1/2 traces for this noise point happens here, once.
+    // Same construction as thresholdSweep's worker cache: this binds
+    // the noise point to the shared tile recording (recording it only
+    // on the process's first query of the shape).
     auto experiment
         = std::make_shared<arq::BatchedLogicalQubitExperiment>(
             ecc::steaneCode(), arq::NoiseParameters::swept(p),

@@ -2,15 +2,14 @@
  * @file
  * Record/replay caches for the sweep service.
  *
- * Recording is the expensive, once-per-configuration work: building a
- * BatchedLogicalQubitExperiment records the level-1/level-2 frame
- * traces for one noise point, and constructing a ProgramWorkload
+ * Building a BatchedLogicalQubitExperiment binds one noise point to
+ * the process-wide recording of its tile shape (only the first
+ * experiment of a shape records the level-1/level-2 frame traces) and
+ * allocates its frames and samplers; constructing a ProgramWorkload
  * lowers a circuit to its logical-gate DAG. Both are pure functions of
  * their configuration, so the service caches them and replays on
- * repeat queries -- a warm-cache sweep re-simulates shots against the
- * recorded traces without re-recording them (the bench fixture
- * bench_sweep_service.cc measures exactly this cold-record vs
- * warm-replay gap).
+ * repeat queries (the bench fixture bench_sweep_service.cc measures
+ * the cold-query vs warm-replay gap).
  *
  * Cache keys are exact: the experiment cache keys on the bit pattern
  * of the swept physical error plus the engine group width, the
@@ -58,8 +57,8 @@ class ExperimentCache
      *  like thresholdSweep's per-worker WorkerCache). */
     explicit ExperimentCache(std::size_t slots = 8) : slots_(slots) {}
 
-    /** The recorded experiment for (physicalError p, groupWords),
-     *  recording it on first use. */
+    /** The experiment for (physicalError p, groupWords), constructing
+     *  it on first use. */
     std::shared_ptr<arq::BatchedLogicalQubitExperiment>
     acquire(double p, std::size_t group_words);
 

@@ -7,10 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <cmath>
+#include <memory>
+#include <ostream>
+#include <thread>
+#include <vector>
 
 #include "arq/batched_monte_carlo.h"
 #include "arq/monte_carlo.h"
+#include "arq/tile_schedule.h"
 #include "ecc/steane.h"
 
 using namespace qla;
@@ -411,6 +418,163 @@ TEST(BatchedMonteCarlo, SubThresholdChiSquareMatchesScalar)
         / ((b1 + b0) * (s1 + s0) * (b1 + s1) * (b0 + s0));
     EXPECT_LT(chi2, 10.83) << "batched " << b1 << "/" << b.trials()
                            << " vs scalar " << s1 << "/" << s.trials();
+}
+
+//
+// Shared tile recordings: one per (code, layout, attempt cap, rate
+// pattern) per process, bound by every noise point of that shape.
+//
+
+namespace {
+
+/** The integer outcome of a level-1 + level-2 run, compared exactly. */
+struct RunCounts
+{
+    std::uint64_t failuresL1 = 0;
+    std::uint64_t failuresL2 = 0;
+    std::uint64_t syndromes = 0;
+    std::uint64_t syndromeTrials = 0;
+    std::uint64_t prepExits = 0;
+    double prepAttemptSum = 0;
+
+    bool operator==(const RunCounts &) const = default;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const RunCounts &c)
+{
+    return os << "{" << c.failuresL1 << ", " << c.failuresL2 << ", "
+              << c.syndromes << ", " << c.syndromeTrials << ", "
+              << c.prepExits << ", " << c.prepAttemptSum << "}";
+}
+
+RunCounts
+runCounts(BatchedLogicalQubitExperiment &experiment, std::size_t shots_l1,
+          std::size_t shots_l2)
+{
+    ExperimentStats stats;
+    const auto l1 = experiment.failureRateRange(1, 0, shots_l1, 606, &stats);
+    const auto l2 = experiment.failureRateRange(2, 0, shots_l2, 607, &stats);
+    return {l1.successes(),
+            l2.successes(),
+            stats.nontrivialSyndrome.successes(),
+            stats.nontrivialSyndrome.trials(),
+            stats.prepAttempts.count(),
+            stats.prepAttempts.sum()};
+}
+
+} // namespace
+
+TEST(BatchedMonteCarlo, NoisePointsShareOneRecording)
+{
+    // The schedule belongs to the layout, not to the error rate: points
+    // of one rate pattern bind to one recording. A degenerate rate, a
+    // rate collision or another layout is a different shape.
+    BatchedLogicalQubitExperiment a(ecc::steaneCode(),
+                                    NoiseParameters::swept(1e-3));
+    BatchedLogicalQubitExperiment b(ecc::steaneCode(),
+                                    NoiseParameters::swept(7e-3));
+    EXPECT_TRUE(a.sharesRecordingWith(b));
+
+    BatchedLogicalQubitExperiment zero(ecc::steaneCode(),
+                                       NoiseParameters::swept(0.0));
+    EXPECT_FALSE(a.sharesRecordingWith(zero));
+
+    NoiseParameters split = NoiseParameters::swept(1e-3);
+    split.measureError = 2e-3;
+    BatchedLogicalQubitExperiment distinct(ecc::steaneCode(), split);
+    EXPECT_FALSE(a.sharesRecordingWith(distinct));
+
+    BatchedLogicalQubitExperiment wide(ecc::steaneCode(),
+                                       NoiseParameters::swept(1e-3),
+                                       LayoutDistances{4, 1, 12, 2});
+    EXPECT_FALSE(a.sharesRecordingWith(wide));
+}
+
+TEST(BatchedMonteCarlo, RateCollisionsAndDegeneracyMatchGolden)
+{
+    // Class ids follow which of the five fixed rates coincide, and the
+    // fire-plan skeleton follows which are degenerate, so both belong
+    // in a recording's key. Four points with four different shapes:
+    // every gate and readout rate equal to the intra-block move rate
+    // (one class for four rates), gate and readout rates at p = 0 (a
+    // degenerate class), a normal point, and only the gate rates equal
+    // to the intra-block move rate (as many classes as the normal
+    // point, assigned differently). Movement noise is raised so every
+    // point fails. Whatever order binds the shapes first, each point
+    // must reproduce its golden counts.
+    NoiseParameters base;
+    base.movementErrorPerCell = 1e-3;
+    const LayoutDistances layout;
+    const double intra = TileRowRecorder(ecc::steaneCode(), base, layout)
+        .moveProbability(layout.intraBlockCells, layout.intraBlockTurns);
+    std::array<NoiseParameters, 4> points;
+    for (NoiseParameters &noise : points)
+        noise = base;
+    points[0].gate1Error = points[0].gate2Error = points[0].measureError
+        = intra;
+    points[1].gate1Error = points[1].gate2Error = points[1].measureError
+        = 0.0;
+    points[2].gate1Error = points[2].gate2Error = points[2].measureError
+        = 2.5e-3;
+    points[3].gate1Error = points[3].gate2Error = intra;
+    points[3].measureError = 2.5e-3;
+    const std::array<RunCounts, 4> golden = {{
+        {45, 91, 54419, 86284, 101387, 128744},
+        {19, 67, 31512, 60150, 68938, 78895},
+        {33, 87, 45053, 75781, 88328, 107818},
+        {43, 79, 53670, 85480, 100362, 126187},
+    }};
+    const std::array<std::array<std::size_t, 4>, 3> orders = {{
+        {0, 1, 2, 3}, {3, 2, 1, 0}, {1, 3, 0, 2}}};
+    for (const auto &order : orders) {
+        std::array<std::unique_ptr<BatchedLogicalQubitExperiment>, 4>
+            experiments;
+        for (const std::size_t i : order)
+            experiments[i] = std::make_unique<BatchedLogicalQubitExperiment>(
+                ecc::steaneCode(), points[i], layout);
+        for (const std::size_t i : order)
+            EXPECT_EQ(runCounts(*experiments[i], 1500, 200), golden[i])
+                << "point " << i << ", order " << order[0] << order[1]
+                << order[2] << order[3];
+    }
+}
+
+TEST(BatchedMonteCarlo, ConcurrentFirstUseRecordsOnce)
+{
+    // Four threads bind experiments of one shape no other test uses at
+    // different error rates, all at once: the first use records under
+    // the cache lock, every thread gets the same recording, and each
+    // result equals a sequential run of the same point.
+    const LayoutDistances layout{5, 1, 9, 3};
+    const std::array<double, 4> rates = {3e-3, 5e-3, 7e-3, 9e-3};
+    std::array<RunCounts, 4> concurrent;
+    std::array<std::unique_ptr<BatchedLogicalQubitExperiment>, 4>
+        experiments;
+    std::atomic<int> ready{0};
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < rates.size(); ++t) {
+        threads.emplace_back([&, t] {
+            ready.fetch_add(1);
+            while (ready.load() < static_cast<int>(rates.size()))
+                std::this_thread::yield();
+            experiments[t] = std::make_unique<BatchedLogicalQubitExperiment>(
+                ecc::steaneCode(), NoiseParameters::swept(rates[t]),
+                layout);
+            concurrent[t] = runCounts(*experiments[t], 640, 64);
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+
+    for (std::size_t t = 0; t < rates.size(); ++t) {
+        EXPECT_TRUE(experiments[t]->sharesRecordingWith(*experiments[0]));
+        BatchedLogicalQubitExperiment sequential(
+            ecc::steaneCode(), NoiseParameters::swept(rates[t]), layout);
+        EXPECT_TRUE(sequential.sharesRecordingWith(*experiments[0]));
+        EXPECT_EQ(runCounts(sequential, 640, 64), concurrent[t])
+            << "rate " << rates[t];
+    }
 }
 
 TEST(MonteCarlo, EstimateThresholdInterpolates)
