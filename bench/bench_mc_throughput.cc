@@ -220,7 +220,7 @@ BM_ThresholdSweepBatchedFullNoSegmentMigration(benchmark::State &state)
 }
 BENCHMARK(BM_ThresholdSweepBatchedFullNoSegmentMigration);
 
-/** Thread scaling of the work-stealing sweep scheduler; the argument is
+/** Thread scaling of the ordered-claim sweep scheduler; the argument is
  *  the worker-thread count (results are bit-identical across them). */
 void
 BM_ThresholdSweepBatchedFullThreads(benchmark::State &state)

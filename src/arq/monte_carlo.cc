@@ -5,8 +5,8 @@
 #include <string>
 
 #include <algorithm>
-#include <array>
 #include <memory>
+#include <numeric>
 
 #include "arq/batched_monte_carlo.h"
 #include "common/logging.h"
@@ -539,6 +539,9 @@ namespace {
 std::size_t
 alignedChunkShots(const McRunOptions &options)
 {
+    qla_assert(options.batch.groupWords >= 1
+                   && options.batch.groupWords <= kMaxGroupWords,
+               "groupWords must be in [1, ", kMaxGroupWords, "]");
     const std::size_t capacity = options.batch.groupWords * kBatchLanes;
     if (options.chunkShots <= capacity)
         return capacity;
@@ -553,17 +556,14 @@ struct ChunkResult
 };
 
 /**
- * Small per-worker experiment cache keyed by sweep point (round-robin
- * eviction): an experiment holds several MB of frames and sampler
- * rings, so workers keep only a few.
+ * A worker's experiment and the sweep point it was built for. An
+ * experiment holds several MB of frames and sampler rings, so a worker
+ * keeps only the one it is using.
  */
-struct WorkerCache
+struct WorkerExperiment
 {
-    static constexpr std::size_t kSlots = 3;
-    std::array<std::size_t, kSlots> point{};
-    std::array<std::unique_ptr<BatchedLogicalQubitExperiment>, kSlots>
-        experiment;
-    std::size_t next_evict = 0;
+    std::size_t point = 0;
+    std::unique_ptr<BatchedLogicalQubitExperiment> experiment;
 };
 
 /** One scheduler job: a contiguous shot range of one task. */
@@ -587,6 +587,24 @@ chunkTasks(std::size_t num_tasks, std::size_t shots,
 }
 
 } // namespace
+
+std::vector<std::size_t>
+sweepDispatchOrder(const std::vector<SweepChunkKey> &chunks)
+{
+    std::vector<std::size_t> order(chunks.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         const SweepChunkKey &x = chunks[a];
+                         const SweepChunkKey &y = chunks[b];
+                         if (x.physicalError != y.physicalError)
+                             return x.physicalError > y.physicalError;
+                         if (x.point != y.point)
+                             return x.point < y.point;
+                         return x.level > y.level;
+                     });
+    return order;
+}
 
 sim::RateStat
 runLogicalExperiment(const ecc::CssCode &code, const NoiseParameters &noise,
@@ -612,7 +630,7 @@ runLogicalExperiment(const ecc::CssCode &code, const NoiseParameters &noise,
     });
 
     // Fixed-order reduction: bit-identical results for every thread
-    // count and stealing schedule.
+    // count and schedule.
     sim::RateStat rate;
     for (const ChunkResult &result : results) {
         rate.merge(result.rate);
@@ -648,37 +666,36 @@ thresholdSweep(const std::vector<double> &physical_errors,
     const std::vector<ShotChunk> chunks
         = chunkTasks(tasks.size(), shots, alignedChunkShots(options));
     std::vector<ChunkResult> results(chunks.size());
+    std::vector<SweepChunkKey> keys;
+    keys.reserve(chunks.size());
+    for (const ShotChunk &chunk : chunks) {
+        const SweepTask &task = tasks[chunk.task];
+        keys.push_back({task.point, task.p, task.level});
+    }
+    const std::vector<std::size_t> order = sweepDispatchOrder(keys);
 
     sim::ShotScheduler scheduler(options.threads);
     // Construction binds the point's noise classes to the shared tile
     // recording (recorded once per process) and allocates the frames
-    // and samplers, so a worker reuses its cached experiment across
-    // levels and chunks of the same point; block distribution means a
-    // worker mostly walks one point's chunks before stealing elsewhere,
-    // so a few slots suffice.
-    std::vector<WorkerCache> cache(scheduler.threadCount());
-    scheduler.run(chunks.size(), [&](std::size_t job, int worker) {
-        const ShotChunk &chunk = chunks[job];
+    // and samplers, so a worker reuses its experiment across levels
+    // and chunks of the same point. The dispatch order keeps a point's
+    // chunks together and each worker claims jobs in ascending order,
+    // so a worker never returns to a point it has left: one experiment
+    // per worker suffices.
+    std::vector<WorkerExperiment> cache(scheduler.threadCount());
+    scheduler.run(order.size(), [&](std::size_t job, int worker) {
+        const std::size_t index = order[job];
+        const ShotChunk &chunk = chunks[index];
         const SweepTask &task = tasks[chunk.task];
-        WorkerCache &wc = cache[worker];
-        BatchedLogicalQubitExperiment *experiment = nullptr;
-        for (std::size_t s = 0; s < WorkerCache::kSlots; ++s) {
-            if (wc.experiment[s] && wc.point[s] == task.point) {
-                experiment = wc.experiment[s].get();
-                break;
-            }
+        WorkerExperiment &slot = cache[worker];
+        if (!slot.experiment || slot.point != task.point) {
+            slot.experiment.reset(); // free it before building the next
+            slot.point = task.point;
+            slot.experiment = std::make_unique<BatchedLogicalQubitExperiment>(
+                ecc::steaneCode(), NoiseParameters::swept(task.p),
+                LayoutDistances{}, 16, options.batch);
         }
-        if (!experiment) {
-            const std::size_t slot = wc.next_evict;
-            wc.next_evict = (wc.next_evict + 1) % WorkerCache::kSlots;
-            wc.point[slot] = task.point;
-            wc.experiment[slot]
-                = std::make_unique<BatchedLogicalQubitExperiment>(
-                    ecc::steaneCode(), NoiseParameters::swept(task.p),
-                    LayoutDistances{}, 16, options.batch);
-            experiment = wc.experiment[slot].get();
-        }
-        results[job].rate = experiment->failureRateRange(
+        results[index].rate = slot.experiment->failureRateRange(
             task.level, chunk.firstShot, chunk.count, task.seed, nullptr);
     });
 

@@ -265,7 +265,7 @@ struct McRunOptions
     int threads = 0;
     /**
      * Shots per scheduler job (rounded to whole shot groups). Results
-     * are independent of thread count and stealing order for any fixed
+     * are independent of thread count and dispatch order for any fixed
      * chunk size; failure counts are bit-identical for every setting.
      */
     std::size_t chunkShots = 2048;
@@ -281,6 +281,30 @@ struct ThresholdPoint
     double level2Failure = 0.0;
     double level2Error = 0.0;
 };
+
+/** What the sweep dispatch order needs to know of one chunk. */
+struct SweepChunkKey
+{
+    std::size_t point = 0;     ///< Index of the chunk's sweep point.
+    double physicalError = 0;  ///< That point's component failure rate.
+    int level = 1;             ///< Recursion level (1 or 2).
+};
+
+/**
+ * The order in which threshold-sweep chunks start on the
+ * sim::ShotScheduler, which starts jobs strictly in index order:
+ * points by descending physical error, each point's level-2 chunks
+ * before its level-1 chunks, then the chunks' order in @p chunks.
+ * Above threshold a chunk's cost grows steeply with p and level (prep
+ * retries), so the most expensive chunks start first and the cheap
+ * ones fill the end of the run instead of one worker finishing a long
+ * chunk alone; a point's chunks stay together, so each worker builds
+ * few experiments. Returns a permutation of [0, chunks.size()): job j
+ * runs chunk result[j]. Only the start order changes -- partials keep
+ * their per-chunk slots and reduce in fixed chunk order.
+ */
+std::vector<std::size_t> sweepDispatchOrder(
+    const std::vector<SweepChunkKey> &chunks);
 
 /**
  * Sweep the component failure rate (movement fixed at the expected
@@ -304,7 +328,7 @@ std::vector<ThresholdPoint> thresholdSweep(
 /**
  * Parallel batched Monte-Carlo estimate of the level-@p level logical
  * gate failure rate for one noise point: the shot range is chunked over
- * the work-stealing ShotScheduler and per-chunk sim::Stats partials are
+ * the ShotScheduler and per-chunk sim::Stats partials are
  * reduced in fixed chunk order, so the result is bit-identical for
  * every thread count, chunk schedule and batch grouping.
  */

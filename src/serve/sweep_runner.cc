@@ -342,6 +342,22 @@ runSweepJob(const SweepJobSpec &spec, const RunnerOptions &options,
     for (const std::size_t index : owned)
         if (!state.threshold.count(index) && !state.cosim.count(index))
             pending.push_back(index);
+    if (spec.kind == SweepKind::Threshold) {
+        // Start chunks in the sweep's dispatch order (most expensive
+        // first); partials still land by chunk index.
+        std::vector<arq::SweepChunkKey> keys;
+        keys.reserve(pending.size());
+        for (const std::size_t index : pending) {
+            const ThresholdTask &task
+                = partition.tasks[partition.chunks[index].task];
+            keys.push_back({task.point, task.physicalError, task.level});
+        }
+        std::vector<std::size_t> ordered;
+        ordered.reserve(pending.size());
+        for (const std::size_t k : arq::sweepDispatchOrder(keys))
+            ordered.push_back(pending[k]);
+        pending = std::move(ordered);
+    }
 
     // Lowered workloads pinned for the scheduler's lifetime (cosim).
     std::vector<std::shared_ptr<const network::ProgramWorkload>>

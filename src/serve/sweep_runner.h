@@ -2,13 +2,14 @@
  * @file
  * Sharded, resumable execution of one sweep job.
  *
- * runSweepJob() drives a job's chunk list over the shot scheduler:
- * each worker computes whole chunks (threshold shot ranges via the
- * record/replay experiment cache, co-simulation points via the
- * workload cache), partials are recorded under a lock keyed by chunk
- * index, and the checkpoint file is rewritten atomically every
- * checkpointEveryChunks completions. Resume loads the checkpoint,
- * skips its chunks, and computes only the rest.
+ * runSweepJob() drives a job's chunk list over the shot scheduler
+ * (threshold chunks start in arq::sweepDispatchOrder, cosim chunks in
+ * index order): each worker computes whole chunks (threshold shot
+ * ranges via the record/replay experiment cache, co-simulation points
+ * via the workload cache), partials are recorded under a lock keyed
+ * by chunk index, and the checkpoint file is rewritten atomically
+ * every checkpointEveryChunks completions. Resume loads the
+ * checkpoint, skips its chunks, and computes only the rest.
  *
  * The output contract: the final text is assembled from per-chunk
  * partials merged in ascending chunk-index order, with every partial

@@ -5,8 +5,6 @@
 #include <cstdlib>
 #include <string>
 
-#include "common/logging.h"
-
 namespace qla::sim {
 
 namespace {
@@ -60,7 +58,7 @@ resolveThreadCount(int requested)
 }
 
 ShotScheduler::ShotScheduler(int threads)
-    : threads_(resolveThreadCount(threads)), deques_(threads_)
+    : threads_(resolveThreadCount(threads))
 {
     pool_.reserve(threads_ - 1);
     for (int w = 1; w < threads_; ++w)
@@ -70,10 +68,10 @@ ShotScheduler::ShotScheduler(int threads)
 ShotScheduler::~ShotScheduler()
 {
     {
-        std::lock_guard<std::mutex> lock(wake_mutex_);
+        std::lock_guard<std::mutex> lock(mutex_);
         stop_ = true;
     }
-    wake_cv_.notify_all();
+    cv_.notify_all();
     for (std::thread &t : pool_)
         t.join();
 }
@@ -92,57 +90,33 @@ ShotScheduler::run(std::size_t count, const JobFn &fn)
         return;
     }
 
-    // Publish the run state BEFORE any job becomes poppable: a
-    // straggler pool thread still scanning the deques from the previous
-    // generation may claim a job the moment it is pushed (that is
-    // harmless -- it just helps this generation early), so fn_ and
-    // pending_ must already be valid. The deque mutex ordering makes
-    // these writes visible to any thread that pops a job.
+    // No pool thread is inside the claim loop between runs, so the run
+    // state can be reset freely; opening the run under mutex_ publishes
+    // it to every thread that joins.
     fn_ = &fn;
+    count_ = count;
+    next_.store(0, std::memory_order_relaxed);
     cancelled_.store(false, std::memory_order_relaxed);
     {
-        std::lock_guard<std::mutex> lock(error_mutex_);
+        std::lock_guard<std::mutex> lock(mutex_);
         error_ = nullptr;
-    }
-    pending_.store(count, std::memory_order_release);
-
-    // Contiguous block distribution: worker w starts on jobs
-    // [w * count / T, (w + 1) * count / T), so per-worker caches walk
-    // consecutive shot ranges until stealing kicks in.
-    const std::size_t T = static_cast<std::size_t>(threads_);
-    for (std::size_t w = 0; w < T; ++w) {
-        std::lock_guard<std::mutex> lock(deques_[w].mutex);
-        qla_assert(deques_[w].jobs.empty());
-        const std::size_t begin = w * count / T;
-        const std::size_t end = (w + 1) * count / T;
-        for (std::size_t job = begin; job < end; ++job)
-            deques_[w].jobs.push_back(job);
-    }
-
-    {
-        std::lock_guard<std::mutex> lock(wake_mutex_);
         ++generation_;
+        open_ = true;
     }
-    wake_cv_.notify_all();
+    cv_.notify_all();
 
     workLoop(0);
 
-    // No job left to claim from worker 0's vantage point; wait for jobs
-    // still executing on pool threads. pending_ only reaches zero after
-    // the last job function returned.
-    {
-        std::unique_lock<std::mutex> lock(wake_mutex_);
-        wake_cv_.wait(lock, [this] {
-            return pending_.load(std::memory_order_acquire) == 0;
-        });
-    }
-    fn_ = nullptr;
-
+    // Every job is claimed; wait for the pool threads still running
+    // theirs, then close the run so a late waker stays out of it.
     std::exception_ptr error;
     {
-        std::lock_guard<std::mutex> lock(error_mutex_);
+        std::unique_lock<std::mutex> lock(mutex_);
+        cv_.wait(lock, [this] { return inside_ == 0; });
+        open_ = false;
         error = error_;
     }
+    fn_ = nullptr;
     if (error)
         std::rethrow_exception(error);
 }
@@ -153,76 +127,42 @@ ShotScheduler::poolThreadMain(int worker)
     std::uint64_t seen = 0;
     for (;;) {
         {
-            std::unique_lock<std::mutex> lock(wake_mutex_);
-            wake_cv_.wait(lock,
-                          [&] { return stop_ || generation_ != seen; });
+            std::unique_lock<std::mutex> lock(mutex_);
+            cv_.wait(lock, [&] {
+                return stop_ || (open_ && generation_ != seen);
+            });
             if (stop_)
                 return;
             seen = generation_;
+            ++inside_;
         }
         workLoop(worker);
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            if (--inside_ > 0)
+                continue;
+        }
+        cv_.notify_all();
     }
 }
 
 void
 ShotScheduler::workLoop(int worker)
 {
-    // Jobs only ever leave the deques mid-generation, so empty deques
-    // with pending work mean every remaining job is already executing
-    // somewhere: nothing left for this worker to do.
-    std::size_t job;
-    while (tryPop(worker, job) || trySteal(worker, job))
-        executeJob(job, worker);
-}
-
-bool
-ShotScheduler::tryPop(int worker, std::size_t &job)
-{
-    WorkerDeque &dq = deques_[worker];
-    std::lock_guard<std::mutex> lock(dq.mutex);
-    if (dq.jobs.empty())
-        return false;
-    job = dq.jobs.front();
-    dq.jobs.pop_front();
-    return true;
-}
-
-bool
-ShotScheduler::trySteal(int thief, std::size_t &job)
-{
-    for (int i = 1; i < threads_; ++i) {
-        WorkerDeque &dq = deques_[(thief + i) % threads_];
-        std::lock_guard<std::mutex> lock(dq.mutex);
-        if (dq.jobs.empty())
-            continue;
-        // Steal from the tail: the victim keeps walking its block in
-        // order from the head.
-        job = dq.jobs.back();
-        dq.jobs.pop_back();
-        return true;
-    }
-    return false;
-}
-
-void
-ShotScheduler::executeJob(std::size_t job, int worker)
-{
-    if (!cancelled_.load(std::memory_order_relaxed)) {
+    for (;;) {
+        const std::size_t job
+            = next_.fetch_add(1, std::memory_order_relaxed);
+        // After a failure the remaining jobs are drained unexecuted.
+        if (job >= count_ || cancelled_.load(std::memory_order_relaxed))
+            return;
         try {
             (*fn_)(job, worker);
         } catch (...) {
-            {
-                std::lock_guard<std::mutex> lock(error_mutex_);
-                if (!error_)
-                    error_ = std::current_exception();
-            }
             cancelled_.store(true, std::memory_order_relaxed);
+            std::lock_guard<std::mutex> lock(mutex_);
+            if (!error_)
+                error_ = std::current_exception();
         }
-    }
-    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        // Last job: wake the caller blocked in run().
-        std::lock_guard<std::mutex> lock(wake_mutex_);
-        wake_cv_.notify_all();
     }
 }
 

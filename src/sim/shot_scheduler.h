@@ -1,6 +1,6 @@
 /**
  * @file
- * Work-stealing scheduler for embarrassingly parallel Monte-Carlo work.
+ * Ordered-claim scheduler for embarrassingly parallel Monte-Carlo work.
  *
  * The Figure-7 threshold sweep decomposes into independent jobs -- one
  * (physical-error, level, shot-chunk) range each -- whose results are
@@ -8,15 +8,16 @@
  * (common/rng.h), so a chunk computes the same answer on any thread in
  * any order. The scheduler only has to run the jobs somewhere and let
  * the caller reduce per-job partial sim::Stats in fixed job order;
- * results are then bit-identical for every thread count and every
- * work-stealing schedule.
+ * results are then bit-identical for every thread count and schedule.
  *
- * Topology: one deque of job indices per worker, seeded by contiguous
- * block distribution (workers mostly walk their own shot ranges in
- * order, keeping per-worker experiment caches warm); an idle worker
- * steals from the tail of the busiest victim. Jobs are coarse
- * (milliseconds), so the deques are mutex-guarded -- contention is
- * nil and the implementation stays obviously correct under ASan/TSan.
+ * Topology: one shared claim counter. Every worker, the caller
+ * included, claims the next unclaimed job index, so jobs *start*
+ * strictly in index order and an idle worker always picks up the next
+ * job in line. Callers put their most expensive jobs first (the sweep
+ * dispatch order, arq::sweepDispatchOrder), so no worker is left
+ * holding a long job at the end of a run while the others idle. Jobs
+ * are coarse (milliseconds), so one atomic increment per job is
+ * nothing.
  *
  * Chunk sizing: callers slicing batched sweeps should align chunk
  * boundaries to whole shot groups -- multiples of
@@ -33,7 +34,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -51,15 +51,15 @@ namespace qla::sim {
 int resolveThreadCount(int requested = 0);
 
 /**
- * Persistent thread pool executing indexed job sets with work stealing.
+ * Persistent thread pool executing indexed job sets in claim order.
  *
  * run(count, fn) invokes fn(job, worker) for every job in [0, count)
- * exactly once and returns when all jobs have finished. The calling
- * thread participates as worker 0; a single-thread scheduler (or a
- * single job) runs inline with no pool handoff at all, so sequential
- * runs stay exactly sequential. Job functions for distinct jobs run
- * concurrently and must only touch shared state through their own
- * job-indexed slots.
+ * exactly once, starting jobs in ascending index order, and returns
+ * when all jobs have finished. The calling thread participates as
+ * worker 0; a single-thread scheduler (or a single job) runs inline
+ * with no pool handoff at all, so sequential runs stay exactly
+ * sequential. Job functions for distinct jobs run concurrently and
+ * must only touch shared state through their own job-indexed slots.
  */
 class ShotScheduler
 {
@@ -83,33 +83,28 @@ class ShotScheduler
     void run(std::size_t count, const JobFn &fn);
 
   private:
-    struct WorkerDeque
-    {
-        std::mutex mutex;
-        std::deque<std::size_t> jobs;
-    };
-
     void poolThreadMain(int worker);
     void workLoop(int worker);
-    bool tryPop(int worker, std::size_t &job);
-    bool trySteal(int thief, std::size_t &job);
-    void executeJob(std::size_t job, int worker);
 
     int threads_;
-    std::vector<WorkerDeque> deques_;
     std::vector<std::thread> pool_;
 
-    std::mutex run_mutex_; // serializes run() generations
-    std::mutex wake_mutex_;
-    std::condition_variable wake_cv_;
+    std::mutex run_mutex_; // serializes run() calls
+    // Guards the run state below: a run opens, pool threads join it
+    // (inside_) and leave it, and run() returns only once every joined
+    // thread has left, so no thread can claim an index of the next run.
+    std::mutex mutex_;
+    std::condition_variable cv_;
     std::uint64_t generation_ = 0;
+    bool open_ = false;
     bool stop_ = false;
+    int inside_ = 0;
+    std::exception_ptr error_;
 
     const JobFn *fn_ = nullptr;
-    std::atomic<std::size_t> pending_{0};
+    std::size_t count_ = 0;
+    std::atomic<std::size_t> next_{0};
     std::atomic<bool> cancelled_{false};
-    std::mutex error_mutex_;
-    std::exception_ptr error_;
 };
 
 } // namespace qla::sim

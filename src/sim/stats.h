@@ -33,7 +33,7 @@ class ScalarStat
      * Fold another accumulator into this one (Chan's parallel-variance
      * merge). The parallel shot scheduler reduces per-chunk partials in
      * a fixed chunk order, so merged results are independent of thread
-     * count and work-stealing schedule.
+     * count and schedule.
      */
     void merge(const ScalarStat &other);
 

@@ -1,9 +1,9 @@
 /**
  * @file
- * Work-stealing shot scheduler and stats-merge suite.
+ * Ordered-claim shot scheduler and stats-merge suite.
  *
- * The load-bearing properties: every job runs exactly once no matter
- * how it is stolen; per-chunk sim::Stats partials reduced in fixed
+ * The load-bearing properties: every job runs exactly once and jobs
+ * start in index order; per-chunk sim::Stats partials reduced in fixed
  * chunk order reproduce the streaming accumulation; and the parallel
  * Monte-Carlo entry points built on top return bit-identical results
  * for every thread count.
@@ -14,10 +14,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "arq/batched_monte_carlo.h"
 #include "arq/monte_carlo.h"
 #include "common/rng.h"
 #include "ecc/steane.h"
@@ -105,11 +108,33 @@ TEST(ShotScheduler, SchedulerIsReusable)
     scheduler.run(0, [&](std::size_t, int) { FAIL(); });
 }
 
-TEST(ShotScheduler, StealsUnbalancedWork)
+TEST(ShotScheduler, StartsJobsInIndexOrder)
 {
-    // One long job in worker 0's block plus many short ones: the run
-    // completes with every job executed even though the initial block
-    // distribution is skewed.
+    // Job 0 holds one worker for 20 ms, so the other worker must claim
+    // job 1 next: the first two jobs to start are {0, 1}, never a job
+    // from the middle of the range.
+    ShotScheduler scheduler(2);
+    const std::size_t count = 8;
+    std::mutex mutex;
+    std::vector<std::size_t> started;
+    scheduler.run(count, [&](std::size_t job, int) {
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            started.push_back(job);
+        }
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(job == 0 ? 20 : 2));
+    });
+    ASSERT_EQ(started.size(), count);
+    const std::set<std::size_t> first(started.begin(),
+                                      started.begin() + 2);
+    EXPECT_EQ(first, (std::set<std::size_t>{0, 1}));
+}
+
+TEST(ShotScheduler, CompletesSkewedWork)
+{
+    // One long job plus many short ones: the run completes with every
+    // job executed while one worker is held up.
     ShotScheduler scheduler(4);
     std::atomic<std::size_t> done{0};
     scheduler.run(64, [&](std::size_t job, int) {
@@ -118,6 +143,29 @@ TEST(ShotScheduler, StealsUnbalancedWork)
         done.fetch_add(1);
     });
     EXPECT_EQ(done.load(), 64u);
+}
+
+TEST(ShotScheduler, BackToBackRunsClaimOnlyTheirOwnJobs)
+{
+    // Many short runs in a row: a pool thread still leaving one run
+    // must not claim a job index of the next one, so every job of
+    // every run executes exactly once, inside its own run. Each job
+    // sleeps briefly so the pool threads join the runs instead of the
+    // caller finishing every job before they wake.
+    ShotScheduler scheduler(4);
+    std::vector<std::atomic<int>> hits(8);
+    for (int round = 0; round < 2000; ++round) {
+        const std::size_t count = 1 + static_cast<std::size_t>(round) % 8;
+        for (std::atomic<int> &hit : hits)
+            hit.store(0);
+        scheduler.run(count, [&](std::size_t job, int) {
+            hits[job].fetch_add(1);
+            std::this_thread::sleep_for(std::chrono::microseconds(20));
+        });
+        for (std::size_t j = 0; j < hits.size(); ++j)
+            ASSERT_EQ(hits[j].load(), j < count ? 1 : 0)
+                << "round " << round << " job " << j;
+    }
 }
 
 TEST(ShotScheduler, PropagatesFirstException)
@@ -252,6 +300,44 @@ TEST(ParallelMonteCarlo, RunLogicalExperimentThreadInvariant)
                   ref_stats.prepAttempts.count());
         EXPECT_DOUBLE_EQ(stats.prepAttempts.mean(),
                          ref_stats.prepAttempts.mean());
+    }
+}
+
+TEST(ParallelMonteCarlo, SweepDispatchOrderStartsExpensiveChunksFirst)
+{
+    using namespace qla::arq;
+    // Chunk list as thresholdSweep builds it: point-major, p
+    // ascending, level 1 then level 2, two chunks per task; points 1
+    // and 2 share a p.
+    const std::vector<double> p = {2e-3, 6e-3, 6e-3, 8e-3};
+    std::vector<SweepChunkKey> keys;
+    for (std::size_t point = 0; point < p.size(); ++point)
+        for (const int level : {1, 2})
+            for (int chunk = 0; chunk < 2; ++chunk)
+                keys.push_back({point, p[point], level});
+    const std::vector<std::size_t> want = {
+        14, 15, 12, 13, // p = 8e-3: level 2, then level 1
+        6,  7,  4,  5,  // first p = 6e-3 point
+        10, 11, 8,  9,  // second p = 6e-3 point
+        2,  3,  0,  1,  // p = 2e-3
+    };
+    EXPECT_EQ(sweepDispatchOrder(keys), want);
+    EXPECT_TRUE(sweepDispatchOrder({}).empty());
+}
+
+TEST(ParallelMonteCarloDeathTest, RejectsGroupWidthOutOfRange)
+{
+    using namespace qla::arq;
+    for (const std::size_t group : {std::size_t{0}, kMaxGroupWords + 1}) {
+        McRunOptions options;
+        options.threads = 1;
+        options.batch.groupWords = group;
+        EXPECT_DEATH(thresholdSweep({2e-3}, 64, 1, options),
+                     "groupWords must be in");
+        EXPECT_DEATH(runLogicalExperiment(ecc::steaneCode(),
+                                          NoiseParameters::swept(2e-3),
+                                          1, 64, 1, options),
+                     "groupWords must be in");
     }
 }
 

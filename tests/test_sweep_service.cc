@@ -289,9 +289,10 @@ TEST(SweepRunner, KillAndResumeIsByteIdenticalAtEveryBoundary)
     const std::size_t total = partitionJob(spec).chunks.size();
     ASSERT_EQ(total, 16u);
 
-    // Adversarial kill boundaries: first chunk, mid-point (inside one
-    // task's shot range), mid-level (on the L1/L2 task seam), point
-    // boundary, all-but-one.
+    // Adversarial kill boundaries, counted in dispatch order (four
+    // chunks per task, level 2 before level 1 within a point): first
+    // chunk, mid-point (inside one task's shot range), mid-level (on
+    // the L2/L1 task seam), point boundary, all-but-one.
     for (const std::size_t kill_after : {1u, 3u, 4u, 8u, 15u}) {
         for (const int workers : {1, 2}) {
             const std::string checkpoint = tempPath(

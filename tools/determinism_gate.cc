@@ -298,7 +298,7 @@ printHelp()
         "on N)\n"
         "  --shots S          Monte Carlo shots per point\n"
         "  --engine E         spot mode: batched | scalar\n"
-        "  --group G          spot/batched: lane-group width in words\n"
+        "  --group G          spot/batched: lane-group width in words, 1..32\n"
         "  --compaction C     spot/batched: lane compaction on | off\n"
         "  --fill F           spot/batched: segment-migration fill "
         "threshold\n"
@@ -353,9 +353,18 @@ main(int argc, char **argv)
             threads = std::atoi(next());
         else if (arg == "--shots")
             shots = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--group")
-            group = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--compaction") {
+        else if (arg == "--group") {
+            const char *value = next();
+            char *end = nullptr;
+            group = std::strtoull(value, &end, 10);
+            if (end == value || *end != '\0' || group < 1
+                || group > kMaxGroupWords) {
+                std::fprintf(stderr,
+                             "--group takes a width in [1, %zu], got %s\n",
+                             kMaxGroupWords, value);
+                return 2;
+            }
+        } else if (arg == "--compaction") {
             const std::string value = next();
             if (value != "on" && value != "off") {
                 std::fprintf(stderr, "--compaction takes on or off, got %s\n",
