@@ -4,7 +4,7 @@
  * the former printf drivers for experiments E3 (Figure 9: connection
  * time vs distance), E7 (Section-5 scheduler bandwidth sweep) and E10
  * (communication ablation), and adding the logical-program
- * co-simulation pipeline (circuit -> placement -> event-driven
+ * co-simulation pipeline (circuit -> placement -> window-loop
  * scheduler). Every benchmark reports its paper-facing quantities as
  * counters, so the `--json` snapshot (BENCH_interconnect.json) both
  * tracks throughput regressions via scripts/compare_bench.py and

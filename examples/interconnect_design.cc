@@ -79,7 +79,7 @@ main(int argc, char **argv)
 
     // And the same question asked of a *real program*: lower a 64-bit
     // carry-lookahead adder onto the island mesh and co-simulate
-    // computation and communication event-driven.
+    // computation and communication window by window.
     std::printf("\n== co-simulated 64-bit QCLA adder ==\n");
     const network::ProgramWorkload program(apps::qclaAdderCircuit(64));
     for (int bandwidth : {1, 2}) {

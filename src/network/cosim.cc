@@ -65,17 +65,14 @@ struct ActiveGate
      *  fetched an operand encoded below the compute level; worked off
      *  after delivery, before progress commits. */
     int conversionWindows = 0;
-    /** Pending mesh demands per emitted relative window. */
+    /** Pending mesh demands per relative window. */
     std::vector<int> undeliveredFor;
-    /** Interactions per emitted relative window (drift applies when the
-     *  window commits). */
-    std::vector<std::vector<MemberInteraction>> interactionsFor;
     std::vector<EntityId> ancillas;
 };
 
 /**
- * The per-run engine: owns all mutable co-simulation state and the
- * window event chain.
+ * The per-run engine: owns all mutable co-simulation state and runs the
+ * window loop.
  */
 class CoSimEngine
 {
@@ -170,8 +167,9 @@ class CoSimEngine
             report_.completed = true;
             return report_;
         }
-        events_.schedule(0.0, [this] { onWindowBoundary(); });
-        events_.run();
+        do
+            runWindow();
+        while (closeWindow());
         report_.windows = mesh_.windowsElapsed()
             - report_.warmupWindows;
         report_.makespan = static_cast<double>(report_.windows)
@@ -205,11 +203,9 @@ class CoSimEngine
         return program_.gates()[g.id].qubits[m.index];
     }
 
-    /** Every window boundary: start, emit, route, then same-instant
-     *  gate-advance events (FIFO keeps gate order) and a window-close
-     *  event that advances the mesh clock and schedules the successor
-     *  boundary. */
-    void onWindowBoundary()
+    /** One window up to its close: at the boundary start, emit and
+     *  route, then advance every started gate in id order. */
+    void runWindow()
     {
         if (warmup_remaining_ > 0) {
             // Initialization overlap: the initially ready gates'
@@ -222,33 +218,40 @@ class CoSimEngine
         }
         emitDemands();
         routeWindow();
-        if (warmup_remaining_ == 0) {
-            for (const ActiveGate &g : active_) {
-                if (!g.started)
-                    continue;
-                const std::size_t id = g.id;
-                events_.schedule(events_.now(),
-                                 [this, id] { advanceGate(id); });
-            }
-        }
-        events_.schedule(events_.now(), [this] { closeWindow(); });
+        if (warmup_remaining_ > 0)
+            return;
+        // Advancing never adds an active gate, and a gate that completes
+        // leaves active_ from its own slot, so the index stays put.
+        for (std::size_t i = 0; i < active_.size();)
+            if (!active_[i].started || !advanceGate(active_[i]))
+                ++i;
     }
 
     /** Warmup variant of startReadyGates: pre-activate the ready gates
      *  (demands flow, computation does not start) and keep them ready. */
     void preActivateReady()
     {
-        for (const std::size_t id : ready_) {
-            if (isActive(id))
-                continue;
-            const LogicalGate &gate = program_.gates()[id];
-            ActiveGate active;
-            active.id = id;
-            if (gate.ancillaCount > 0
-                && !allocateAncillas(gate, active.ancillas))
-                continue; // retried next window
-            insertActive(std::move(active));
-        }
+        for (const std::size_t id : ready_)
+            if (!isActive(id))
+                activate(id, false); // retried next window on failure
+    }
+
+    /** Insert gate @p id into active_ (computing when @p started, else
+     *  pre-activated) once its gadget ancillas allocate.
+     *  @return false when they do not fit (nothing changes). */
+    bool activate(std::size_t id, bool started)
+    {
+        const LogicalGate &gate = program_.gates()[id];
+        ActiveGate active;
+        active.id = id;
+        active.started = started;
+        if (gate.ancillaCount > 0
+            && !allocateAncillas(gate, active.ancillas))
+            return false;
+        active.undeliveredFor.resize(
+            static_cast<std::size_t>(gate.durationWindows));
+        active_.insert(lowerBoundById(id), std::move(active));
+        return true;
     }
 
     /** Position of gate @p id in the id-sorted active_ vector (or the
@@ -279,12 +282,7 @@ class CoSimEngine
                 notifyIfNearDone(g);
                 continue;
             }
-            const LogicalGate &gate = program_.gates()[id];
-            ActiveGate active;
-            active.id = id;
-            active.started = true;
-            if (gate.ancillaCount > 0
-                && !allocateAncillas(gate, active.ancillas)) {
+            if (!activate(id, true)) {
                 // The gate is runnable but the mesh has no room for
                 // its gadget ancillas: a stall, charged to its own
                 // ledger so undersized meshes are diagnosable.
@@ -292,15 +290,9 @@ class CoSimEngine
                 still_ready.push_back(id); // retry next window
                 continue;
             }
-            insertActive(std::move(active));
             notifyIfNearDone(gateById(id));
         }
         ready_ = std::move(still_ready);
-    }
-
-    void insertActive(ActiveGate gate)
-    {
-        active_.insert(lowerBoundById(gate.id), std::move(gate));
     }
 
     /** Gates whose every dependency is inside its final prefetch
@@ -315,15 +307,8 @@ class CoSimEngine
         for (const std::size_t id : imminent_) {
             if (isActive(id) || deps_remaining_[id] == 0)
                 continue; // started (or about to) through the ready path
-            const LogicalGate &gate = program_.gates()[id];
-            ActiveGate active;
-            active.id = id;
-            if (gate.ancillaCount > 0
-                && !allocateAncillas(gate, active.ancillas)) {
+            if (!activate(id, false))
                 retry.push_back(id);
-                continue;
-            }
-            insertActive(std::move(active));
         }
         imminent_ = std::move(retry);
     }
@@ -409,16 +394,14 @@ class CoSimEngine
                 duration, g.progress + 1 + config_.prefetchWindows);
             while (g.emittedUpTo < horizon) {
                 const int rel = g.emittedUpTo++;
-                auto interactions = program_.interactionsForWindow(
-                    g.id, rel);
-                g.undeliveredFor.push_back(0);
                 // Cache classification (PR 8): the first emitted window
                 // fetches missing operands before their islands are
                 // read, so the gate's own demands target the
                 // post-fetch placement.
                 std::size_t slot =
                     rel == 0 ? serviceCacheMisses(g) : 0;
-                for (const MemberInteraction &inter : interactions) {
+                for (const MemberInteraction &inter :
+                     program_.interactionsForWindow(g.id, rel)) {
                     ++report_.interactions;
                     const IslandCoord src = placement_.islandOf(
                         entityOf(g, inter.mover));
@@ -432,7 +415,6 @@ class CoSimEngine
                         emitOne(g, rel, slot++, dst, src,
                                 program_.config().pairsPerInteraction);
                 }
-                g.interactionsFor.push_back(std::move(interactions));
             }
         }
     }
@@ -645,13 +627,13 @@ class CoSimEngine
                       return a.slot < b.slot;
                   });
         const std::uint64_t now = mesh_.windowsElapsed();
-        std::vector<PendingDemand> still_pending;
+        still_pending_.clear();
         for (PendingDemand &pd : pending_) {
             if (pd.backoffUntil > now) {
                 // Sitting out a retry backoff: no routing attempt, the
                 // channel breathes while the link (hopefully) recovers.
                 ++report_.retryBackoffWindows;
-                still_pending.push_back(pd);
+                still_pending_.push_back(pd);
                 continue;
             }
             delivery_.grabs.clear();
@@ -672,10 +654,10 @@ class CoSimEngine
             } else if (abandon) {
                 abandonDemand(pd);
             } else {
-                still_pending.push_back(pd);
+                still_pending_.push_back(pd);
             }
         }
-        pending_ = std::move(still_pending);
+        pending_.swap(still_pending_);
     }
 
     /**
@@ -774,9 +756,11 @@ class CoSimEngine
         return *it;
     }
 
-    void advanceGate(std::size_t id)
+    /** Commit (or stall) the current window of started gate @p g.
+     *  @return true when @p g completed and left active_. */
+    bool advanceGate(ActiveGate &g)
     {
-        ActiveGate &g = gateById(id);
+        const std::size_t id = g.id;
         if (g.penaltyWindows > 0) {
             // Abandonment fallback executing (ballistic re-shipment /
             // re-synthesis of the missing interaction): the gate burns
@@ -790,7 +774,7 @@ class CoSimEngine
                 g.stalledEver = true;
                 ++report_.gatesStalled;
             }
-            return;
+            return false;
         }
         if (g.undeliveredFor[static_cast<std::size_t>(g.progress)] > 0) {
             // Gated on delivery: this window did not commit.
@@ -800,7 +784,7 @@ class CoSimEngine
                 g.stalledEver = true;
                 ++report_.gatesStalled;
             }
-            return;
+            return false;
         }
         if (g.conversionWindows > 0) {
             // Cache-miss code conversion (PR 8): the fetched operands
@@ -814,11 +798,11 @@ class CoSimEngine
                 g.stalledEver = true;
                 ++report_.gatesStalled;
             }
-            return;
+            return false;
         }
         if (config_.driftOptimization) {
             for (const MemberInteraction &inter :
-             g.interactionsFor[static_cast<std::size_t>(g.progress)]) {
+                 program_.interactionsForWindow(id, g.progress)) {
                 const EntityId mover = entityOf(g, inter.mover);
                 const EntityId target = entityOf(g, inter.target);
                 // Drift must not cross the region boundary: a fetched
@@ -834,21 +818,23 @@ class CoSimEngine
         }
         ++g.progress;
         notifyIfNearDone(g);
-        if (g.progress
-            < program_.gates()[g.id].durationWindows)
-            return;
+        if (g.progress < program_.gates()[id].durationWindows)
+            return false;
         // Complete: free the gadget tiles, unlock successors.
         for (const EntityId e : g.ancillas)
             releaseAncilla(e);
-        for (const std::size_t s : program_.gates()[g.id].successors)
+        for (const std::size_t s : program_.gates()[id].successors)
             if (--deps_remaining_[s] == 0)
                 ready_.push_back(s);
         std::sort(ready_.begin(), ready_.end());
         active_.erase(lowerBoundById(id));
         ++report_.gates;
+        return true;
     }
 
-    void closeWindow()
+    /** Probe, advance the mesh clock and age the pending demands.
+     *  @return true when another window follows. */
+    bool closeWindow()
     {
         if (probe_) {
             WindowProbe probe;
@@ -875,16 +861,15 @@ class CoSimEngine
             ++report_.warmupWindows;
         } else if (report_.gates == program_.gates().size()) {
             report_.completed = true;
-            return; // chain ends; queue drains
+            return false;
         }
         if (mesh_.windowsElapsed() >= config_.maxWindows)
-            return; // runaway guard: completed stays false
+            return false; // runaway guard: completed stays false
         for (PendingDemand &pd : pending_) {
             ++pd.age;
             report_.deferredPairWindows += pd.demand.pairs;
         }
-        events_.scheduleAfter(config_.window,
-                              [this] { onWindowBoundary(); });
+        return true;
     }
 
     const ProgramWorkload &program_;
@@ -893,7 +878,6 @@ class CoSimEngine
     IslandMesh mesh_;
     EprRouter router_;
     TilePlacement placement_;
-    sim::EventQueue events_;
     CoSimReport report_;
     RouteStats route_stats_;
 
@@ -905,6 +889,8 @@ class CoSimEngine
     std::vector<std::size_t> ready_;   // sorted gate ids
     std::vector<ActiveGate> active_;   // sorted by id
     std::vector<PendingDemand> pending_;
+    /** routeWindow's carry-over buffer, swapped with pending_. */
+    std::vector<PendingDemand> still_pending_;
     std::vector<std::size_t> free_ancilla_slots_; // min-heap
     std::size_t next_ancilla_slot_ = 0;
     int warmup_remaining_ = 0;

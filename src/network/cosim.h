@@ -1,17 +1,16 @@
 /**
  * @file
  * Logical-program co-simulation: computation and communication executed
- * together on the discrete-event kernel.
+ * together, one EC window at a time.
  *
  * This is the executable counterpart of the paper's Section-5 study:
  * a real circuit (QCLA adder, Toffoli network, banded QFT) is lowered
  * onto the island mesh (network/program_workload.h, network/placement.h)
- * and driven window by window on sim::EventQueue. Every scheduling
- * window is an event chain at one instant of simulated time --
- * demand emission + greedy routing, then one gate-advance event per
- * active gate (FIFO tie-break keeps them in gate order), then a
- * window-close event -- and a gate's window of progress commits only
- * when all its EPR demands were delivered: computation is *gated on
+ * and driven by a plain loop over EC windows. Each window runs the
+ * boundary -- start ready gates, emit demands, greedy routing -- then
+ * advances every started gate in gate-id order, then closes the window
+ * (probe, mesh clock). A gate's window of progress commits only when
+ * all its EPR demands were delivered: computation is *gated on
  * delivery*, and every window a gate waits is a stall charged to that
  * gate. With enough bandwidth the measured makespan equals the
  * dependency-DAG critical path (communication fully overlapped with
@@ -31,7 +30,6 @@
 #include "network/placement.h"
 #include "network/program_workload.h"
 #include "network/scheduler.h"
-#include "sim/event_queue.h"
 #include "sim/stats.h"
 
 namespace qla::network {
@@ -294,7 +292,7 @@ struct WindowProbe
 using WindowProbeFn = std::function<void(const WindowProbe &)>;
 
 /**
- * Event-driven executor for one lowered program.
+ * Window-loop executor for one lowered program.
  */
 class ProgramCoSimulator
 {

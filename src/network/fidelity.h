@@ -1,7 +1,7 @@
 /**
  * @file
  * Fidelity-aware EPR delivery: the bridge between the teleport stack
- * (Werner pairs, nested pumping, swapping) and the event-driven
+ * (Werner pairs, nested pumping, swapping) and the co-simulated
  * interconnect (PR 7 noisy-interconnect co-design).
  *
  * The paper budgets channel bandwidth (Figure 9) assuming every

@@ -74,10 +74,13 @@ TilePlacement::nearestFree(const TileCoord &near, const TileBand &band) const
     qla_assert(inBounds(near), "tile out of bounds");
     const int x_begin = std::max(band.xBegin, 0);
     const int x_end = std::min(band.xEnd, tile_width_);
-    int free = 0;
-    for (int x = x_begin; x < x_end; ++x)
-        free += free_in_column_[static_cast<std::size_t>(x)];
-    if (free == 0)
+    // The band has a free tile iff one of its columns does; stop at the
+    // first such column.
+    int x_free = x_begin;
+    while (x_free < x_end
+           && free_in_column_[static_cast<std::size_t>(x_free)] == 0)
+        ++x_free;
+    if (x_free >= x_end)
         return std::nullopt;
     // Expanding Manhattan rings out to the band's farthest corner;
     // within a ring, a fixed deterministic walk (decreasing dx from +r

@@ -134,8 +134,9 @@ class TilePlacement
      * band has none. Deterministic ring walk (part of the determinism
      * contract): increasing Manhattan distance; within a ring, dx
      * decreasing from +r to -r, y below before y above. The walk only
-     * visits the band's columns, and a band with no free tile exits
-     * after summing its per-column free counts. @p near may lie outside
+     * visits the band's columns; the search returns empty unless a
+     * per-column free count of the band is nonzero (checked up to the
+     * first such column). @p near may lie outside
      * the band. The CQLA cache model uses bands to keep fetches inside
      * the compute region and evictions inside the memory region.
      */

@@ -19,15 +19,33 @@ gateDuration(circuit::OpKind kind, const ProgramConfig &config)
     return 1;
 }
 
-const GateMember kOp0{false, 0};
-const GateMember kOp1{false, 1};
-const GateMember kOp2{false, 2};
+constexpr GateMember kOp0{false, 0};
+constexpr GateMember kOp1{false, 1};
+constexpr GateMember kOp2{false, 2};
 
-GateMember
+constexpr GateMember
 anc(std::size_t slot)
 {
     return {true, slot};
 }
+
+/** Two-qubit gate rounds: CNOT/CZ read the first entry (the control
+ *  teleports to the target, "logical qubit A is teleported to B"),
+ *  Swap both (both directions move: two transversal rounds). */
+constexpr MemberInteraction kTwoQubit[2] = {{kOp0, kOp1}, {kOp1, kOp0}};
+
+// Fixed cyclic Toffoli schedules keep the lowering deterministic. While
+// preparing (the first prepEccSteps windows) the 6-qubit ancilla network
+// interacts internally; finishing couples each operand to its ancilla
+// pair.
+constexpr MemberInteraction kToffoliPrep[6] = {
+    {anc(0), anc(1)}, {anc(2), anc(3)}, {anc(4), anc(5)},
+    {anc(1), anc(2)}, {anc(3), anc(4)}, {anc(5), anc(0)},
+};
+constexpr MemberInteraction kToffoliFinish[6] = {
+    {kOp0, anc(0)}, {kOp1, anc(2)}, {kOp2, anc(4)},
+    {anc(1), kOp0}, {anc(3), kOp1}, {anc(5), kOp2},
+};
 
 } // namespace
 
@@ -38,6 +56,20 @@ ProgramWorkload::ProgramWorkload(circuit::QuantumCircuit circuit,
     qla_assert(config_.toffoli.ancillaQubits == 6,
                "Toffoli gadget shape changed; update the interaction "
                "schedules");
+    qla_assert(config_.tilesPerIslandX >= 1,
+               "tilesPerIslandX must be >= 1, got ",
+               config_.tilesPerIslandX);
+    qla_assert(config_.toffoliInteractionsPerWindow >= 0,
+               "toffoliInteractionsPerWindow must be >= 0, got ",
+               config_.toffoliInteractionsPerWindow);
+    const int count = config_.toffoliInteractionsPerWindow;
+    const int prep = static_cast<int>(config_.toffoli.prepEccSteps);
+    for (int w = 0; w < gateDuration(circuit::OpKind::Toffoli, config_); ++w) {
+        const MemberInteraction *cycle =
+            w < prep ? kToffoliPrep : kToffoliFinish;
+        for (int i = 0; i < count; ++i)
+            toffoli_table_.push_back(cycle[(w * count + i) % 6]);
+    }
     const auto &ops = circuit_.ops();
     gates_.reserve(ops.size());
     // Last gate that touched each qubit (program order): a gate depends
@@ -71,7 +103,7 @@ ProgramWorkload::ProgramWorkload(circuit::QuantumCircuit circuit,
     }
 }
 
-std::vector<MemberInteraction>
+std::span<const MemberInteraction>
 ProgramWorkload::interactionsForWindow(std::size_t gate, int window) const
 {
     qla_assert(gate < gates_.size(), "gate id out of range");
@@ -82,35 +114,14 @@ ProgramWorkload::interactionsForWindow(std::size_t gate, int window) const
     switch (g.kind) {
       case circuit::OpKind::Cnot:
       case circuit::OpKind::Cz:
-        // One transversal round: the control teleports to the target
-        // ("logical qubit A is teleported to B").
-        return {{kOp0, kOp1}};
+        return {kTwoQubit, 1};
       case circuit::OpKind::Swap:
-        // Both directions move: two transversal rounds.
-        return {{kOp0, kOp1}, {kOp1, kOp0}};
+        return kTwoQubit;
       case circuit::OpKind::Toffoli: {
-        // Fixed cyclic schedules keep the lowering deterministic. While
-        // preparing (the first 15 windows) the 6-qubit ancilla network
-        // interacts internally; finishing (the last 6) couples each
-        // operand to its ancilla pair.
-        static const MemberInteraction kPrep[6] = {
-            {anc(0), anc(1)}, {anc(2), anc(3)}, {anc(4), anc(5)},
-            {anc(1), anc(2)}, {anc(3), anc(4)}, {anc(5), anc(0)},
-        };
-        static const MemberInteraction kFinish[6] = {
-            {kOp0, anc(0)}, {kOp1, anc(2)}, {kOp2, anc(4)},
-            {anc(1), kOp0}, {anc(3), kOp1}, {anc(5), kOp2},
-        };
-        const bool prep = window
-            < static_cast<int>(config_.toffoli.prepEccSteps);
-        const auto &cycle = prep ? kPrep : kFinish;
-        std::vector<MemberInteraction> out;
-        const int count = config_.toffoliInteractionsPerWindow;
-        out.reserve(static_cast<std::size_t>(count));
-        for (int i = 0; i < count; ++i)
-            out.push_back(cycle[(static_cast<std::size_t>(window)
-                                 * count + i) % 6]);
-        return out;
+        const auto count =
+            static_cast<std::size_t>(config_.toffoliInteractionsPerWindow);
+        return std::span<const MemberInteraction>(toffoli_table_)
+            .subspan(static_cast<std::size_t>(window) * count, count);
       }
       default:
         return {}; // tile-local: no interconnect traffic
@@ -178,23 +189,9 @@ std::uint64_t
 ProgramWorkload::totalInteractions() const
 {
     std::uint64_t total = 0;
-    for (const auto &g : gates_) {
-        switch (g.kind) {
-          case circuit::OpKind::Cnot:
-          case circuit::OpKind::Cz:
-            total += 1;
-            break;
-          case circuit::OpKind::Swap:
-            total += 2;
-            break;
-          case circuit::OpKind::Toffoli:
-            total += static_cast<std::uint64_t>(g.durationWindows)
-                * config_.toffoliInteractionsPerWindow;
-            break;
-          default:
-            break;
-        }
-    }
+    for (const auto &g : gates_)
+        for (int w = 0; w < g.durationWindows; ++w)
+            total += interactionsForWindow(g.id, w).size();
     return total;
 }
 

@@ -20,16 +20,17 @@
  *    pairs in each window (ancilla-network pairs while preparing,
  *    operand-ancilla pairs while finishing).
  *
- * The co-simulator (network/cosim.h) executes this DAG event-driven:
- * gate windows advance only when their EPR demands were delivered, so
- * the lowering here is where gate layers become per-window EprDemand
- * streams.
+ * The co-simulator (network/cosim.h) executes this DAG as a loop over
+ * EC windows: gate windows advance only when their EPR demands were
+ * delivered, so the lowering here is where gate layers become
+ * per-window EprDemand streams.
  */
 
 #ifndef QLA_NETWORK_PROGRAM_WORKLOAD_H
 #define QLA_NETWORK_PROGRAM_WORKLOAD_H
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "apps/toffoli.h"
@@ -41,11 +42,11 @@ namespace qla::network {
 struct ProgramConfig
 {
     /** Logical-qubit tiles per mesh island in x (paper: an island every
-     *  third logical qubit for the 100-cell separation). */
+     *  third logical qubit for the 100-cell separation); >= 1. */
     int tilesPerIslandX = 3;
     /** EPR pairs per transversal logical interaction (49 ions at L2). */
     std::uint64_t pairsPerInteraction = 49;
-    /** Interacting logical pairs per window of a running Toffoli. */
+    /** Interacting logical pairs per window of a running Toffoli; >= 0. */
     int toffoliInteractionsPerWindow = 2;
     /** Fault-tolerant Toffoli gadget shape (15 + 6 windows, 6 ancilla). */
     apps::ToffoliGadget toffoli;
@@ -105,9 +106,11 @@ class ProgramWorkload
     /**
      * Interacting member pairs for window @p window (0-based) of gate
      * @p gate. Deterministic: Toffoli windows cycle through fixed
-     * ancilla-network / operand-ancilla pair schedules.
+     * ancilla-network / operand-ancilla pair schedules, lowered once
+     * into a window-major table that every Toffoli gate shares. The
+     * span stays valid for the workload's lifetime.
      */
-    std::vector<MemberInteraction> interactionsForWindow(
+    std::span<const MemberInteraction> interactionsForWindow(
         std::size_t gate, int window) const;
 
     /**
@@ -139,6 +142,9 @@ class ProgramWorkload
     circuit::QuantumCircuit circuit_;
     ProgramConfig config_;
     std::vector<LogicalGate> gates_;
+    /** Toffoli interactions, window-major: window w's are entries
+     *  [w * toffoliInteractionsPerWindow, (w + 1) * ...). */
+    std::vector<MemberInteraction> toffoli_table_;
 };
 
 /** Island-mesh extent. */

@@ -6,7 +6,7 @@
  * parameter-study request: either a Figure-7 threshold sweep (points x
  * levels x shots on the batched Monte-Carlo engine) or a co-simulation
  * sweep (workloads x interconnect/hierarchy axes x seeds on the
- * event-driven kernel). The spec round-trips through a canonical
+ * window-loop co-simulator). The spec round-trips through a canonical
  * key-per-line text form -- the request format the sweep_service CLI
  * and daemon accept -- and hashes to a 64-bit config hash (FNV-1a over
  * the canonical text).

@@ -2,7 +2,7 @@
  * @file
  * Interconnect-layer tests (Section 5): island mesh, greedy EPR routing
  * and scheduling, logical-tile placement, program lowering, and the
- * event-driven logical-program co-simulation, including the scheduler
+ * window-loop logical-program co-simulation, including the scheduler
  * invariants (link capacity, EPR-pair conservation, mesh-walk validity,
  * drift bijection) and the paper's bandwidth/drift conclusions.
  */
@@ -701,6 +701,39 @@ TEST(TilePlacement, BandSearchMatchesBruteForceReference)
     // Both outcomes were exercised.
     EXPECT_GT(hits, 1000u);
     EXPECT_GT(misses, 100u);
+
+    // Fixed layouts for the band-emptiness check, on an 8x3 tile grid
+    // with the band [2, 6) and every column outside it free.
+    const TileBand band{2, 6};
+    const std::vector<TileCoord> anchors = {
+        {0, 0}, {1, 2}, {2, 1}, {4, 0}, {5, 2}, {6, 1}, {7, 0}};
+    const auto fill_band = [&](TilePlacement &placement,
+                               const TileCoord &keep_free) {
+        EntityId next = 0;
+        for (int x = band.xBegin; x < band.xEnd; ++x)
+            for (int y = 0; y < placement.tileHeight(); ++y)
+                if (!(TileCoord{x, y} == keep_free))
+                    placement.assign(next++, {x, y});
+    };
+    // The band's only free tile sits in its last column.
+    TilePlacement last_column(4, 3, 2);
+    fill_band(last_column, {5, 1});
+    for (const TileCoord &near : anchors) {
+        const auto got = last_column.nearestFree(near, band);
+        ASSERT_TRUE(got.has_value());
+        EXPECT_EQ(*got, (TileCoord{5, 1}));
+        EXPECT_EQ(got, bruteForceNearestFree(last_column, near, band));
+    }
+    // The band is full while the columns just outside it (1 and 6)
+    // have free tiles: nothing inside the band.
+    TilePlacement full_band(4, 3, 2);
+    fill_band(full_band, {-1, -1});
+    ASSERT_EQ(full_band.occupiedTiles(), 12u);
+    for (const TileCoord &near : anchors) {
+        EXPECT_FALSE(full_band.nearestFree(near, band).has_value());
+        EXPECT_FALSE(bruteForceNearestFree(full_band, near, band));
+        EXPECT_TRUE(full_band.nearestFree(near).has_value());
+    }
 }
 
 TEST(TilePlacement, DriftMovesTowardPartnerIsland)
@@ -855,6 +888,86 @@ TEST(ProgramWorkload, ToffoliInteractionSchedulesAreDeterministic)
             }
         }
     }
+}
+
+TEST(ProgramWorkload, ToffoliInteractionTableMatchesCyclicSchedule)
+{
+    // Reference schedule: window w's interaction i is
+    // cycle[(w * count + i) % 6], with the prep cycle for the first 15
+    // windows and the finish cycle after.
+    const GateMember op[3] = {{false, 0}, {false, 1}, {false, 2}};
+    GateMember anc[6];
+    for (std::size_t i = 0; i < 6; ++i)
+        anc[i] = {true, i};
+    const MemberInteraction prep[6] = {
+        {anc[0], anc[1]}, {anc[2], anc[3]}, {anc[4], anc[5]},
+        {anc[1], anc[2]}, {anc[3], anc[4]}, {anc[5], anc[0]},
+    };
+    const MemberInteraction finish[6] = {
+        {op[0], anc[0]}, {op[1], anc[2]}, {op[2], anc[4]},
+        {anc[1], op[0]}, {anc[3], op[1]}, {anc[5], op[2]},
+    };
+    circuit::QuantumCircuit c(5, "t");
+    c.toffoli(0, 1, 2); // gate 0
+    c.cnot(0, 3);       // gate 1
+    c.toffoli(2, 3, 4); // gate 2
+    c.cz(1, 4);         // gate 3
+    c.swapGate(3, 4);   // gate 4
+    c.h(0);             // gate 5
+    for (const int count : {0, 1, 2, 3, 7}) {
+        ProgramConfig config;
+        config.toffoliInteractionsPerWindow = count;
+        const ProgramWorkload program(c, config);
+        const int duration = program.gates()[0].durationWindows;
+        ASSERT_EQ(duration, 21);
+        for (int w = 0; w < duration; ++w) {
+            const auto got = program.interactionsForWindow(0, w);
+            ASSERT_EQ(got.size(), static_cast<std::size_t>(count));
+            const auto &cycle = w < 15 ? prep : finish;
+            for (int i = 0; i < count; ++i) {
+                const MemberInteraction &want = cycle[(w * count + i) % 6];
+                EXPECT_EQ(got[static_cast<std::size_t>(i)].mover,
+                          want.mover)
+                    << "count " << count << " window " << w << " i " << i;
+                EXPECT_EQ(got[static_cast<std::size_t>(i)].target,
+                          want.target)
+                    << "count " << count << " window " << w << " i " << i;
+            }
+            // Every Toffoli gate reads the one lowered table.
+            const auto other = program.interactionsForWindow(2, w);
+            EXPECT_EQ(other.data(), got.data());
+            EXPECT_EQ(other.size(), got.size());
+        }
+        const auto cnot = program.interactionsForWindow(1, 0);
+        ASSERT_EQ(cnot.size(), 1u);
+        EXPECT_EQ(cnot[0].mover, op[0]);
+        EXPECT_EQ(cnot[0].target, op[1]);
+        const auto cz = program.interactionsForWindow(3, 0);
+        ASSERT_EQ(cz.size(), 1u);
+        EXPECT_EQ(cz[0].mover, op[0]);
+        EXPECT_EQ(cz[0].target, op[1]);
+        const auto swap = program.interactionsForWindow(4, 0);
+        ASSERT_EQ(swap.size(), 2u);
+        EXPECT_EQ(swap[0].mover, op[0]);
+        EXPECT_EQ(swap[0].target, op[1]);
+        EXPECT_EQ(swap[1].mover, op[1]);
+        EXPECT_EQ(swap[1].target, op[0]);
+        EXPECT_TRUE(program.interactionsForWindow(5, 0).empty());
+    }
+}
+
+TEST(ProgramWorkload, RejectsInvalidConfig)
+{
+    circuit::QuantumCircuit c(3, "t");
+    c.toffoli(0, 1, 2);
+    ProgramConfig no_tiles;
+    no_tiles.tilesPerIslandX = 0;
+    EXPECT_DEATH({ const ProgramWorkload program(c, no_tiles); },
+                 "tilesPerIslandX must be >= 1");
+    ProgramConfig negative;
+    negative.toffoliInteractionsPerWindow = -1;
+    EXPECT_DEATH({ const ProgramWorkload program(c, negative); },
+                 "toffoliInteractionsPerWindow must be >= 0");
 }
 
 TEST(ProgramWorkload, MeshSizingFitsProgram)
