@@ -2,28 +2,6 @@
 
 namespace qla {
 
-namespace {
-
-/** SplitMix64 step; used only for seeding. */
-std::uint64_t
-splitMix64(std::uint64_t &x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
-} // namespace
-
-Rng::Rng(std::uint64_t seed)
-{
-    std::uint64_t s = seed;
-    for (auto &word : state_)
-        word = splitMix64(s);
-}
-
 std::uint64_t
 Rng::uniformInt(std::uint64_t bound)
 {
@@ -42,16 +20,6 @@ Rng::uniformInt(std::uint64_t bound)
         }
     }
     return static_cast<std::uint64_t>(m >> 64);
-}
-
-bool
-Rng::bernoulli(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniform() < p;
 }
 
 Rng

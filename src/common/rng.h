@@ -25,7 +25,11 @@ class Rng
 {
   public:
     /** Seed through SplitMix64 so any 64-bit seed gives a good state. */
-    explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
+    explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL)
+    {
+        for (auto &word : state_)
+            word = splitMix64_(seed);
+    }
 
     /** Next raw 64-bit draw. */
     std::uint64_t next64()
@@ -50,8 +54,16 @@ class Rng
     /** Uniform integer in [0, bound) using Lemire rejection. */
     std::uint64_t uniformInt(std::uint64_t bound);
 
-    /** Bernoulli trial: true with probability p. */
-    bool bernoulli(double p);
+    /** Bernoulli trial: true with probability p. Draws nothing when
+     *  p <= 0 or p >= 1. */
+    bool bernoulli(double p)
+    {
+        if (p <= 0.0)
+            return false;
+        if (p >= 1.0)
+            return true;
+        return uniform() < p;
+    }
 
     /**
      * Split off an independent child stream.
@@ -62,6 +74,16 @@ class Rng
     Rng split();
 
   private:
+    /** SplitMix64 step; used only for seeding. */
+    static std::uint64_t splitMix64_(std::uint64_t &x)
+    {
+        x += 0x9e3779b97f4a7c15ULL;
+        std::uint64_t z = x;
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+        return z ^ (z >> 31);
+    }
+
     static std::uint64_t rotl_(std::uint64_t x, int k)
     {
         return (x << k) | (x >> (64 - k));

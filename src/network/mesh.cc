@@ -16,18 +16,23 @@ IslandMesh::IslandMesh(int width, int height, int bandwidth,
     qla_assert(width > 0 && height > 0 && bandwidth > 0
                    && slots_per_channel > 0,
                "bad mesh parameters");
+    // East and west links lie on rows of width_ bits, north and south
+    // links on columns of height_ bits.
+    std::size_t words = 0;
+    for (int d = 0; d < 4; ++d) {
+        const bool along_x = d < 2;
+        line_words_[d] = (static_cast<std::size_t>(along_x ? width : height)
+                          + 63) / 64;
+        full_base_[d] = words;
+        words += line_words_[d] * (along_x ? height : width);
+    }
+    full_.assign(words, 0);
 }
 
 int
 islandDistance(const IslandCoord &a, const IslandCoord &b)
 {
     return std::abs(a.x - b.x) + std::abs(a.y - b.y);
-}
-
-bool
-IslandMesh::inBounds(const IslandCoord &c) const
-{
-    return c.x >= 0 && c.x < width_ && c.y >= 0 && c.y < height_;
 }
 
 std::uint64_t
@@ -61,6 +66,19 @@ IslandMesh::linkIndex(const IslandCoord &from, Direction dir) const
         + static_cast<std::size_t>(dir);
 }
 
+void
+IslandMesh::markFull(std::size_t link)
+{
+    const auto dir = static_cast<Direction>(link & 3);
+    const std::size_t island = link >> 2;
+    const int x = static_cast<int>(island % width_);
+    const int y = static_cast<int>(island / width_);
+    const bool along_x = dir == Direction::East || dir == Direction::West;
+    const int bit = along_x ? x : y;
+    full_[fullLine(dir, along_x ? y : x) + (bit >> 6)] |= std::uint64_t{1}
+        << (bit & 63);
+}
+
 std::uint64_t
 IslandMesh::capacityOf(std::size_t link) const
 {
@@ -84,66 +102,72 @@ IslandMesh::usedSlots(const IslandCoord &from, Direction dir) const
     return used_[linkIndex(from, dir)];
 }
 
-int
-IslandMesh::linkRuns(const MeshRoute &route, LinkRun (&runs)[3]) const
+std::ptrdiff_t
+IslandMesh::legFirstLink(const Leg &leg) const
 {
-    // A straight leg between two in-bounds islands stays in bounds, so
-    // only the start, the waypoints and the end need checking. The link
-    // index is computed here rather than by linkIndex: its two asserts
-    // per leg cost about a fifth of the purified co-sim's time.
-    IslandCoord at = route.from;
-    qla_assert(inBounds(at), "route starts outside the mesh");
-    const std::ptrdiff_t row = 4 * static_cast<std::ptrdiff_t>(width_);
-    int n = 0;
-    for (int leg = 0; leg < 3; ++leg) {
-        const int len = route.legs[leg];
-        if (len == 0)
-            continue;
-        const bool along_y = route.yFirst != (leg == 1);
-        const Direction dir = along_y
-            ? (len > 0 ? Direction::North : Direction::South)
-            : (len > 0 ? Direction::East : Direction::West);
-        const std::ptrdiff_t step = along_y ? row : 4;
-        runs[n++] = {(static_cast<std::ptrdiff_t>(at.y) * width_ + at.x) * 4
-                         + static_cast<std::ptrdiff_t>(dir),
-                     len > 0 ? step : -step, std::abs(len)};
-        (along_y ? at.y : at.x) += len;
-        qla_assert(inBounds(at), "route leaves the mesh");
-    }
-    return n;
+    // Computed here rather than by linkIndex: its two asserts per link
+    // would cost more than the walk itself.
+    const bool along_x = leg.dir == Direction::East
+        || leg.dir == Direction::West;
+    const std::ptrdiff_t island = along_x
+        ? static_cast<std::ptrdiff_t>(leg.line) * width_ + leg.lo
+        : static_cast<std::ptrdiff_t>(leg.lo) * width_ + leg.line;
+    return island * 4 + static_cast<std::ptrdiff_t>(leg.dir);
 }
 
 std::uint64_t
 IslandMesh::maxReservable(const MeshRoute &route) const
 {
-    LinkRun runs[3];
-    const int n = linkRuns(route, runs);
-    std::uint64_t free = ~std::uint64_t{0};
-    for (int r = 0; r < n; ++r) {
-        std::ptrdiff_t link = runs[r].first;
-        for (int i = 0; i < runs[r].count; ++i, link += runs[r].stride) {
-            const std::uint64_t cap = capacityOf(link);
-            if (used_[link] >= cap)
-                return 0; // a full link: no shape through it fits
-            free = std::min(free, cap - used_[link]);
-        }
+    // Most tries are refused, nearly always on their first leg, so each
+    // leg is tested as soon as it is known.
+    checkBounds(route);
+    int x = route.from.x;
+    int y = route.from.y;
+    Leg legs[3];
+    int n = 0;
+    for (int i = 0; i < 3; ++i) {
+        if (route.legs[i] == 0)
+            continue;
+        legs[n] = nextLeg(route.yFirst != (i == 1), route.legs[i], x, y);
+        if (legFull(legs[n++]))
+            return 0; // a full or down link: no shape through it fits
     }
-    return free;
+    if (n == 0)
+        return ~std::uint64_t{0};
+    // Every link is up and below capacity: the tightest one is the most
+    // used.
+    std::uint64_t most_used = 0;
+    for (int r = 0; r < n; ++r) {
+        const std::ptrdiff_t stride = legStride(legs[r]);
+        std::ptrdiff_t link = legFirstLink(legs[r]);
+        for (int k = legs[r].lo; k < legs[r].hi; ++k, link += stride)
+            most_used = std::max(most_used, used_[link]);
+    }
+    return linkCapacity() - most_used;
 }
 
 int
 IslandMesh::reserve(const MeshRoute &route, std::uint64_t pairs)
 {
-    LinkRun runs[3];
-    const int n = linkRuns(route, runs);
+    checkBounds(route);
+    int x = route.from.x;
+    int y = route.from.y;
     int bursts = 0;
-    for (int r = 0; r < n; ++r) {
-        std::ptrdiff_t link = runs[r].first;
-        for (int i = 0; i < runs[r].count; ++i, link += runs[r].stride) {
+    const std::uint64_t capacity = linkCapacity();
+    for (int i = 0; i < 3; ++i) {
+        if (route.legs[i] == 0)
+            continue;
+        const Leg leg = nextLeg(route.yFirst != (i == 1), route.legs[i], x, y);
+        std::uint64_t *full = full_.data() + fullLine(leg.dir, leg.line);
+        const std::ptrdiff_t stride = legStride(leg);
+        std::ptrdiff_t link = legFirstLink(leg);
+        for (int k = leg.lo; k < leg.hi; ++k, link += stride) {
             qla_assert(used_[link] + pairs <= capacityOf(link),
                        "reservation exceeds link capacity");
             used_[link] += pairs;
             bursts += faults_on_ && burst_[link] != 0;
+            full[k >> 6] |= std::uint64_t{used_[link] >= capacity}
+                << (k & 63);
         }
     }
     const std::uint64_t reserved = pairs
@@ -157,6 +181,7 @@ void
 IslandMesh::advanceWindow()
 {
     std::fill(used_.begin(), used_.end(), 0);
+    std::fill(full_.begin(), full_.end(), 0);
     window_reserved_ = 0;
     ++windows_;
     if (faults_on_)
@@ -181,23 +206,39 @@ mix64(std::uint64_t x)
 void
 IslandMesh::setLinkFaults(const LinkFaultConfig &config)
 {
+    auto is_rate = [](double p) { return p >= 0.0 && p <= 1.0; };
+    qla_assert(is_rate(config.pairLossRate) && is_rate(config.linkDownRate)
+                   && is_rate(config.burstRate),
+               "link-fault rates must lie in [0, 1]");
+    qla_assert(config.linkDownWindows >= 1,
+               "a down interval lasts at least one window, got ",
+               config.linkDownWindows);
     faults_ = config;
     faults_on_ = config.any();
+    // Rebuild the full-link index for the open window: the old fault
+    // state's down links may no longer be down.
+    std::fill(full_.begin(), full_.end(), 0);
+    for (std::size_t link = 0; link < used_.size(); ++link)
+        if (used_[link] >= linkCapacity())
+            markFull(link);
     if (!faults_on_)
         return;
     const std::size_t slots = used_.size();
     down_until_.assign(slots, 0);
     burst_.assign(slots, 0);
-    // Mark the geometrically valid directed-link slots once; fault draws
-    // and counters only touch real links.
-    link_valid_.assign(slots, 0);
+    // List the geometrically real directed links once, each with the
+    // window-independent half of its fault seed; fault draws and
+    // counters only touch real links.
+    fault_links_.clear();
     for (int y = 0; y < height_; ++y) {
         for (int x = 0; x < width_; ++x) {
             const IslandCoord c{x, y};
             for (int d = 0; d < 4; ++d) {
                 const auto dir = static_cast<Direction>(d);
-                if (inBounds(neighbor(c, dir)))
-                    link_valid_[linkIndex(c, dir)] = 1;
+                if (inBounds(neighbor(c, dir))) {
+                    const std::size_t link = linkIndex(c, dir);
+                    fault_links_.push_back({link, mix64(faults_.seed + link)});
+                }
             }
         }
     }
@@ -211,10 +252,9 @@ IslandMesh::refreshFaults()
     // function of (seed, link index, window index) -- independent of
     // routing order and thread count. Draw order within a link's stream
     // is fixed (down first, then burst) so the processes stay decoupled.
-    for (std::size_t link = 0; link < used_.size(); ++link) {
-        if (!link_valid_[link])
-            continue;
-        Rng rng(mix64(mix64(faults_.seed + link) + windows_));
+    for (const FaultLink &fault_link : fault_links_) {
+        const std::size_t link = fault_link.link;
+        Rng rng(mix64(fault_link.seed + windows_));
         const bool was_down = down_until_[link] > windows_;
         const bool down_draw = rng.bernoulli(faults_.linkDownRate);
         const bool burst_draw = rng.bernoulli(faults_.burstRate);
@@ -226,8 +266,10 @@ IslandMesh::refreshFaults()
                     + static_cast<std::uint64_t>(faults_.linkDownWindows);
             }
         }
-        if (down_until_[link] > windows_)
+        if (down_until_[link] > windows_) {
             ++link_windows_down_;
+            markFull(link);
+        }
         ++burst_trials_;
         burst_[link] = burst_draw ? 1 : 0;
         if (burst_draw)

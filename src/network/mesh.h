@@ -145,6 +145,14 @@ struct LinkFaultConfig
  * Time is divided into scheduling windows (one level-2 error-correction
  * period each). Each directed link can carry a bounded number of EPR
  * pairs per window: bandwidth channels x (window / per-pair headway).
+ *
+ * Alongside the slot counts the mesh keeps a full-link index for the
+ * open window: one bitset per direction and line (a row for east/west
+ * links, a column for north/south links), where a set bit means the
+ * link has no free slot -- it filled up, or it is inside a down
+ * interval. A route leg is a contiguous bit range of one line, so a
+ * blocked shape is refused with a few masked word tests before any
+ * slot count is read. Lines longer than 64 links span several words.
  */
 class IslandMesh
 {
@@ -163,7 +171,10 @@ class IslandMesh
     int bandwidth() const { return bandwidth_; }
     std::uint64_t slotsPerChannel() const { return slots_per_channel_; }
 
-    bool inBounds(const IslandCoord &c) const;
+    bool inBounds(const IslandCoord &c) const
+    {
+        return c.x >= 0 && c.x < width_ && c.y >= 0 && c.y < height_;
+    }
 
     /** Directed-link capacity in pairs per window. */
     std::uint64_t linkCapacity() const;
@@ -177,8 +188,9 @@ class IslandMesh
 
     /**
      * Largest reservation @p route can currently accept: the minimum free
-     * slots over its links, returned as 0 at the first full link without
-     * walking the rest; UINT64_MAX for a zero-hop route.
+     * slots over its links; UINT64_MAX for a zero-hop route. A route
+     * with any full or down link gets 0 from the full-link index alone;
+     * only a route that passes walks its slot counts.
      */
     std::uint64_t maxReservable(const MeshRoute &route) const;
 
@@ -195,6 +207,7 @@ class IslandMesh
     /**
      * Install the stochastic link-fault model (PR 7). Draws the current
      * window's down/burst state immediately; all-zero rates are a no-op.
+     * Every rate must lie in [0, 1] and linkDownWindows be at least 1.
      */
     void setLinkFaults(const LinkFaultConfig &config);
 
@@ -237,26 +250,103 @@ class IslandMesh
     std::uint64_t reservedThisWindow() const { return window_reserved_; }
 
   private:
-    /** One leg of a route as directed-link indices: @p count links
-     *  from @p first, @p stride apart. */
-    struct LinkRun
+    /**
+     * One non-empty leg of a route: the links toward @p dir from the
+     * islands at positions [lo, hi) along row (east/west) or column
+     * (north/south) @p line. Position k's link is bit k of that line in
+     * the full-link index, whichever way the leg runs. (No member
+     * initializers: legs are built on every router try.)
+     */
+    struct Leg
     {
-        std::ptrdiff_t first = 0;
-        std::ptrdiff_t stride = 0;
-        int count = 0;
+        Direction dir;
+        int line;
+        int lo;
+        int hi;
+    };
+
+    /** A real directed link and its per-link fault seed. */
+    struct FaultLink
+    {
+        std::size_t link = 0;
+        std::uint64_t seed = 0;
     };
 
     std::size_t linkIndex(const IslandCoord &from, Direction dir) const;
-    /** Split @p route into its legs' link runs (bounds asserted on the
-     *  endpoints and waypoints); @return the number of non-empty legs. */
-    int linkRuns(const MeshRoute &route, LinkRun (&runs)[3]) const;
+    /** Assert that @p route starts and stays inside the mesh. A
+     *  straight leg between two in-bounds islands stays in bounds, so
+     *  only the start, the waypoints and the end need checking. */
+    void checkBounds(const MeshRoute &route) const
+    {
+        IslandCoord at = route.from;
+        qla_assert(inBounds(at), "route starts outside the mesh");
+        for (int leg = 0; leg < 3; ++leg) {
+            (route.yFirst != (leg == 1) ? at.y : at.x) += route.legs[leg];
+            qla_assert(inBounds(at), "route leaves the mesh");
+        }
+    }
+    /** The non-empty leg moving @p len islands from (@p x, @p y) along
+     *  y or x; moves (@p x, @p y) to its end. */
+    static Leg nextLeg(bool along_y, int len, int &x, int &y)
+    {
+        // Moving back, the links leave the islands just past the end.
+        Leg leg = along_y
+            ? (len > 0 ? Leg{Direction::North, x, y, y + len}
+                       : Leg{Direction::South, x, y + len + 1, y + 1})
+            : (len > 0 ? Leg{Direction::East, y, x, x + len}
+                       : Leg{Direction::West, y, x + len + 1, x + 1});
+        (along_y ? y : x) += len;
+        return leg;
+    }
     static IslandCoord neighbor(const IslandCoord &c, Direction dir);
+
+    /** First word of full-link line @p line toward @p dir. */
+    std::size_t fullLine(Direction dir, int line) const
+    {
+        const auto d = static_cast<std::size_t>(dir);
+        return full_base_[d] + static_cast<std::size_t>(line) * line_words_[d];
+    }
+
+    /** Whether any link of @p leg is full this window: one masked test
+     *  per word of its bit range. */
+    bool legFull(const Leg &leg) const
+    {
+        const std::uint64_t *words =
+            full_.data() + fullLine(leg.dir, leg.line);
+        const int first = leg.lo >> 6;
+        const int last = (leg.hi - 1) >> 6;
+        const std::uint64_t head = ~std::uint64_t{0} << (leg.lo & 63);
+        const std::uint64_t tail =
+            ~std::uint64_t{0} >> (63 - ((leg.hi - 1) & 63));
+        if (first == last)
+            return (words[first] & head & tail) != 0;
+        if ((words[first] & head) != 0)
+            return true;
+        for (int w = first + 1; w < last; ++w)
+            if (words[w] != 0)
+                return true;
+        return (words[last] & tail) != 0;
+    }
+
+    /** Directed-link index of the link at position lo of @p leg; the
+     *  next positions follow legStride() apart. */
+    std::ptrdiff_t legFirstLink(const Leg &leg) const;
+    std::ptrdiff_t legStride(const Leg &leg) const
+    {
+        return leg.dir == Direction::East || leg.dir == Direction::West
+            ? 4
+            : 4 * static_cast<std::ptrdiff_t>(width_);
+    }
+
+    /** Mark directed link slot @p link full for the rest of the window. */
+    void markFull(std::size_t link);
 
     /** Capacity of link slot @p link this window (0 while down). */
     std::uint64_t capacityOf(std::size_t link) const;
 
     /** Redraw down/burst state for the current window (pure in
-     *  (seed, link, window); link-index order). */
+     *  (seed, link, window); link-index order) and mark down links
+     *  full. */
     void refreshFaults();
 
     int width_;
@@ -264,6 +354,12 @@ class IslandMesh
     int bandwidth_;
     std::uint64_t slots_per_channel_;
     std::vector<std::uint64_t> used_; // per directed link, current window
+    // Full-link index, by Direction: east rows, west rows, north
+    // columns, south columns; line_words_[dir] words per line, starting
+    // at word full_base_[dir].
+    std::size_t line_words_[4];
+    std::size_t full_base_[4];
+    std::vector<std::uint64_t> full_;
     std::uint64_t windows_ = 0;
     std::uint64_t window_reserved_ = 0;
     std::uint64_t total_reserved_ = 0;
@@ -271,7 +367,7 @@ class IslandMesh
     // Link-fault state (allocated only when faults are installed).
     LinkFaultConfig faults_;
     bool faults_on_ = false;
-    std::vector<std::uint8_t> link_valid_; // geometric link slot exists
+    std::vector<FaultLink> fault_links_; // real links, link-index order
     std::vector<std::uint64_t> down_until_; // absolute window, exclusive
     std::vector<std::uint8_t> burst_;       // this window only
     std::uint64_t down_events_ = 0;

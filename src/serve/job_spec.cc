@@ -107,6 +107,13 @@ parseDoubleToken(const std::string &token, double &value)
     return end != token.c_str() && *end == '\0' && errno != ERANGE;
 }
 
+/** A probability: finite and in [0, 1]. */
+bool
+parseRateToken(const std::string &token, double &value)
+{
+    return parseDoubleToken(token, value) && value >= 0.0 && value <= 1.0;
+}
+
 template <typename T, typename Fn>
 bool
 parseList(std::istringstream &rest, std::vector<T> &values, Fn parse_one)
@@ -223,8 +230,8 @@ SweepJobSpec::parse(const std::string &text, SweepJobSpec &spec,
             saw_kind = true;
         } else if (key == "errors") {
             if (!parseList(rest, spec.threshold.physicalErrors,
-                           parseDoubleToken))
-                return fail("bad errors list");
+                           parseRateToken))
+                return fail("bad errors list (want rates in [0, 1])");
         } else if (key == "shots") {
             if (!one_u64(spec.threshold.shots))
                 return fail("bad shots");
@@ -256,6 +263,8 @@ SweepJobSpec::parse(const std::string &text, SweepJobSpec &spec,
             if (!(rest >> token) || !parseU64Token(token, size)
                 || size == 0)
                 return fail("bad workload size");
+            if (workload.app == WorkloadSpec::App::Toffoli && size < 3)
+                return fail("bad workload size (toffoli needs 3 qubits)");
             workload.size = size;
             if (rest >> token) {
                 std::uint64_t depth = 0;
@@ -265,28 +274,33 @@ SweepJobSpec::parse(const std::string &text, SweepJobSpec &spec,
             }
             spec.cosim.workloads.push_back(workload);
         } else if (key == "bandwidths") {
-            if (!parseList(rest, spec.cosim.bandwidths, parseIntToken))
-                return fail("bad bandwidths list");
+            if (!parseList(rest, spec.cosim.bandwidths,
+                           [](const std::string &t, int &v) {
+                               return parseIntToken(t, v) && v >= 1;
+                           }))
+                return fail("bad bandwidths list (want 1 or more)");
         } else if (key == "fault-rates") {
-            if (!parseList(rest, spec.cosim.faultRates,
-                           parseDoubleToken))
-                return fail("bad fault-rates list");
+            if (!parseList(rest, spec.cosim.faultRates, parseRateToken))
+                return fail("bad fault-rates list (want rates in [0, 1])");
         } else if (key == "purifications") {
             if (!parseList(rest, spec.cosim.purificationLevels,
                            parseIntToken))
                 return fail("bad purifications list");
         } else if (key == "link-fidelities") {
             if (!parseList(rest, spec.cosim.linkFidelities,
-                           parseDoubleToken))
-                return fail("bad link-fidelities list");
+                           parseRateToken))
+                return fail("bad link-fidelities list (want [0, 1])");
         } else if (key == "compute-fractions") {
             if (!parseList(rest, spec.cosim.computeFractions,
                            parseDoubleToken))
                 return fail("bad compute-fractions list");
         } else if (key == "memory-levels") {
             if (!parseList(rest, spec.cosim.memoryCodeLevels,
-                           parseIntToken))
-                return fail("bad memory-levels list");
+                           [](const std::string &t, int &v) {
+                               return parseIntToken(t, v)
+                                   && (v == 1 || v == 2);
+                           }))
+                return fail("bad memory-levels list (want 1 or 2)");
         } else if (key == "seeds") {
             if (!parseList(rest, spec.cosim.seeds, parseU64Token))
                 return fail("bad seeds list");
@@ -296,8 +310,10 @@ SweepJobSpec::parse(const std::string &text, SweepJobSpec &spec,
                 return fail("bad placement (want random|affinity)");
             spec.cosim.randomPlacement = token == "random";
         } else if (key == "op-error") {
-            if (!one_double(spec.cosim.opError))
-                return fail("bad op-error");
+            if (!(rest >> token)
+                || !parseRateToken(token, spec.cosim.opError)
+                || (rest >> token))
+                return fail("bad op-error (want [0, 1])");
         } else if (key == "delivery-threshold") {
             if (!one_double(spec.cosim.deliveryThreshold))
                 return fail("bad delivery-threshold");

@@ -142,7 +142,11 @@ struct SweepJobSpec
     /**
      * Parse a spec from request text (the canonical form, or any
      * hand-written key-per-line variant: unknown keys and malformed
-     * values are errors, missing keys keep their defaults).
+     * values are errors, missing keys keep their defaults). Values the
+     * engines would abort on are malformed too: error rates, fault
+     * rates, link fidelities and op error outside [0, 1] or NaN,
+     * bandwidth 0, memory levels other than 1 and 2, and Toffoli
+     * networks under 3 qubits.
      * @return false with @p error set on malformed input.
      */
     static bool parse(const std::string &text, SweepJobSpec &spec,

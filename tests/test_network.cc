@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <set>
 #include <tuple>
 
@@ -85,6 +86,127 @@ TEST(IslandMesh, TrivialPathNeedsNoCapacity)
     EXPECT_EQ(mesh.reserve(MeshRoute{{0, 0}}, 1000), 0);
     EXPECT_EQ(mesh.reservedThisWindow(), 0u);
     EXPECT_EQ(mesh.maxReservable(MeshRoute{{1, 1}}), ~std::uint64_t{0});
+}
+
+TEST(IslandMesh, RejectsInvalidLinkFaultConfigs)
+{
+    // A zero-length down interval counted down events but never took a
+    // link down; a negative one wrapped and kept links down for good.
+    IslandMesh mesh(6, 6, 2, 5);
+    for (const int windows : {0, -3}) {
+        LinkFaultConfig faults = LinkFaultConfig{}.atRate(0.2);
+        faults.linkDownWindows = windows;
+        EXPECT_DEATH(mesh.setLinkFaults(faults), "down interval");
+    }
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const double bad : {-0.1, 1.5, nan}) {
+        LinkFaultConfig loss, down, burst;
+        loss.pairLossRate = bad;
+        down.linkDownRate = bad;
+        burst.burstRate = bad;
+        for (const LinkFaultConfig &faults : {loss, down, burst})
+            EXPECT_DEATH(mesh.setLinkFaults(faults), "rates must lie");
+    }
+    LinkFaultConfig edge;
+    edge.linkDownRate = 1.0;
+    edge.burstRate = 1.0;
+    edge.linkDownWindows = 1;
+    mesh.setLinkFaults(edge);
+    EXPECT_TRUE(mesh.linkDown({0, 0}, Direction::East));
+}
+
+namespace {
+
+/** SplitMix64 finalizer, as the mesh mixes fault seeds. */
+std::uint64_t
+referenceMix64(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+}
+
+} // namespace
+
+TEST(IslandMesh, FaultRealizationIsPureInSeedLinkWindow)
+{
+    // The down/burst state of (link, window) comes from one Rng seeded
+    // with mix64(mix64(seed + link) + window), drawing down first and
+    // burst second. A rate of 0 or 1 draws nothing, so at down rate 0
+    // or 1 the burst draw takes the stream's first output.
+    const int width = 5, height = 4;
+    const Direction dirs[] = {Direction::East, Direction::West,
+                              Direction::North, Direction::South};
+    struct Rates
+    {
+        double down, burst;
+    };
+    for (const Rates rates : {Rates{0.1, 0.2}, Rates{0.0, 0.3},
+                              Rates{1.0, 0.4}, Rates{0.3, 1.0},
+                              Rates{0.25, 0.0}}) {
+        LinkFaultConfig faults;
+        faults.seed = 4242;
+        faults.linkDownRate = rates.down;
+        faults.burstRate = rates.burst;
+        faults.linkDownWindows = 3;
+        IslandMesh mesh(width, height, 2, 5);
+        mesh.setLinkFaults(faults);
+
+        std::vector<std::uint64_t> down_until(
+            static_cast<std::size_t>(width) * height * 4, 0);
+        std::uint64_t down_events = 0, down_trials = 0;
+        std::uint64_t burst_events = 0, burst_trials = 0;
+        std::uint64_t windows_down = 0;
+        for (std::uint64_t window = 0; window < 50; ++window) {
+            if (window > 0)
+                mesh.advanceWindow();
+            for (int y = 0; y < height; ++y) {
+                for (int x = 0; x < width; ++x) {
+                    for (const Direction dir : dirs) {
+                        const bool inside =
+                            (dir == Direction::East && x + 1 < width)
+                            || (dir == Direction::West && x > 0)
+                            || (dir == Direction::North && y + 1 < height)
+                            || (dir == Direction::South && y > 0);
+                        if (!inside)
+                            continue;
+                        const std::size_t link =
+                            (static_cast<std::size_t>(y) * width + x) * 4
+                            + static_cast<std::size_t>(dir);
+                        Rng rng(referenceMix64(
+                            referenceMix64(faults.seed + link) + window));
+                        const bool down = rng.bernoulli(rates.down);
+                        const bool burst = rng.bernoulli(rates.burst);
+                        if (down_until[link] <= window) {
+                            ++down_trials;
+                            if (down) {
+                                ++down_events;
+                                down_until[link] = window + 3;
+                            }
+                        }
+                        windows_down += down_until[link] > window;
+                        ++burst_trials;
+                        burst_events += burst;
+                        ASSERT_EQ(mesh.linkDown({x, y}, dir),
+                                  down_until[link] > window)
+                            << "link " << link << " window " << window;
+                        ASSERT_EQ(mesh.linkBurst({x, y}, dir), burst)
+                            << "link " << link << " window " << window;
+                        if (down_until[link] > window) {
+                            EXPECT_EQ(mesh.freeSlots({x, y}, dir), 0u);
+                        }
+                    }
+                }
+            }
+            EXPECT_EQ(mesh.faultDownEvents(), down_events);
+            EXPECT_EQ(mesh.faultDownTrials(), down_trials);
+            EXPECT_EQ(mesh.faultBurstEvents(), burst_events);
+            EXPECT_EQ(mesh.faultBurstTrials(), burst_trials);
+            EXPECT_EQ(mesh.linkWindowsDown(), windows_down);
+        }
+        EXPECT_EQ(mesh.windowsElapsed(), 49u);
+    }
 }
 
 TEST(Workload, GeneratesBoundedDemands)
@@ -461,11 +583,14 @@ TEST(EprRouter, RoutesMatchReferencePaths)
 {
     // Every shape the router tries (both dimension orders, and column
     // and row detours for each shift within the detour radius) against
-    // the path builders it replaced, on meshes down to 2x1 and single
-    // rows/columns, with endpoints forced onto the edges half the time.
+    // the path builders it replaced, on meshes down to 2x1, single
+    // rows/columns and lines longer than 64 islands, with endpoints
+    // forced onto the edges half the time.
     const int radius = SchedulerConfig{}.detourRadius;
-    const std::pair<int, int> sizes[] = {{2, 1}, {5, 1}, {1, 4},
-                                         {3, 3}, {7, 5}, {12, 12}};
+    // 70-island lines span two words of the mesh's full-link index.
+    const std::pair<int, int> sizes[] = {{2, 1},  {5, 1},   {1, 4},
+                                         {3, 3},  {7, 5},   {12, 12},
+                                         {70, 2}, {2, 70}};
     Rng rng(14);
     std::uint64_t checked = 0;
     for (const auto &[width, height] : sizes) {
@@ -522,7 +647,7 @@ TEST(EprRouter, RoutesMatchReferencePaths)
             }
         }
     }
-    EXPECT_GT(checked, 3000u);
+    EXPECT_GT(checked, 5000u);
 }
 
 TEST(EprRouter, CapacityNeverExceededWithinWindow)

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -116,6 +117,59 @@ TEST(SweepJobSpec, RejectsMalformedRequests)
         "# request\n\nkind threshold\nerrors 1e-3 2e-3\n", spec, error))
         << error;
     EXPECT_EQ(spec.threshold.physicalErrors.size(), 2u);
+}
+
+TEST(SweepJobSpec, RejectsValuesTheEnginesWouldAbortOn)
+{
+    // Each of these parsed before and then hit an engine assert, so a
+    // served request file holding one crashed the daemon on every
+    // restart. They must fail to parse, naming the offending line.
+    const char *threshold = "kind threshold\n";
+    const char *cosim = "kind cosim\nworkload qcla 8\n";
+    const std::pair<const char *, const char *> bad[] = {
+        {threshold, "errors -1"},
+        {threshold, "errors 2"},
+        {threshold, "errors nan"},
+        {threshold, "errors 1e-3 nan"},
+        {cosim, "bandwidths 0"},
+        {cosim, "bandwidths 2 0"},
+        {cosim, "memory-levels 0\ncompute-fractions 0.5"},
+        {cosim, "memory-levels 3\ncompute-fractions 0.5"},
+        {cosim, "op-error 2"},
+        {cosim, "op-error nan"},
+        {cosim, "op-error -0.1"},
+        {"kind cosim\n", "workload toffoli 1"},
+        {"kind cosim\n", "workload toffoli 2 4"},
+        {cosim, "fault-rates 2"},
+        {cosim, "fault-rates -0.5"},
+        {cosim, "fault-rates 0 nan"},
+        {cosim, "link-fidelities 1.5"},
+        {cosim, "link-fidelities nan"},
+        {cosim, "link-fidelities -1"},
+    };
+    for (const auto &[head, line] : bad) {
+        const std::string text = std::string(head) + line + "\n";
+        const std::string line_no = "line "
+            + std::to_string(1 + std::count(head, head + std::strlen(head),
+                                            '\n'))
+            + ":";
+        SweepJobSpec spec;
+        std::string error;
+        EXPECT_FALSE(SweepJobSpec::parse(text, spec, error)) << text;
+        EXPECT_EQ(error.rfind(line_no, 0), 0u) << text << " -> " << error;
+    }
+    // The edges of each range still parse.
+    SweepJobSpec spec;
+    std::string error;
+    EXPECT_TRUE(SweepJobSpec::parse(
+        "kind threshold\nerrors 0 1\n", spec, error))
+        << error;
+    EXPECT_TRUE(SweepJobSpec::parse(
+        "kind cosim\nworkload toffoli 3\nbandwidths 1\n"
+        "fault-rates 0 1\nlink-fidelities 0 1\nmemory-levels 1 2\n"
+        "op-error 1\n",
+        spec, error))
+        << error;
 }
 
 TEST(SweepPartition, IsDeterministicAndMirrorsThresholdSweepSeeds)
