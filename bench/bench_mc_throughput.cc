@@ -203,23 +203,6 @@ BM_ThresholdSweepBatchedFullNoCompaction(benchmark::State &state)
 }
 BENCHMARK(BM_ThresholdSweepBatchedFullNoCompaction);
 
-/** The PR-3 execution shape (compaction and subtree twin on, segment
- *  migration off): the delta to BM_ThresholdSweepBatchedFull is the
- *  generalized segment-pool recovery (level-1 repeat extraction,
- *  level-2 verification/network rounds). */
-void
-BM_ThresholdSweepBatchedFullNoSegmentMigration(benchmark::State &state)
-{
-    McRunOptions options = singleThreadOptions();
-    options.batch.migrationFillThreshold = 0.0;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            thresholdSweep(kFullSweep, kSweepShots, 20050938, options));
-    state.SetItemsProcessed(state.iterations() * kFullSweep.size() * 2
-                            * kSweepShots);
-}
-BENCHMARK(BM_ThresholdSweepBatchedFullNoSegmentMigration);
-
 /** Thread scaling of the ordered-claim sweep scheduler; the argument is
  *  the worker-thread count (results are bit-identical across them). */
 void

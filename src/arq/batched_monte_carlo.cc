@@ -374,8 +374,8 @@ BatchedLogicalQubitExperiment::replaySeg(Seg seg, std::size_t c,
 }
 
 //
-// Bit-sliced classical decoding (lookupCorrectionWords shared with the
-// segment pool in arq/bitslice.h).
+// Bit-sliced classical decoding (lookupCorrectionWords lives in
+// arq/bitslice.h).
 //
 
 std::uint64_t
@@ -415,31 +415,6 @@ BatchedLogicalQubitExperiment::compactionWorthwhile(const LaneSet &mask,
     const std::uint64_t count = mask.count();
     const std::uint64_t dense = (count + kBatchLanes - 1) / kBatchLanes;
     return (words - dense) * sites * 16 >= count;
-}
-
-bool
-BatchedLogicalQubitExperiment::segmentWorthwhile(const LaneSet &mask,
-                                                 std::size_t ops_scale) const
-{
-    if (!options_.laneCompaction)
-        return false;
-    const std::uint32_t words = mask.activeWords();
-    if (words < 2)
-        return false;
-    const std::uint64_t count = mask.count();
-    const std::uint64_t dense = (count + kBatchLanes - 1) / kBatchLanes;
-    if (dense >= words)
-        return false; // regrouping would not drop a single word replay
-    // Fill-fraction gate against the *saved* words: migration saves
-    // (words - dense) word replays of a segment worth ops_scale
-    // prep-round equivalents, while the transplant costs O(migrated
-    // lanes) -- so the gate compares the lane count with the saved
-    // replay volume, scaled by the tunable threshold.
-    return static_cast<double>(count)
-        < options_.migrationFillThreshold
-              * static_cast<double>(words - dense)
-              * static_cast<double>(ops_scale)
-              * static_cast<double>(kBatchLanes);
 }
 
 void
@@ -568,19 +543,11 @@ BatchedLogicalQubitExperiment::ecCycleL1(std::size_t c, std::size_t g,
         // Non-trivial: extract once more on those lanes and act on the
         // repeat (paper Section 4.1.1 assumption (b)). The second
         // extraction's flips are masked to the repeat lanes, so its
-        // planes already select only repeat-lane corrections. A sparse
-        // repeat migrates through the segment pool: ancilla prep and
-        // extract round replay dense, one transplant of the data row
-        // per repeat, draw-for-draw identical to replaying in place.
+        // planes already select only repeat-lane corrections.
         const bool caller_shadow = shadow_;
         shadow_ = true;
         GroupSyndrome second;
-        if (segmentWorthwhile(repeat, 1))
-            retry_pool_->runExtract(detect_x, repeat,
-                                    ion(c, g, Role::Data, 0), frames_,
-                                    models_, second.data(), stats);
-        else
-            extractSyndrome(c, g, detect_x, repeat, second, stats);
+        extractSyndrome(c, g, detect_x, repeat, second, stats);
         shadow_ = caller_shadow;
         for (std::uint32_t w = 0; w < repeat.n; ++w) {
             if (!repeat.w[w])
@@ -613,11 +580,7 @@ BatchedLogicalQubitExperiment::prepL2AttemptRound(std::size_t c, bool plus,
         for (std::size_t g = 0; g < n_; ++g)
             prepVerified(c, g, Role::Data, false, mask, stats);
     }
-    if (shadow_ && segmentWorthwhile(mask, 4))
-        retry_pool_->runNetwork(plus, mask, sites.data(), n_, frames_,
-                                models_);
-    else
-        replaySeg(Seg::L2Network, c, 0, 0, plus, mask);
+    replaySeg(Seg::L2Network, c, 0, 0, plus, mask);
     for (std::size_t g = 0; g < n_; ++g)
         ecCycleL1(c, g, mask, stats);
 
@@ -626,30 +589,22 @@ BatchedLogicalQubitExperiment::prepL2AttemptRound(std::size_t c, bool plus,
     // the lanes that fail.
     std::array<std::array<std::uint64_t, 32>, kMaxGroupWords>
         outer_flips{};
-    if (shadow_ && segmentWorthwhile(mask, 3)) {
-        // One transplant amortizes over the n_ verification sites.
-        retry_pool_->runVerifySeries(plus, mask, sites.data(), n_,
-                                     frames_, models_,
-                                     outer_flips.data());
-    } else {
-        for (std::size_t g = 0; g < n_; ++g) {
-            replaySeg(Seg::VerifyPair, c, g,
-                      static_cast<std::size_t>(Role::Data), plus, mask);
-            for (std::uint32_t w = 0; w < mask.n; ++w) {
-                if (!mask.w[w])
-                    continue;
-                const SyndromePlanes synd = planesOf(plus,
-                                                     flips_[w].data());
-                std::array<std::uint64_t, 32> corr{};
-                lookupCorrectionWords(code_, !plus, synd, num_checks,
-                                      corr.data());
-                std::uint64_t plane = 0;
-                for (std::size_t j = 0; j < logical.count; ++j) {
-                    const std::size_t i = logical.idx[j];
-                    plane ^= flips_[w][i] ^ corr[i];
-                }
-                outer_flips[w][g] = plane & mask.w[w];
+    for (std::size_t g = 0; g < n_; ++g) {
+        replaySeg(Seg::VerifyPair, c, g,
+                  static_cast<std::size_t>(Role::Data), plus, mask);
+        for (std::uint32_t w = 0; w < mask.n; ++w) {
+            if (!mask.w[w])
+                continue;
+            const SyndromePlanes synd = planesOf(plus, flips_[w].data());
+            std::array<std::uint64_t, 32> corr{};
+            lookupCorrectionWords(code_, !plus, synd, num_checks,
+                                  corr.data());
+            std::uint64_t plane = 0;
+            for (std::size_t j = 0; j < logical.count; ++j) {
+                const std::size_t i = logical.idx[j];
+                plane ^= flips_[w][i] ^ corr[i];
             }
+            outer_flips[w][g] = plane & mask.w[w];
         }
     }
     for (std::uint32_t w = 0; w < mask.n; ++w) {

@@ -16,10 +16,11 @@
  * (up to kMaxGroupWords x 64 shots) in lockstep, each word with its own
  * frame and noise model. Running words side by side is what enables
  * lane compaction: when the surviving lanes of a verified-preparation
- * retry drop below a fill threshold across the group, they are
- * regrouped -- rng streams and sampler clocks carried along -- into
- * fresh dense words (arq/lane_compaction.h) instead of replaying every
- * nearly-empty word.
+ * retry, or of a level-2 retry subtree, are spread thinly enough across
+ * the group that regrouping pays (each mechanism has its own cost
+ * gate), they are regrouped -- rng streams and sampler clocks carried
+ * along -- into fresh dense words (arq/lane_compaction.h) instead of
+ * replaying every nearly-empty word.
  *
  * Recording: the schedule belongs to the layout, not to the error rate.
  * A recording depends only on the code, the layout distances, the
@@ -252,20 +253,6 @@ class BatchedLogicalQubitExperiment
     bool compactionWorthwhile(const LaneSet &mask,
                               std::size_t sites) const;
 
-    /**
-     * Fill-fraction heuristic for routing one sparse trace segment
-     * (the level-1 repeat extraction, the level-2 verification pair,
-     * the level-2 encoding network) through the segment pool: migrate
-     * when regrouping saves at least one word replay and the lane
-     * count is below BatchOptions::migrationFillThreshold of the saved
-     * words' capacity, scaled by @p ops_scale (the segment's replay
-     * weight in prep-round equivalents -- heavier segments amortize
-     * the per-lane transplant over more avoided work). Execution shape
-     * only: results are bit-identical for every threshold.
-     */
-    bool segmentWorthwhile(const LaneSet &mask,
-                           std::size_t ops_scale) const;
-
     //
     // Subtree regrouping: the two retry-heavy far-above-threshold
     // subtrees -- the level-2 "Start Over" rounds and the repeated
@@ -273,9 +260,9 @@ class BatchedLogicalQubitExperiment
     // twin experiment and run there in full, one migration amortized
     // over the whole subtree (thousands of ops). The twin is bound to
     // the parent's recording and class table, so its traces, class ids
-    // and nested prep pool's segments are the parent's own; migration
-    // transplants each lane's rng stream and shadow-sampler clocks,
-    // keeping results bit-identical with the in-place replay.
+    // and nested prep pool's relocated traces are the parent's own;
+    // migration transplants each lane's rng stream and shadow-sampler
+    // clocks, keeping results bit-identical with the in-place replay.
     //
 
     /** One attempt round of the level-2 verified ancilla preparation;
@@ -332,7 +319,7 @@ class BatchedLogicalQubitExperiment
     std::size_t n_; // block length (7)
     /** This point's fault probabilities, in the recording's class ids. */
     NoiseClassTable classes_;
-    /** The tile schedule: traces, shadow map, relocated segments. */
+    /** The tile schedule: traces, shadow map, relocated prep traces. */
     std::shared_ptr<const Recording> recording_;
     /**
      * True while replaying a retry / conditional subtree. Decides the
@@ -351,7 +338,7 @@ class BatchedLogicalQubitExperiment
     std::unique_ptr<PrepRetryPool> retry_pool_;
 
     /** False in the twin itself (no recursive twin regrouping; the
-     *  relocated-trace segment pool still runs inside the twin). */
+     *  prep-retry pool still runs inside the twin). */
     bool subtree_enabled_ = true;
     std::unique_ptr<BatchedLogicalQubitExperiment> twin_; // lazy
     std::unique_ptr<SegmentPool> twin_pool_;              // lazy

@@ -116,8 +116,8 @@ orPlanes(const SyndromePlanes &planes, std::size_t count)
 /**
  * Bit-sliced lookup correction: for every syndrome value v, OR the
  * lanes whose syndrome equals v into @p words[i] for each qubit i of
- * the code's lookup correction of v. Shared by the batched Monte-Carlo
- * driver and the segment pool's relocated verification decode.
+ * the code's lookup correction of v (the batched Monte-Carlo driver's
+ * inner and outer decodes).
  */
 inline void
 lookupCorrectionWords(const ecc::CssCode &code, bool x_corr,

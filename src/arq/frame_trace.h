@@ -354,7 +354,7 @@ struct BatchedNoiseModel
      * pairs -- the lane's noise clock, parked out of this model's
      * sampler src_cls[c] and imported at @p dst_lane of @p dst's
      * sampler dst_cls[c]. This is the per-lane reference semantics of
-     * segment migration; arq::SegmentPool's bulk transplants perform
+     * lane compaction; arq::SegmentPool's bulk transplants perform
      * exactly these moves but loop class-outer across a whole chunk of
      * lanes for cache locality (clock moves between distinct
      * (sampler, lane) slots commute). The class pairing must cover

@@ -1,6 +1,5 @@
 #include "arq/lane_compaction.h"
 
-#include <algorithm>
 #include <bit>
 
 #include "common/logging.h"
@@ -110,30 +109,12 @@ SegmentPool::transplantOut(std::size_t k,
 
 void
 SegmentPool::gatherRow(std::size_t k, const quantum::GroupPauliFrames &home,
-                       std::size_t home_q, quantum::BatchedPauliFrame &dense,
-                       std::size_t dense_q) const
+                       std::size_t home_q, quantum::GroupPauliFrames &dense,
+                       std::size_t dense_word, std::size_t dense_q) const
 {
     // The refs are (word, lane)-sorted, so the lanes of each home word
     // sit in one contiguous run of dense slots and every (qubit, word)
     // pair is a single bit extract / deposit.
-    const LaneChunkPlan &plan = plans_[k];
-    std::uint64_t x_acc = 0;
-    std::uint64_t z_acc = 0;
-    for (std::uint32_t ws = plan.words; ws; ws &= ws - 1) {
-        const std::size_t w = std::countr_zero(ws);
-        x_acc |= extractBits(home.xWord(w, home_q), plan.home[w])
-            << plan.slot0[w];
-        z_acc |= extractBits(home.zWord(w, home_q), plan.home[w])
-            << plan.slot0[w];
-    }
-    dense.storeMasked(dense_q, chunkMask(k), x_acc, z_acc);
-}
-
-void
-SegmentPool::gatherRow(std::size_t k, const quantum::GroupPauliFrames &home,
-                       std::size_t home_q, quantum::GroupPauliFrames &dense,
-                       std::size_t dense_word, std::size_t dense_q) const
-{
     const LaneChunkPlan &plan = plans_[k];
     std::uint64_t x_acc = 0;
     std::uint64_t z_acc = 0;
@@ -257,26 +238,13 @@ RelocatedSegments::RelocatedSegments(
         FrameTraceBuilder prep_tb(classes);
         recorder.prepRound(prep_tb, 0, n, plus);
         prep[plus ? 1 : 0] = prep_tb.take();
-        FrameTraceBuilder verify_tb(classes);
-        recorder.verifyPair(verify_tb, 0, n, plus);
-        verify[plus ? 1 : 0] = verify_tb.take();
-        FrameTraceBuilder network_tb(classes);
-        recorder.l2Network(network_tb, 0, n, plus);
-        network[plus ? 1 : 0] = network_tb.take();
-    }
-    for (const bool detect_x : {false, true}) {
-        FrameTraceBuilder extract_tb(classes);
-        recorder.extractRound(extract_tb, 2 * n, 0, detect_x);
-        extract[detect_x ? 1 : 0] = extract_tb.take();
     }
 
     // The class table is final only now (recording above may have added
     // classes), so the per-class site counts and fire-plan skeletons
-    // that drive trace-level batched draws are finalized here, over
-    // every relocated trace.
-    for (auto *pair : {&prep, &verify, &network, &extract})
-        for (FrameTrace &trace : *pair)
-            finalizeTraceClassSites(trace, classes);
+    // that drive trace-level batched draws are finalized here.
+    for (FrameTrace &trace : prep)
+        finalizeTraceClassSites(trace, classes);
 
     // Map each pool class to the parent's *shadow* class of the same
     // probability: pooled segments always replay shadow sites, so a
@@ -298,39 +266,26 @@ RelocatedSegments::RelocatedSegments(
         qla_assert(found, "pool noise class missing from parent table");
     }
 
-    // Each segment kind transplants exactly the classes its traces
+    // A pooled prep transplants exactly the classes its traces
     // reference (derived from the recorded ops, so it can never drift
-    // from the replay); runExtract also runs the prep retry loop, so
-    // its set is the union of the two.
-    const auto buildClasses = [&](Classes &seg,
-                                  std::initializer_list<
-                                      const std::array<FrameTrace, 2> *>
-                                      traces) {
-        bool used[256] = {};
-        for (const auto *pair : traces)
-            for (const FrameTrace &trace : *pair)
-                collectTraceClasses(trace, used);
-        for (std::size_t c = 0; c < pool_probs.size(); ++c) {
-            if (!used[c])
-                continue;
-            seg.dense.push_back(static_cast<std::uint8_t>(c));
-            seg.home.push_back(parentOf[c]);
-        }
-    };
-    buildClasses(prepClasses, {&prep});
-    buildClasses(verifyClasses, {&verify});
-    buildClasses(networkClasses, {&network});
-    buildClasses(extractClasses, {&prep, &extract});
+    // from the replay).
+    bool used[256] = {};
+    for (const FrameTrace &trace : prep)
+        collectTraceClasses(trace, used);
+    for (std::size_t c = 0; c < pool_probs.size(); ++c) {
+        if (!used[c])
+            continue;
+        prepClasses.dense.push_back(static_cast<std::uint8_t>(c));
+        prepClasses.home.push_back(parentOf[c]);
+    }
 }
 
 PrepRetryPool::PrepRetryPool(const ecc::CssCode &code,
                              const RelocatedSegments &segments,
                              int max_prep_attempts,
                              const NoiseClassTable &parent_classes)
-    : code_(code), n_(code.blockLength()),
-      max_prep_attempts_(max_prep_attempts), segments_(segments),
-      frame_(std::max(3 * code.blockLength(),
-                      code.blockLength() * code.blockLength())),
+    : n_(code.blockLength()), max_prep_attempts_(max_prep_attempts),
+      segments_(segments), frame_(2 * code.blockLength()),
       model_([&] {
           // This point's pool classes: each takes the probability of
           // the parent shadow class it transplants to.
@@ -340,12 +295,12 @@ PrepRetryPool::PrepRetryPool(const ecc::CssCode &code,
           return classes;
       }())
 {
-    for (const ecc::QubitMask row : code_.xChecks())
+    for (const ecc::QubitMask row : code.xChecks())
         x_check_bits_.push_back(bitListOf(row));
-    for (const ecc::QubitMask row : code_.zChecks())
+    for (const ecc::QubitMask row : code.zChecks())
         z_check_bits_.push_back(bitListOf(row));
-    logical_x_bits_ = bitListOf(code_.logicalX());
-    logical_z_bits_ = bitListOf(code_.logicalZ());
+    logical_x_bits_ = bitListOf(code.logicalX());
+    logical_z_bits_ = bitListOf(code.logicalZ());
     flips_.reserve(n_);
 }
 
@@ -387,123 +342,6 @@ PrepRetryPool::runPrepSeries(bool plus, const LaneSet &mask,
                 mig_.scatterRow(k, frames, site_role_q0[s] + i, frame_, i);
         }
         mig_.transplantOut(k, models, model_, prep_map);
-    }
-}
-
-void
-PrepRetryPool::runExtract(bool detect_x, const LaneSet &mask,
-                          std::size_t data_q0,
-                          quantum::GroupPauliFrames &frames,
-                          std::vector<BatchedNoiseModel> &models,
-                          SyndromePlanes *synd, ExperimentStats *stats)
-{
-    // The planes scatter by OR; the in-place extraction assigns the
-    // active words' planes whole, so clear them first.
-    for (std::uint32_t w = 0; w < mask.n; ++w)
-        if (mask.w[w])
-            synd[w] = SyndromePlanes{};
-    const auto &rows = detect_x ? z_check_bits_ : x_check_bits_;
-    const std::size_t num_checks = rows.size();
-    std::uint64_t nontrivial = 0;
-    std::uint64_t total = 0;
-    mig_.plan(mask);
-    const SamplerClassMap extract_map = segments_.extractClasses.map();
-    for (std::size_t k = 0; k < mig_.chunkCount(); ++k) {
-        mig_.transplantIn(k, models, model_, extract_map);
-        for (std::size_t i = 0; i < n_; ++i)
-            mig_.gatherRow(k, frames, data_q0 + i, frame_, 2 * n_ + i);
-        const std::uint64_t dense = mig_.chunkMask(k);
-        // Verified ancilla preparation into rows [0, 2n), mirroring the
-        // in-place prepVerified loop, then the extract round against
-        // the data row.
-        runAttempts(detect_x, dense, 1, stats);
-        flips_.clear();
-        replayTrace(segments_.extract[detect_x ? 1 : 0], frame_, model_,
-                    dense, flips_);
-        SyndromePlanes planes{};
-        for (std::size_t j = 0; j < num_checks; ++j)
-            planes[j] = parityPlane(rows[j], flips_.data());
-        for (std::size_t j = 0; j < num_checks; ++j)
-            mig_.scatterPlane(k, planes[j], &synd[0][j],
-                              std::tuple_size_v<SyndromePlanes>);
-        nontrivial += std::popcount(orPlanes(planes, num_checks) & dense);
-        total += mig_.chunkLanes(k);
-        // The extract round's CNOTs rewrite the data row; the ancilla
-        // and verification rows are dead state (re-encoded before every
-        // later use) and stay behind.
-        for (std::size_t i = 0; i < n_; ++i)
-            mig_.scatterRow(k, frames, data_q0 + i, frame_, 2 * n_ + i);
-        mig_.transplantOut(k, models, model_, extract_map);
-    }
-    if (stats)
-        stats->nontrivialSyndrome.addBulk(nontrivial, total);
-}
-
-void
-PrepRetryPool::runVerifySeries(bool plus, const LaneSet &mask,
-                               const std::size_t *site_q0,
-                               std::size_t num_sites,
-                               quantum::GroupPauliFrames &frames,
-                               std::vector<BatchedNoiseModel> &models,
-                               std::array<std::uint64_t, 32> *site_planes)
-{
-    const auto &rows = plus ? x_check_bits_ : z_check_bits_;
-    const std::size_t num_checks = rows.size();
-    const BitList &logical = plus ? logical_x_bits_ : logical_z_bits_;
-    mig_.plan(mask);
-    const SamplerClassMap verify_map = segments_.verifyClasses.map();
-    for (std::size_t k = 0; k < mig_.chunkCount(); ++k) {
-        mig_.transplantIn(k, models, model_, verify_map);
-        const std::uint64_t dense = mig_.chunkMask(k);
-        for (std::size_t s = 0; s < num_sites; ++s) {
-            for (std::size_t i = 0; i < n_; ++i)
-                mig_.gatherRow(k, frames, site_q0[s] + i, frame_, i);
-            flips_.clear();
-            replayTrace(segments_.verify[plus ? 1 : 0], frame_, model_,
-                        dense, flips_);
-            SyndromePlanes synd{};
-            for (std::size_t j = 0; j < num_checks; ++j)
-                synd[j] = parityPlane(rows[j], flips_.data());
-            std::array<std::uint64_t, 32> corr{};
-            lookupCorrectionWords(code_, !plus, synd, num_checks,
-                                  corr.data());
-            std::uint64_t plane = 0;
-            for (std::size_t j = 0; j < logical.count; ++j) {
-                const std::size_t i = logical.idx[j];
-                plane ^= flips_[i] ^ corr[i];
-            }
-            mig_.scatterPlane(k, plane & dense, &site_planes[0][s], 32);
-            // The verification round's CNOTs rewrite the data row.
-            for (std::size_t i = 0; i < n_; ++i)
-                mig_.scatterRow(k, frames, site_q0[s] + i, frame_, i);
-        }
-        mig_.transplantOut(k, models, model_, verify_map);
-    }
-}
-
-void
-PrepRetryPool::runNetwork(bool plus, const LaneSet &mask,
-                          const std::size_t *row_q0, std::size_t num_rows,
-                          quantum::GroupPauliFrames &frames,
-                          std::vector<BatchedNoiseModel> &models)
-{
-    qla_assert(num_rows <= n_);
-    mig_.plan(mask);
-    const SamplerClassMap network_map = segments_.networkClasses.map();
-    for (std::size_t k = 0; k < mig_.chunkCount(); ++k) {
-        mig_.transplantIn(k, models, model_, network_map);
-        for (std::size_t g = 0; g < num_rows; ++g)
-            for (std::size_t i = 0; i < n_; ++i)
-                mig_.gatherRow(k, frames, row_q0[g] + i, frame_,
-                               g * n_ + i);
-        flips_.clear();
-        replayTrace(segments_.network[plus ? 1 : 0], frame_, model_,
-                    mig_.chunkMask(k), flips_);
-        for (std::size_t g = 0; g < num_rows; ++g)
-            for (std::size_t i = 0; i < n_; ++i)
-                mig_.scatterRow(k, frames, row_q0[g] + i, frame_,
-                                g * n_ + i);
-        mig_.transplantOut(k, models, model_, network_map);
     }
 }
 

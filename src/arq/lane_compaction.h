@@ -7,8 +7,8 @@
  * active -- so far above threshold, where verification failures and
  * syndrome-conditioned repeats are common, nearly-empty replays dominate
  * the batched engine's word-wide retry amplification. The cure is
- * regrouping: when the surviving lanes of a sparse segment drop below a
- * fill threshold across a shot group's words, they migrate into fresh
+ * regrouping: when the surviving lanes of a sparse retry are spread
+ * thinly enough across a shot group's words, they migrate into fresh
  * dense words and replay there, one dense word instead of many sparse
  * ones.
  *
@@ -22,12 +22,10 @@
  *   frame rows and result bit-planes between home lane positions and
  *   dense slots.
  *
- * - PrepRetryPool replays relocated traces (RelocatedSegments, recorded
- *   by the same TileRowRecorder as the in-place traces, at fixed
- *   scratch rows, and shared with the rest of the tile recording) for
- *   the segments that replay against a small scratch frame: verified
- *   preparation retries, the level-1 repeat extraction, the level-2
- *   verification pair, and the level-2 encoding network. Its noise
+ * - PrepRetryPool replays the relocated verified-preparation traces
+ *   (RelocatedSegments, recorded by the same TileRowRecorder as the
+ *   in-place traces, at fixed scratch rows, and shared with the rest of
+ *   the tile recording) against a small scratch frame. Its noise
  *   classes are pool-local and mapped to the parent's shadow classes of
  *   the same probability, so a migrated lane's clocks transplant
  *   between its home shadow samplers and the pool samplers.
@@ -47,6 +45,7 @@
 #ifndef QLA_ARQ_LANE_COMPACTION_H
 #define QLA_ARQ_LANE_COMPACTION_H
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -174,26 +173,24 @@ class SegmentPool
     /**
      * Gather the frame bits of qubit @p home_q from chunk @p k's home
      * lanes (words of the group frame @p home) into the dense slots of
-     * qubit @p dense_q of @p dense.
+     * qubit @p dense_q in word @p dense_word of the dense group frame
+     * @p dense (twin migrations: chunk k lands in twin word k).
      */
-    void gatherRow(std::size_t k, const quantum::GroupPauliFrames &home,
-                   std::size_t home_q, quantum::BatchedPauliFrame &dense,
-                   std::size_t dense_q) const;
-
-    /** gatherRow into word @p dense_word of a dense group frame (twin
-     *  migrations: chunk k lands in twin word k). */
     void gatherRow(std::size_t k, const quantum::GroupPauliFrames &home,
                    std::size_t home_q, quantum::GroupPauliFrames &dense,
                    std::size_t dense_word, std::size_t dense_q) const;
 
-    /** Inverse of gatherRow; home lanes outside the chunk keep their
-     *  bits. */
+    /**
+     * Scatter the frame bits of qubit @p dense_q of a dense source --
+     * the one-word frame @p dense, or word @p dense_word of a dense
+     * group frame -- back to chunk @p k's home lanes of qubit
+     * @p home_q; home lanes outside the chunk keep their bits.
+     */
     void scatterRow(std::size_t k, quantum::GroupPauliFrames &home,
                     std::size_t home_q,
                     const quantum::BatchedPauliFrame &dense,
                     std::size_t dense_q) const;
 
-    /** scatterRow from word @p dense_word of a dense group frame. */
     void scatterRow(std::size_t k, quantum::GroupPauliFrames &home,
                     std::size_t home_q,
                     const quantum::GroupPauliFrames &dense,
@@ -215,19 +212,12 @@ class SegmentPool
 };
 
 /**
- * The relocated segment traces of one tile recording: the prep /
- * verify-pair, extract and level-2 network segments, recorded by the
- * same TileRowRecorder as the in-place traces but at the fixed scratch
- * rows of a PrepRetryPool. Like the rest of the recording it is
+ * The relocated verified-preparation traces of one tile recording,
+ * recorded by the same TileRowRecorder as the in-place traces but at
+ * the fixed scratch rows of a PrepRetryPool: target row [0, n),
+ * verification row [n, 2n). Like the rest of the recording it is
  * immutable and shared by every experiment bound to it; each
  * experiment's pool only adds scratch state.
- *
- * Scratch-row layout (rows are blockLength() qubits wide):
- *   - prep / verify-pair segments: target row [0, n), verification row
- *     [n, 2n);
- *   - extract segment: ancilla row [0, n), verification row [n, 2n),
- *     data row [2n, 3n);
- *   - level-2 network: group g's data row at [g n, (g+1) n).
  *
  * Its noise classes are pool-local; each maps to the parent's shadow
  * class of the same probability.
@@ -235,11 +225,9 @@ class SegmentPool
 struct RelocatedSegments
 {
     /**
-     * The sampler classes one pooled segment kind transplants: exactly
-     * the pool classes its traces reference (paired with the parent
-     * shadow classes of the same probability). Transplanting the full
-     * class table instead would tax every pooled prep retry with the
-     * clocks of classes only the network/extract segments sample.
+     * The sampler classes a pooled prep transplants: exactly the pool
+     * classes the prep traces reference, paired with the parent shadow
+     * classes of the same probability.
      */
     struct Classes
     {
@@ -263,26 +251,20 @@ struct RelocatedSegments
                       const NoiseClassTable &parent_classes,
                       const std::vector<std::uint8_t> &shadow_of_primary);
 
-    // Indexed by plus / detect_x.
+    // Indexed by plus.
     std::array<FrameTrace, 2> prep;
-    std::array<FrameTrace, 2> verify;
-    std::array<FrameTrace, 2> network;
-    std::array<FrameTrace, 2> extract;
     Classes prepClasses;
-    Classes verifyClasses;
-    Classes networkClasses;
-    Classes extractClasses; // prep + extract (runExtract preps)
     /** Parent shadow class of each pool class: a pool's per-point
      *  class table takes its probabilities from there. */
     std::vector<std::uint8_t> parentOf;
 };
 
 /**
- * Dense replay engine for the relocated tile-schedule segments: any
- * sparse trace segment that touches a bounded set of rows migrates
- * through here instead of replaying nearly-empty words in place. The
- * traces come from a shared RelocatedSegments; the pool owns only the
- * scratch frame, noise model and migration plan of one experiment.
+ * Dense replay engine for sparse verified-preparation retries: their
+ * surviving lanes migrate through here instead of replaying
+ * nearly-empty words in place. The traces come from a shared
+ * RelocatedSegments; the pool owns only the scratch frame, noise model
+ * and migration plan of one experiment.
  */
 class PrepRetryPool
 {
@@ -330,52 +312,11 @@ class PrepRetryPool
                        std::vector<BatchedNoiseModel> &models,
                        ExperimentStats *stats);
 
-    /**
-     * Pooled repeat syndrome extraction (the level-1 re-extraction on
-     * the lanes whose first syndrome was non-trivial): verified ancilla
-     * preparation (attempts from 1) followed by the extract round
-     * against the migrated data row at parent qubit @p data_q0. The
-     * extraction's syndrome planes are scattered into @p synd (indexed
-     * by home word; the planes of every word in @p mask are
-     * overwritten) and the updated data row is scattered back.
-     */
-    void runExtract(bool detect_x, const LaneSet &mask,
-                    std::size_t data_q0,
-                    quantum::GroupPauliFrames &frames,
-                    std::vector<BatchedNoiseModel> &models,
-                    SyndromePlanes *synd, ExperimentStats *stats);
-
-    /**
-     * Pooled level-2 verification (the VerifyPair segment) of
-     * @p num_sites sites sharing one mask: per site, the verification
-     * row is encoded against the migrated data row at @p site_q0[s] and
-     * read out, and the decoded outer flip plane (inner lookup decode
-     * included) is OR-scattered into @p site_planes[word][s] at home
-     * lane positions. One transplant serves every site.
-     */
-    void runVerifySeries(bool plus, const LaneSet &mask,
-                         const std::size_t *site_q0, std::size_t num_sites,
-                         quantum::GroupPauliFrames &frames,
-                         std::vector<BatchedNoiseModel> &models,
-                         std::array<std::uint64_t, 32> *site_planes);
-
-    /**
-     * Pooled level-2 encoding network over one conglomeration's
-     * @p num_rows data rows (row g at parent qubit @p row_q0[g]): the
-     * rows migrate in, the relocated network trace replays dense, the
-     * rows migrate back.
-     */
-    void runNetwork(bool plus, const LaneSet &mask,
-                    const std::size_t *row_q0, std::size_t num_rows,
-                    quantum::GroupPauliFrames &frames,
-                    std::vector<BatchedNoiseModel> &models);
-
   private:
     /** Dense retry loop of one site; pool frame rows hold the result. */
     void runAttempts(bool plus, std::uint64_t mask, int first_attempt,
                      ExperimentStats *stats);
 
-    const ecc::CssCode &code_;
     std::size_t n_; // block length
     int max_prep_attempts_;
     const RelocatedSegments &segments_;

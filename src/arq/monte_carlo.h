@@ -239,23 +239,14 @@ struct BatchOptions
      * the word-wide retry amplification far above threshold.
      */
     std::size_t groupWords = 32;
-    /** Regroup sparse verified-prep retry masks into dense words. */
-    bool laneCompaction = true;
     /**
-     * Fill-fraction gate of the generalized segment migration
-     * (arq::SegmentPool): a sparse replay segment -- the level-1
-     * repeat extraction, the level-2 verification pair, the level-2
-     * encoding network -- migrates into dense pool words when doing so
-     * saves at least one word replay and the lane count is below this
-     * fraction of the *saved* words' capacity, scaled by the segment's
-     * replay weight (the per-lane transplant must amortize against the
-     * replays actually avoided). 0 disables segment migration
-     * (verified-prep retry pooling and whole-subtree twin migration
-     * keep their own cost gates); values above 1 migrate ever more
-     * eagerly. Default calibrated on the Figure-7 tail. Requires
-     * laneCompaction; results are bit-identical for every value.
+     * Regroup sparse retry masks into dense words: verified-prep
+     * retries through the prep-retry pool, level-2 "Start Over" rounds
+     * and repeated level-2 extractions through the dense twin
+     * experiment (arq/lane_compaction.h). Each path has its own cost
+     * gate; results are bit-identical either way.
      */
-    double migrationFillThreshold = 0.25;
+    bool laneCompaction = true;
 };
 
 /** Options for the parallel Monte-Carlo entry points. */

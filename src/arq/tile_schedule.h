@@ -96,9 +96,7 @@ class TileRowRecorder
     /**
      * The level-2 encoding network over one conglomeration's data rows:
      * the zero-encoder schedule applied transversally across rows, row
-     * of group g based at @p q0 + g * @p group_stride. (@p group_stride
-     * lets the same recording serve the tile layout and the segment
-     * pool's contiguous scratch rows.)
+     * of group g based at @p q0 + g * @p group_stride.
      */
     void l2Network(FrameTraceBuilder &tb, std::size_t q0,
                    std::size_t group_stride, bool plus) const;

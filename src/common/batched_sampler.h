@@ -295,7 +295,7 @@ class BernoulliWordSampler
     // an experiment builds one sampler per (class, word) and only the
     // correction class ever arms (replays use ClassDrawSampler), so inline
     // rings would memset megabytes per experiment for buckets never
-    // read -- and the lane-transplant paths (segment migration) poke a
+    // read -- and the lane-transplant paths (lane compaction) poke a
     // handful of scalars in many samplers per moved lane, which with
     // 16 KiB objects makes every poke a cold cache line. As a ~600 B
     // object, a model's whole sampler vector stays cache-resident.

@@ -280,18 +280,15 @@ TEST(BatchedMonteCarlo, GroupingAndCompactionBitIdentical)
     // choices: every lane's draw sequence is preserved exactly, so
     // failure counts must be bit-identical across all settings. Swept
     // far above threshold so the compacted retry paths actually run.
-    constexpr double kFill = BatchOptions{}.migrationFillThreshold;
     for (const double p : {8e-3, 2e-2}) {
         for (const int level : {1, 2}) {
             const std::size_t shots = level == 1 ? 3000 : 800;
             std::uint64_t reference = 0;
             bool have_reference = false;
             for (const BatchOptions options :
-                 {BatchOptions{1, false, kFill},
-                  BatchOptions{16, false, kFill},
-                  BatchOptions{4, true, kFill},
-                  BatchOptions{7, true, kFill},
-                  BatchOptions{32, true, kFill}}) {
+                 {BatchOptions{1, false}, BatchOptions{16, false},
+                  BatchOptions{4, true}, BatchOptions{7, true},
+                  BatchOptions{32, true}}) {
                 BatchedLogicalQubitExperiment experiment(
                     ecc::steaneCode(), NoiseParameters::swept(p), {}, 16,
                     options);

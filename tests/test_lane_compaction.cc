@@ -1,17 +1,16 @@
 /**
  * @file
- * Lane-compaction / segment-migration property suite.
+ * Lane-compaction property suite.
  *
  * The load-bearing invariant of the batched Monte Carlo: every
- * BatchOptions setting -- shot-group width, lane compaction on/off,
- * segment-migration fill threshold -- is an execution-shape choice
- * only. A lane's draw sequence is preserved exactly through every
- * regrouping (verified-prep retry pool, pooled repeat extraction /
- * verification / network segments, dense twin subtrees), so all
- * integer-counted experiment statistics must be byte-identical to the
- * scalar-grouping reference. This suite promotes that invariance --
- * previously enforced only by the CI determinism gate -- into tier-1
- * ctest, fuzzing the options over a seeded matrix of small experiments.
+ * BatchOptions setting -- shot-group width, lane compaction on/off --
+ * is an execution-shape choice only. A lane's draw sequence is
+ * preserved exactly through every regrouping (verified-prep retry
+ * pool, dense twin subtrees), so all integer-counted experiment
+ * statistics must be byte-identical to the scalar-grouping reference.
+ * This suite promotes that invariance -- previously enforced only by
+ * the CI determinism gate -- into tier-1 ctest, fuzzing the options
+ * over a seeded matrix of small experiments.
  *
  * The second half unit-tests the migration primitives themselves:
  * BernoulliWordSampler::exportLane/importLane round trips under
@@ -99,8 +98,7 @@ std::string
 describeOptions(const BatchOptions &options)
 {
     return "group=" + std::to_string(options.groupWords) + " compaction="
-        + std::to_string(options.laneCompaction) + " fill="
-        + std::to_string(options.migrationFillThreshold);
+        + std::to_string(options.laneCompaction);
 }
 
 } // namespace
@@ -109,8 +107,7 @@ TEST(LaneCompaction, RandomizedBatchOptionsBitIdentical)
 {
     // Seeded fuzz over the execution-shape space, swept from just above
     // threshold to deep in the retry-heavy tail so every migration path
-    // (prep retries, prep series, repeat extraction, verification /
-    // network rounds, dense twin subtrees) actually runs.
+    // (prep retries, prep series, dense twin subtrees) actually runs.
     struct Config
     {
         double p;
@@ -122,19 +119,16 @@ TEST(LaneCompaction, RandomizedBatchOptionsBitIdentical)
         {1.4e-2, 2, 260}, {2.5e-2, 2, 160},
     };
     Rng fuzz(20260729);
-    const double fills[] = {0.0, 0.1, 0.25, 0.5, 1.0, 4.0};
     for (const Config &cfg : configs) {
         // Scalar-grouping reference: one 64-shot word at a time, no
-        // compaction, no migration.
+        // compaction.
         const std::uint64_t seed = 1000003 * cfg.level + fuzz.next64() % 997;
         const RunResult reference = runExperiment(
-            cfg.p, cfg.level, cfg.shots, seed, BatchOptions{1, false, 0.0});
+            cfg.p, cfg.level, cfg.shots, seed, BatchOptions{1, false});
         for (int trial = 0; trial < 6; ++trial) {
             BatchOptions options;
             options.groupWords = 1 + fuzz.uniformInt(kMaxGroupWords);
             options.laneCompaction = fuzz.uniformInt(4) != 0;
-            options.migrationFillThreshold
-                = fills[fuzz.uniformInt(std::size(fills))];
             const RunResult got = runExperiment(cfg.p, cfg.level,
                                                 cfg.shots, seed, options);
             expectStatsIdentical(got, reference,
@@ -155,7 +149,7 @@ TEST(LaneCompaction, ThreadedRunMatchesScalarGroupingReference)
     ExperimentStats ref_stats;
     McRunOptions reference;
     reference.threads = 1;
-    reference.batch = BatchOptions{1, false, 0.0};
+    reference.batch = BatchOptions{1, false};
     const auto ref = runLogicalExperiment(ecc::steaneCode(),
                                           NoiseParameters::swept(p), 2,
                                           shots, seed, reference,
@@ -164,7 +158,7 @@ TEST(LaneCompaction, ThreadedRunMatchesScalarGroupingReference)
         McRunOptions options;
         options.threads = threads;
         options.chunkShots = 128;
-        options.batch = BatchOptions{5, true, 0.25};
+        options.batch = BatchOptions{5, true};
         ExperimentStats stats;
         const auto got = runLogicalExperiment(ecc::steaneCode(),
                                               NoiseParameters::swept(p), 2,
@@ -386,8 +380,6 @@ TEST(SegmentPool, RowGatherScatterRoundTrip)
 {
     Rng rng(31337);
     const std::size_t num_qubits = 5;
-    NoiseClassTable classes;
-    classes.classOf(0.25);
 
     LaneSet mask;
     mask.n = 4;
@@ -413,19 +405,18 @@ TEST(SegmentPool, RowGatherScatterRoundTrip)
     ASSERT_EQ(count, mask.count());
     ASSERT_EQ(pool.chunkCount(), (count + 63) / 64);
 
-    // Gather every row into dense scratch words, wipe the home bits,
-    // scatter back: the masked lanes must be restored exactly and the
-    // unmasked lanes left at zero.
-    quantum::BatchedPauliFrame dense(num_qubits);
-    std::vector<quantum::BatchedPauliFrame> gathered(
-        pool.chunkCount(), quantum::BatchedPauliFrame(num_qubits));
+    // Gather every row into a dense group frame (chunk k into word k,
+    // as a twin migration does), wipe the home bits, scatter back: the
+    // masked lanes must be restored exactly and the unmasked lanes left
+    // at zero.
+    quantum::GroupPauliFrames gathered(num_qubits, pool.chunkCount());
     for (std::size_t k = 0; k < pool.chunkCount(); ++k)
         for (std::size_t q = 0; q < num_qubits; ++q)
-            pool.gatherRow(k, frames, q, gathered[k], q);
+            pool.gatherRow(k, frames, q, gathered, k, q);
     frames.reset();
     for (std::size_t k = 0; k < pool.chunkCount(); ++k)
         for (std::size_t q = 0; q < num_qubits; ++q)
-            pool.scatterRow(k, frames, q, gathered[k], q);
+            pool.scatterRow(k, frames, q, gathered, k, q);
     for (std::size_t w = 0; w < 4; ++w)
         for (std::size_t q = 0; q < num_qubits; ++q) {
             EXPECT_EQ(frames.xWord(w, q),

@@ -10,12 +10,10 @@
  *       for every thread count (the determinism contract).
  *
  *   determinism_gate --mode spot --engine batched
- *       [--group G] [--compaction on|off] [--fill F]
- *       [--threads N] [--shots S]
+ *       [--group G] [--compaction on|off] [--threads N] [--shots S]
  *       Single-point L1+L2 failure counts on the batched engine;
- *       identical output is required for every group width, for
- *       compaction on vs off and for every segment-migration fill
- *       threshold F.
+ *       identical output is required for every group width and for
+ *       compaction on vs off.
  *
  *   determinism_gate --mode spot --engine scalar [--shots S]
  *       The scalar reference engine's counts (self-reproducibility).
@@ -85,14 +83,13 @@ runSweep(int threads, std::size_t shots)
 }
 
 int
-runSpotBatched(std::size_t group, bool compaction, double fill,
-               int threads, std::size_t shots)
+runSpotBatched(std::size_t group, bool compaction, int threads,
+               std::size_t shots)
 {
     McRunOptions options;
     options.threads = threads;
     options.batch.groupWords = group;
     options.batch.laneCompaction = compaction;
-    options.batch.migrationFillThreshold = fill;
     for (const int level : {1, 2}) {
         ExperimentStats stats;
         const auto rate = runLogicalExperiment(
@@ -297,11 +294,9 @@ printHelp()
         "  --threads N        worker threads (output must not depend "
         "on N)\n"
         "  --shots S          Monte Carlo shots per point\n"
-        "  --engine E         spot mode: batched | scalar\n"
+        "  --engine E         spot mode: batched (default) | scalar\n"
         "  --group G          spot/batched: lane-group width in words, 1..32\n"
         "  --compaction C     spot/batched: lane compaction on | off\n"
-        "  --fill F           spot/batched: segment-migration fill "
-        "threshold\n"
         "  --fault-rate F     interconnect: uniform link-fault rate "
         "axis\n"
         "  --purification L   interconnect: purification-level axis\n"
@@ -328,7 +323,6 @@ main(int argc, char **argv)
     std::size_t shots = 4000;
     std::size_t group = BatchOptions{}.groupWords;
     bool compaction = true;
-    double fill = BatchOptions{}.migrationFillThreshold;
     double fault_rate = 0.0;
     int purification = 0;
     double link_fidelity = 1.0;
@@ -347,8 +341,15 @@ main(int argc, char **argv)
         };
         if (arg == "--mode")
             mode = next();
-        else if (arg == "--engine")
+        else if (arg == "--engine") {
             engine = next();
+            if (engine != "batched" && engine != "scalar") {
+                std::fprintf(stderr,
+                             "--engine takes batched or scalar, got %s\n",
+                             engine.c_str());
+                return 2;
+            }
+        }
         else if (arg == "--threads")
             threads = std::atoi(next());
         else if (arg == "--shots")
@@ -372,9 +373,7 @@ main(int argc, char **argv)
                 return 2;
             }
             compaction = value == "on";
-        } else if (arg == "--fill")
-            fill = std::atof(next());
-        else if (arg == "--fault-rate")
+        } else if (arg == "--fault-rate")
             fault_rate = std::atof(next());
         else if (arg == "--purification")
             purification = std::atoi(next());
@@ -399,7 +398,7 @@ main(int argc, char **argv)
     if (mode == "spot")
         return engine == "scalar"
             ? runSpotScalar(shots)
-            : runSpotBatched(group, compaction, fill, threads, shots);
+            : runSpotBatched(group, compaction, threads, shots);
     if (mode == "crosscheck")
         return runCrosscheck(shots);
     if (mode == "interconnect")
