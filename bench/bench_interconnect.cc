@@ -112,13 +112,12 @@ BENCHMARK(BM_AblationCommBaselines)->Arg(1000)->Arg(6000)->Arg(30000);
 static void
 BM_SyntheticSchedulerBandwidth(benchmark::State &state)
 {
-    network::SchedulerConfig sc;
-    sc.bandwidth = static_cast<int>(state.range(0));
-    network::WorkloadConfig wc;
-    wc.totalWindows = 150;
+    network::SyntheticConfig config;
+    config.bandwidth = static_cast<int>(state.range(0));
+    config.totalWindows = 150;
     network::SchedulerReport report;
     for (auto _ : state) {
-        report = network::GreedyEprScheduler(sc, wc).run();
+        report = network::runSyntheticScheduler(config);
         benchmark::DoNotOptimize(report);
     }
     state.counters["utilization"] = report.utilization;

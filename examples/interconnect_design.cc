@@ -65,12 +65,10 @@ main(int argc, char **argv)
     std::printf("\n== bandwidth check (Toffoli workload, Section 5) "
                 "==\n");
     for (int bandwidth : {1, 2}) {
-        network::SchedulerConfig sc;
-        sc.bandwidth = bandwidth;
-        network::WorkloadConfig wc;
-        wc.totalWindows = 80;
-        const auto report =
-            network::GreedyEprScheduler(sc, wc).run();
+        network::SyntheticConfig config;
+        config.bandwidth = bandwidth;
+        config.totalWindows = 80;
+        const auto report = network::runSyntheticScheduler(config);
         std::printf("bandwidth %d: %s, utilization %.1f%%\n", bandwidth,
                     report.fullyOverlapped() ? "fully overlapped"
                                              : "stalls computation",

@@ -82,7 +82,6 @@ class CoSimEngine
         : program_(program), config_(config), probe_(probe),
           mesh_(extent.width, extent.height, config.bandwidth,
                 slotsForWindow()),
-          router_(config.detourRadius),
           placement_(extent.width, extent.height,
                      program.config().tilesPerIslandX),
           deps_remaining_(program.gates().size())
@@ -129,7 +128,7 @@ class CoSimEngine
             if (deps_remaining_[i] == 0)
                 ready_.push_back(i);
         }
-        warmup_remaining_ = std::max(0, config_.prefetchWindows);
+        warmup_remaining_ = kPrefetchWindows;
         report_.perGate.resize(program_.gates().size());
 
         // PR 7 noisy-interconnect machinery. All of it is bypassed on
@@ -150,7 +149,7 @@ class CoSimEngine
             // Longest route the router can produce: dimension-ordered
             // distance plus a full detour excursion both ways.
             const int max_hops = extent.width + extent.height
-                + 2 * (config_.detourRadius + 1);
+                + 2 * (kDetourRadius + 1);
             path_fidelity_ = PathFidelityTable(
                 link_plan_.linkFidelity, config_.fidelity.opError,
                 max_hops);
@@ -185,8 +184,7 @@ class CoSimEngine
   private:
     std::uint64_t slotsForWindow() const
     {
-        const std::uint64_t slots = slotsPerChannel(
-            config_.window, config_.purifiedPairServiceTime);
+        const std::uint64_t slots = slotsPerChannel(config_.window);
         if (!config_.fidelity.enabled())
             return slots;
         // Purification traffic competes with program traffic: pumping a
@@ -300,8 +298,6 @@ class CoSimEngine
      *  gate itself can run. */
     void preActivateImminent()
     {
-        if (config_.prefetchWindows <= 0)
-            return;
         std::vector<std::size_t> retry;
         std::sort(imminent_.begin(), imminent_.end());
         for (const std::size_t id : imminent_) {
@@ -318,11 +314,11 @@ class CoSimEngine
      *  prefetching their own pairs. */
     void notifyIfNearDone(ActiveGate &g)
     {
-        if (g.nearDoneNotified || config_.prefetchWindows <= 0)
+        if (g.nearDoneNotified)
             return;
         const int remaining =
             program_.gates()[g.id].durationWindows - g.progress;
-        if (remaining > config_.prefetchWindows)
+        if (remaining > kPrefetchWindows)
             return;
         g.nearDoneNotified = true;
         for (const std::size_t s : program_.gates()[g.id].successors)
@@ -391,7 +387,7 @@ class CoSimEngine
             const int duration =
                 program_.gates()[g.id].durationWindows;
             const int horizon = std::min(
-                duration, g.progress + 1 + config_.prefetchWindows);
+                duration, g.progress + 1 + kPrefetchWindows);
             while (g.emittedUpTo < horizon) {
                 const int rel = g.emittedUpTo++;
                 // Cache classification (PR 8): the first emitted window
@@ -636,14 +632,14 @@ class CoSimEngine
                 still_pending_.push_back(pd);
                 continue;
             }
-            delivery_.grabs.clear();
-            const std::uint64_t moved = router_.routePairs(
+            grabs_.clear();
+            const std::uint64_t moved = routePairs(
                 mesh_, pd.demand, pd.demand.pairs, route_stats_,
-                noisy_ ? &delivery_ : nullptr);
+                noisy_ ? &grabs_ : nullptr);
             std::uint64_t usable = moved;
             bool abandon = false;
             if (noisy_)
-                usable = processDelivery(pd, delivery_, abandon);
+                usable = processDelivery(pd, grabs_, abandon);
             report_.pairsRoutedOnMesh += usable;
             pd.demand.pairs -= usable;
             if (pd.demand.pairs == 0) {
@@ -670,12 +666,12 @@ class CoSimEngine
      * @return pairs of the grab set that are actually consumable.
      */
     std::uint64_t processDelivery(PendingDemand &pd,
-                                  const RouteDelivery &delivery,
+                                  const std::vector<PathGrab> &grabs,
                                   bool &abandon)
     {
         std::uint64_t usable = 0;
         bool rejected_any = false;
-        for (const PathGrab &grab : delivery.grabs) {
+        for (const PathGrab &grab : grabs) {
             std::uint64_t survivors = grab.pairs;
             if (loss_rate_ > 0.0) {
                 const std::uint64_t lost = sampleLostPairs(
@@ -876,7 +872,6 @@ class CoSimEngine
     const CoSimConfig &config_;
     const WindowProbeFn &probe_;
     IslandMesh mesh_;
-    EprRouter router_;
     TilePlacement placement_;
     CoSimReport report_;
     RouteStats route_stats_;
@@ -900,7 +895,7 @@ class CoSimEngine
     // PR 7 noisy-delivery state (inert on the clean path).
     bool noisy_ = false;       ///< Any fault/fidelity machinery active.
     /** Grabs of the demand being routed (reused, cleared per demand). */
-    RouteDelivery delivery_;
+    std::vector<PathGrab> grabs_;
     bool fidelity_on_ = false; ///< Delivered pairs carry a fidelity.
     double loss_rate_ = 0.0;
     LinkPurificationPlan link_plan_;
@@ -922,8 +917,6 @@ ProgramCoSimulator::ProgramCoSimulator(const ProgramWorkload &program,
                                        CoSimConfig config)
     : program_(program), config_(config)
 {
-    qla_assert(config_.prefetchWindows >= 0,
-               "prefetchWindows must be >= 0 (0 disables prefetch)");
     extent_ = (config_.meshWidth > 0 && config_.meshHeight > 0)
         ? MeshExtent{config_.meshWidth, config_.meshHeight}
         : meshForProgram(program_);

@@ -47,31 +47,8 @@ struct CoSimConfig
     int bandwidth = 2;
     /** Scheduling window: one level-2 EC period. */
     Seconds window = 0.043;
-    /** Service time per purified EPR pair (see SchedulerConfig). */
-    Seconds purifiedPairServiceTime = units::microseconds(1400.0);
     /** Qubit-drift optimization on/off. */
     bool driftOptimization = true;
-    /** Detour attempts around congested columns. */
-    int detourRadius = 2;
-    /**
-     * How many windows ahead an active gate's EPR demands are issued.
-     * Pairs for a gate's window k can be delivered any time from k -
-     * prefetchWindows up to the end of window k -- the paper's
-     * pipelining of communication under the preceding error-correction
-     * cycles ("communication always overlapped with error correction").
-     * 0 disables prefetch: every window's pairs must route within that
-     * window alone.
-     *
-     * Modeling decision: a prefetched demand pins its endpoint islands
-     * at emission time. Drift moves between emission and consumption do
-     * not re-target it -- the pairs are already in flight to where the
-     * qubits were, and in-flight halves are not recalled -- so a pair
-     * that drifts co-located after emission still counts as mesh
-     * traffic. This slightly overstates traffic/stalls near drift
-     * moves, i.e. it is conservative for the paper's
-     * bandwidth-sufficiency and drift-saves-traffic conclusions.
-     */
-    int prefetchWindows = 2;
     /** Initial placement policy. */
     PlacementStrategy placement = PlacementStrategy::Affinity;
     /** Seed for the Random placement shuffle. */
@@ -118,7 +95,7 @@ struct CoSimReport
      * pairs prefetch while the logical qubits are still being encoded
      * and verified (initialization takes far longer than this), exact
      * like every later gate prefetches under its predecessors. Equals
-     * prefetchWindows; not charged to the makespan.
+     * kPrefetchWindows; not charged to the makespan.
      */
     std::uint64_t warmupWindows = 0;
     /** windows x window length. */

@@ -1,20 +1,12 @@
 #include "network/scheduler.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace qla::network {
 
 std::uint64_t
-slotsPerChannel(Seconds window, Seconds pair_service_time)
-{
-    return static_cast<std::uint64_t>(window / pair_service_time);
-}
-
-std::uint64_t
-EprRouter::routePairs(IslandMesh &mesh, const EprDemand &demand,
-                      std::uint64_t pairs, RouteStats &stats,
-                      RouteDelivery *delivery) const
+routePairs(IslandMesh &mesh, const EprDemand &demand, std::uint64_t pairs,
+           RouteStats &stats, std::vector<PathGrab> *grabs)
 {
     if (demand.source == demand.destination)
         return pairs; // co-located after drift; no mesh traffic
@@ -33,8 +25,8 @@ EprRouter::routePairs(IslandMesh &mesh, const EprDemand &demand,
         const int bursts = mesh.reserve(route, amount);
         remaining -= amount;
         first_path = false;
-        if (delivery != nullptr)
-            delivery->grabs.push_back({amount, route.hops(), bursts});
+        if (grabs != nullptr)
+            grabs->push_back({amount, route.hops(), bursts});
     };
 
     // Greedy: grab everything the dimension-ordered route offers, then
@@ -45,7 +37,7 @@ EprRouter::routePairs(IslandMesh &mesh, const EprDemand &demand,
     const IslandCoord &to = demand.destination;
     grab(MeshRoute::dimensionOrdered(from, to, false));
     grab(MeshRoute::dimensionOrdered(from, to, true));
-    for (int r = 1; r <= detour_radius_ && remaining > 0; ++r) {
+    for (int r = 1; r <= kDetourRadius && remaining > 0; ++r) {
         for (int sign : {+1, -1}) {
             const int shift = sign * r;
             const int col = from.x + shift;
@@ -59,30 +51,94 @@ EprRouter::routePairs(IslandMesh &mesh, const EprDemand &demand,
     return pairs - remaining;
 }
 
-GreedyEprScheduler::GreedyEprScheduler(const SchedulerConfig &config,
-                                       const WorkloadConfig &workload)
-    : config_(config), workload_config_(workload)
+ToffoliWorkload::ToffoliWorkload(const SyntheticConfig &config,
+                                 int mesh_width, int mesh_height, Rng rng)
+    : drift_(config.driftOptimization), width_(mesh_width),
+      height_(mesh_height), rng_(rng)
 {
-    qla_assert(config_.meshWidth > 1 && config_.meshHeight > 1,
-               "mesh too small");
-    workload_config_.driftOptimization = config_.driftOptimization;
+    qla_assert(width_ > 1 && height_ > 1, "mesh too small for workload");
+    for (int i = 0; i < config.concurrentToffolis; ++i)
+        active_.push_back(spawnToffoli());
 }
 
-std::uint64_t
-GreedyEprScheduler::slotsPerChannel() const
+IslandCoord
+ToffoliWorkload::randomNear(const IslandCoord &center)
 {
-    return network::slotsPerChannel(config_.window,
-                                    config_.purifiedPairServiceTime);
+    IslandCoord c;
+    const auto jitter = [&](int v, int bound) {
+        const int lo = std::max(0, v - kToffoliOperandSpread);
+        const int hi = std::min(bound - 1, v + kToffoliOperandSpread);
+        return lo + static_cast<int>(rng_.uniformInt(
+            static_cast<std::uint64_t>(hi - lo + 1)));
+    };
+    c.x = jitter(center.x, width_);
+    c.y = jitter(center.y, height_);
+    return c;
+}
+
+ToffoliWorkload::ActiveToffoli
+ToffoliWorkload::spawnToffoli()
+{
+    ActiveToffoli gate;
+    gate.id = next_gate_id_++;
+    gate.windowsLeft = kToffoliWindows;
+    const IslandCoord center{
+        static_cast<int>(rng_.uniformInt(static_cast<std::uint64_t>(
+            width_))),
+        static_cast<int>(rng_.uniformInt(static_cast<std::uint64_t>(
+            height_)))};
+    // Three operands plus six ancilla logical qubits (the fault-tolerant
+    // Toffoli construction of Section 5).
+    for (IslandCoord &member : gate.members)
+        member = randomNear(center);
+    return gate;
+}
+
+std::vector<EprDemand>
+ToffoliWorkload::nextWindow()
+{
+    std::vector<EprDemand> demands;
+    for (auto &gate : active_) {
+        for (int i = 0; i < kToffoliInteractionsPerWindow; ++i) {
+            // Pick a random interacting pair among the gate's members;
+            // co-located members need no mesh traffic.
+            const std::size_t a = rng_.uniformInt(gate.members.size());
+            std::size_t b = rng_.uniformInt(gate.members.size() - 1);
+            if (b >= a)
+                ++b;
+            if (gate.members[a] == gate.members[b])
+                continue;
+            EprDemand demand;
+            demand.source = gate.members[a];
+            demand.destination = gate.members[b];
+            demand.pairs = kToffoliPairsPerInteraction;
+            demand.gateId = gate.id;
+            if (drift_) {
+                // The qubit teleports to its partner and stays there.
+                gate.members[a] = gate.members[b];
+            } else {
+                // Round trip: teleport out and back.
+                demand.pairs *= 2;
+            }
+            demands.push_back(demand);
+        }
+        --gate.windowsLeft;
+    }
+
+    // Replace finished gates to keep the pipeline full.
+    for (auto &gate : active_)
+        if (gate.windowsLeft <= 0)
+            gate = spawnToffoli();
+    return demands;
 }
 
 SchedulerReport
-GreedyEprScheduler::run()
+runSyntheticScheduler(const SyntheticConfig &config)
 {
-    IslandMesh mesh(config_.meshWidth, config_.meshHeight,
-                    config_.bandwidth, slotsPerChannel());
-    ToffoliWorkload workload(workload_config_, config_.meshWidth,
-                             config_.meshHeight, Rng(config_.seed));
-    const EprRouter router(config_.detourRadius);
+    IslandMesh mesh(kSyntheticMeshSize, kSyntheticMeshSize,
+                    config.bandwidth, slotsPerChannel(config.window));
+    ToffoliWorkload workload(config, kSyntheticMeshSize, kSyntheticMeshSize,
+                             Rng(config.seed));
 
     SchedulerReport report;
     RouteStats route_stats;
@@ -90,13 +146,11 @@ GreedyEprScheduler::run()
     std::uint64_t routed = 0;
     // Demands deferred from previous windows, with their ages.
     std::vector<std::pair<EprDemand, int>> pending;
+    std::vector<std::pair<EprDemand, int>> still_pending;
 
-    // The simulation is a self-propelled chain on the discrete-event
-    // kernel: each window-boundary event (the instant the next EC cycle
-    // begins and freshly delivered EPR pairs are consumed) processes
-    // one window and schedules its successor.
-    sim::EventQueue events;
-    std::function<void()> window_event = [&]() {
+    // Each pass is one window boundary: the instant the next EC cycle
+    // begins and freshly delivered EPR pairs are consumed.
+    for (int w = 0; w < config.totalWindows; ++w) {
         for (const EprDemand &demand : workload.nextWindow()) {
             ++report.demands;
             report.pairsRequested += demand.pairs;
@@ -116,35 +170,30 @@ GreedyEprScheduler::run()
                   });
 
         bool window_stalled = false;
-        std::vector<std::pair<EprDemand, int>> still_pending;
+        still_pending.clear();
         for (auto &[demand, age] : pending) {
             const int dist = islandDistance(demand.source,
                                             demand.destination);
-            const std::uint64_t moved = router.routePairs(
-                mesh, demand, demand.pairs, route_stats);
+            const std::uint64_t moved = routePairs(mesh, demand,
+                                                   demand.pairs,
+                                                   route_stats);
             report.pairsDelivered += moved;
             demand.pairs -= moved;
             if (demand.pairs == 0) {
                 route_length_sum += dist;
                 ++routed;
-            } else if (age < config_.slackWindows) {
+            } else if (age < kSlackWindows) {
                 still_pending.emplace_back(demand, age + 1);
             } else {
                 ++report.stalledDemands;
                 window_stalled = true;
             }
         }
-        pending = std::move(still_pending);
+        pending.swap(still_pending);
         if (window_stalled)
             ++report.stalledWindows;
         mesh.advanceWindow();
-        if (mesh.windowsElapsed()
-            < static_cast<std::uint64_t>(workload_config_.totalWindows))
-            events.scheduleAfter(config_.window, window_event);
-    };
-    if (workload_config_.totalWindows > 0)
-        events.schedule(0.0, window_event);
-    events.run();
+    }
 
     report.windows = mesh.windowsElapsed();
     report.utilization = mesh.aggregateUtilization();

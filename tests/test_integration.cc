@@ -65,12 +65,11 @@ TEST(Integration, SchedulerWindowMatchesLatencyModel)
     // value keeps the bandwidth-2 conclusion.
     const ecc::EccLatencyModel latency(ecc::steaneCode(),
                                        TechnologyParameters::expected());
-    network::SchedulerConfig sc;
-    sc.window = latency.eccTime(2);
-    sc.bandwidth = 2;
-    network::WorkloadConfig wc;
-    wc.totalWindows = 60;
-    const auto report = network::GreedyEprScheduler(sc, wc).run();
+    network::SyntheticConfig config;
+    config.window = latency.eccTime(2);
+    config.bandwidth = 2;
+    config.totalWindows = 60;
+    const auto report = network::runSyntheticScheduler(config);
     EXPECT_TRUE(report.fullyOverlapped());
 }
 

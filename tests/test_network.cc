@@ -25,7 +25,6 @@
 #include "network/placement.h"
 #include "network/program_workload.h"
 #include "network/scheduler.h"
-#include "network/workload.h"
 
 using namespace qla;
 using namespace qla::network;
@@ -211,7 +210,7 @@ TEST(IslandMesh, FaultRealizationIsPureInSeedLinkWindow)
 
 TEST(Workload, GeneratesBoundedDemands)
 {
-    WorkloadConfig config;
+    SyntheticConfig config;
     config.concurrentToffolis = 4;
     ToffoliWorkload workload(config, 8, 8, Rng(1));
     for (int w = 0; w < 50; ++w) {
@@ -219,7 +218,7 @@ TEST(Workload, GeneratesBoundedDemands)
         EXPECT_LE(demands.size(),
                   static_cast<std::size_t>(
                       config.concurrentToffolis
-                      * config.interactionsPerWindow));
+                      * kToffoliInteractionsPerWindow));
         for (const auto &demand : demands) {
             EXPECT_GT(demand.pairs, 0u);
             EXPECT_GE(demand.source.x, 0);
@@ -235,10 +234,10 @@ TEST(Workload, DriftCoLocatesPartners)
 {
     // With drift on, repeated interactions shrink to zero-distance
     // demands over time; with it off every demand is a round trip.
-    WorkloadConfig drift;
+    SyntheticConfig drift;
     drift.concurrentToffolis = 2;
     drift.driftOptimization = true;
-    WorkloadConfig no_drift = drift;
+    SyntheticConfig no_drift = drift;
     no_drift.driftOptimization = false;
 
     ToffoliWorkload with(drift, 8, 8, Rng(3));
@@ -255,19 +254,16 @@ TEST(Workload, DriftCoLocatesPartners)
 
 TEST(Scheduler, SlotsPerChannelFromEcWindow)
 {
-    SchedulerConfig config;
-    const GreedyEprScheduler scheduler(config, WorkloadConfig{});
     // 0.043 s window / 1.4 ms per purified pair ~ 30 pairs.
-    EXPECT_EQ(scheduler.slotsPerChannel(), 30u);
+    EXPECT_EQ(slotsPerChannel(SyntheticConfig{}.window), 30u);
 }
 
 TEST(Scheduler, BandwidthTwoFullyOverlaps)
 {
-    SchedulerConfig sc;
-    sc.bandwidth = 2;
-    WorkloadConfig wc;
-    wc.totalWindows = 100;
-    const auto report = GreedyEprScheduler(sc, wc).run();
+    SyntheticConfig config;
+    config.bandwidth = 2;
+    config.totalWindows = 100;
+    const auto report = runSyntheticScheduler(config);
     EXPECT_TRUE(report.fullyOverlapped());
     // Paper: ~23% aggregate utilization.
     EXPECT_GT(report.utilization, 0.15);
@@ -279,11 +275,10 @@ TEST(Scheduler, BandwidthTwoFullyOverlaps)
 
 TEST(Scheduler, BandwidthOneStallsComputation)
 {
-    SchedulerConfig sc;
-    sc.bandwidth = 1;
-    WorkloadConfig wc;
-    wc.totalWindows = 100;
-    const auto report = GreedyEprScheduler(sc, wc).run();
+    SyntheticConfig config;
+    config.bandwidth = 1;
+    config.totalWindows = 100;
+    const auto report = runSyntheticScheduler(config);
     EXPECT_FALSE(report.fullyOverlapped());
     // A 49-pair transversal interaction cannot fit in ~30 slots.
     EXPECT_GT(report.stalledDemands, report.demands / 20);
@@ -293,11 +288,10 @@ TEST(Scheduler, MoreBandwidthNeverHurts)
 {
     std::uint64_t previous_stalls = ~std::uint64_t{0};
     for (int bandwidth : {1, 2, 4}) {
-        SchedulerConfig sc;
-        sc.bandwidth = bandwidth;
-        WorkloadConfig wc;
-        wc.totalWindows = 60;
-        const auto report = GreedyEprScheduler(sc, wc).run();
+        SyntheticConfig config;
+        config.bandwidth = bandwidth;
+        config.totalWindows = 60;
+        const auto report = runSyntheticScheduler(config);
         EXPECT_LE(report.stalledDemands, previous_stalls);
         previous_stalls = report.stalledDemands;
     }
@@ -305,35 +299,55 @@ TEST(Scheduler, MoreBandwidthNeverHurts)
 
 TEST(Scheduler, BackoffReroutesHappenUnderContention)
 {
-    SchedulerConfig sc;
-    sc.bandwidth = 2;
-    WorkloadConfig wc;
-    wc.totalWindows = 100;
-    const auto report = GreedyEprScheduler(sc, wc).run();
+    SyntheticConfig config;
+    config.bandwidth = 2;
+    config.totalWindows = 100;
+    const auto report = runSyntheticScheduler(config);
     // The greedy scheduler must actually exercise its backoff path.
     EXPECT_GT(report.backoffReroutes, 0u);
 }
 
 TEST(Scheduler, DeterministicForFixedSeed)
 {
-    SchedulerConfig sc;
-    WorkloadConfig wc;
-    wc.totalWindows = 40;
-    const auto a = GreedyEprScheduler(sc, wc).run();
-    const auto b = GreedyEprScheduler(sc, wc).run();
+    SyntheticConfig config;
+    config.totalWindows = 40;
+    const auto a = runSyntheticScheduler(config);
+    const auto b = runSyntheticScheduler(config);
     EXPECT_EQ(a.pairsDelivered, b.pairsDelivered);
     EXPECT_EQ(a.stalledDemands, b.stalledDemands);
     EXPECT_DOUBLE_EQ(a.utilization, b.utilization);
+
+    // The exact report of the default experiment, so a change to the
+    // workload's draw order or the window loop's routing order shows.
+    EXPECT_EQ(a.windows, 40u);
+    EXPECT_EQ(a.demands, 1093u);
+    EXPECT_EQ(a.pairsRequested, 53557u);
+    EXPECT_EQ(a.pairsDelivered, 53557u);
+    EXPECT_EQ(a.stalledDemands, 0u);
+    EXPECT_EQ(a.stalledWindows, 0u);
+    EXPECT_EQ(a.backoffReroutes, 492u);
+    EXPECT_EQ(a.utilization, 0.21186631944444445);
+    EXPECT_EQ(a.averageRouteLength, 4.8188472095150958);
+
+    config.bandwidth = 1;
+    const auto narrow = runSyntheticScheduler(config);
+    EXPECT_EQ(narrow.demands, 1093u);
+    EXPECT_EQ(narrow.pairsRequested, 53557u);
+    EXPECT_EQ(narrow.pairsDelivered, 51508u);
+    EXPECT_EQ(narrow.stalledDemands, 67u);
+    EXPECT_EQ(narrow.stalledWindows, 20u);
+    EXPECT_EQ(narrow.backoffReroutes, 1248u);
+    EXPECT_EQ(narrow.utilization, 0.43395675505050507);
+    EXPECT_EQ(narrow.averageRouteLength, 4.8777335984095425);
 }
 
 TEST(Scheduler, UtilizationWithinPhysicalBounds)
 {
     for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
-        SchedulerConfig sc;
-        sc.seed = seed;
-        WorkloadConfig wc;
-        wc.totalWindows = 50;
-        const auto report = GreedyEprScheduler(sc, wc).run();
+        SyntheticConfig config;
+        config.seed = seed;
+        config.totalWindows = 50;
+        const auto report = runSyntheticScheduler(config);
         EXPECT_GE(report.utilization, 0.0);
         EXPECT_LE(report.utilization, 1.0);
         EXPECT_LE(report.pairsDelivered, report.pairsRequested);
@@ -341,7 +355,7 @@ TEST(Scheduler, UtilizationWithinPhysicalBounds)
 }
 
 //
-// EprRouter path properties (scheduler invariant: every candidate path
+// Router path properties (scheduler invariant: every candidate path
 // is a valid walk on the mesh).
 //
 
@@ -387,7 +401,7 @@ expectValidWalk(const std::vector<IslandCoord> &path,
 
 } // namespace
 
-TEST(EprRouter, PathsAreValidMeshWalks)
+TEST(Router, PathsAreValidMeshWalks)
 {
     const int width = 9, height = 7;
     Rng rng(2024);
@@ -419,7 +433,7 @@ TEST(EprRouter, PathsAreValidMeshWalks)
     }
 }
 
-TEST(EprRouter, DimensionOrderedPathIsShortest)
+TEST(Router, DimensionOrderedPathIsShortest)
 {
     const IslandCoord from{1, 1}, to{4, 5};
     for (const bool y_first : {false, true}) {
@@ -579,14 +593,14 @@ expectRouteMatchesPath(const IslandMesh &mesh, const MeshRoute &route,
 
 } // namespace
 
-TEST(EprRouter, RoutesMatchReferencePaths)
+TEST(Router, RoutesMatchReferencePaths)
 {
     // Every shape the router tries (both dimension orders, and column
     // and row detours for each shift within the detour radius) against
     // the path builders it replaced, on meshes down to 2x1, single
     // rows/columns and lines longer than 64 islands, with endpoints
     // forced onto the edges half the time.
-    const int radius = SchedulerConfig{}.detourRadius;
+    const int radius = kDetourRadius;
     // 70-island lines span two words of the mesh's full-link index.
     const std::pair<int, int> sizes[] = {{2, 1},  {5, 1},   {1, 4},
                                          {3, 3},  {7, 5},   {12, 12},
@@ -650,13 +664,12 @@ TEST(EprRouter, RoutesMatchReferencePaths)
     EXPECT_GT(checked, 5000u);
 }
 
-TEST(EprRouter, CapacityNeverExceededWithinWindow)
+TEST(Router, CapacityNeverExceededWithinWindow)
 {
     // Random demand storms can never push a directed link beyond
     // bandwidth x slots in one window.
     const int width = 6, height = 6;
     IslandMesh mesh(width, height, 2, 30);
-    const EprRouter router(2);
     RouteStats stats;
     Rng rng(77);
     for (int window = 0; window < 40; ++window) {
@@ -668,8 +681,8 @@ TEST(EprRouter, CapacityNeverExceededWithinWindow)
                 static_cast<int>(rng.uniformInt(width)),
                 static_cast<int>(rng.uniformInt(height))};
             demand.pairs = 1 + rng.uniformInt(90);
-            const std::uint64_t moved = router.routePairs(
-                mesh, demand, demand.pairs, stats);
+            const std::uint64_t moved = routePairs(mesh, demand,
+                                                   demand.pairs, stats);
             EXPECT_LE(moved, demand.pairs);
         }
         std::uint64_t used_total = 0;

@@ -1,211 +1,14 @@
 /**
  * @file
- * Unit tests for the discrete-event kernel and statistics.
+ * Unit tests for the statistics accumulators.
  */
 
 #include <gtest/gtest.h>
 
-#include "sim/event_queue.h"
 #include "sim/stats.h"
 
 using namespace qla;
 using namespace qla::sim;
-
-TEST(EventQueue, FiresInTimeOrder)
-{
-    EventQueue queue;
-    std::vector<int> order;
-    queue.schedule(3.0, [&] { order.push_back(3); });
-    queue.schedule(1.0, [&] { order.push_back(1); });
-    queue.schedule(2.0, [&] { order.push_back(2); });
-    queue.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    EXPECT_DOUBLE_EQ(queue.now(), 3.0);
-}
-
-TEST(EventQueue, FifoTieBreakAtSameTime)
-{
-    EventQueue queue;
-    std::vector<int> order;
-    for (int i = 0; i < 10; ++i)
-        queue.schedule(1.0, [&order, i] { order.push_back(i); });
-    queue.run();
-    for (int i = 0; i < 10; ++i)
-        EXPECT_EQ(order[i], i);
-}
-
-TEST(EventQueue, ScheduleAfterUsesCurrentTime)
-{
-    EventQueue queue;
-    double fired_at = -1.0;
-    queue.schedule(5.0, [&] {
-        queue.scheduleAfter(2.0, [&] { fired_at = queue.now(); });
-    });
-    queue.run();
-    EXPECT_DOUBLE_EQ(fired_at, 7.0);
-}
-
-TEST(EventQueue, CancelPreventsExecution)
-{
-    EventQueue queue;
-    bool fired = false;
-    const EventId id = queue.schedule(1.0, [&] { fired = true; });
-    queue.cancel(id);
-    queue.run();
-    EXPECT_FALSE(fired);
-    EXPECT_TRUE(queue.empty());
-}
-
-TEST(EventQueue, HorizonStopsEarly)
-{
-    EventQueue queue;
-    int fired = 0;
-    queue.schedule(1.0, [&] { ++fired; });
-    queue.schedule(10.0, [&] { ++fired; });
-    queue.run(5.0);
-    EXPECT_EQ(fired, 1);
-    EXPECT_DOUBLE_EQ(queue.now(), 5.0);
-    queue.run();
-    EXPECT_EQ(fired, 2);
-}
-
-TEST(EventQueue, EventsCanScheduleEvents)
-{
-    EventQueue queue;
-    int depth = 0;
-    std::function<void()> chain = [&] {
-        if (++depth < 5)
-            queue.scheduleAfter(1.0, chain);
-    };
-    queue.schedule(0.0, chain);
-    queue.run();
-    EXPECT_EQ(depth, 5);
-    EXPECT_EQ(queue.executedCount(), 5u);
-}
-
-//
-// FIFO tie-break and cancellation semantics: the logical-program
-// co-simulation schedules routing, per-gate advances and the window
-// close at the *same* simulated instant and relies on scheduling order
-// for determinism, so these are contractual, not incidental.
-//
-
-TEST(EventQueue, FifoTieBreakSurvivesInterleavedScheduling)
-{
-    EventQueue queue;
-    std::vector<int> order;
-    // Events added from inside a handler at the already-current time
-    // must still run after everything scheduled for that time earlier.
-    queue.schedule(1.0, [&] {
-        order.push_back(0);
-        queue.schedule(1.0, [&] { order.push_back(3); });
-        queue.schedule(1.0, [&] { order.push_back(4); });
-    });
-    queue.schedule(1.0, [&] { order.push_back(1); });
-    queue.schedule(1.0, [&] { order.push_back(2); });
-    queue.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, FifoTieBreakIndependentOfInsertionTime)
-{
-    // Same-time events fire in scheduling order even when scheduled
-    // around events at other times.
-    EventQueue queue;
-    std::vector<int> order;
-    queue.schedule(2.0, [&] { order.push_back(20); });
-    queue.schedule(1.0, [&] { order.push_back(10); });
-    queue.schedule(2.0, [&] { order.push_back(21); });
-    queue.schedule(1.0, [&] { order.push_back(11); });
-    queue.schedule(2.0, [&] { order.push_back(22); });
-    queue.run();
-    EXPECT_EQ(order, (std::vector<int>{10, 11, 20, 21, 22}));
-}
-
-TEST(EventQueue, CancelMiddleOfSameTimeGroup)
-{
-    EventQueue queue;
-    std::vector<int> order;
-    queue.schedule(1.0, [&] { order.push_back(0); });
-    const EventId middle = queue.schedule(1.0,
-                                          [&] { order.push_back(1); });
-    queue.schedule(1.0, [&] { order.push_back(2); });
-    queue.cancel(middle);
-    queue.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 2}));
-    EXPECT_EQ(queue.executedCount(), 2u);
-}
-
-TEST(EventQueue, CancelFromEarlierHandlerAtSameInstant)
-{
-    // An event may cancel a later same-instant event; the cancelled
-    // action must not fire even though its timestamp already arrived.
-    EventQueue queue;
-    bool cancelled_ran = false;
-    EventId victim = 0;
-    queue.schedule(1.0, [&] { queue.cancel(victim); });
-    victim = queue.schedule(1.0, [&] { cancelled_ran = true; });
-    queue.run();
-    EXPECT_FALSE(cancelled_ran);
-    EXPECT_EQ(queue.executedCount(), 1u);
-}
-
-TEST(EventQueue, CancelFiredOrUnknownIdIsNoOp)
-{
-    EventQueue queue;
-    int fired = 0;
-    const EventId id = queue.schedule(1.0, [&] { ++fired; });
-    queue.run();
-    queue.cancel(id);     // already fired
-    queue.cancel(999999); // never existed
-    queue.schedule(2.0, [&] { ++fired; });
-    queue.run();
-    EXPECT_EQ(fired, 2);
-}
-
-TEST(EventQueue, CancelTwiceIsHarmless)
-{
-    EventQueue queue;
-    bool ran = false;
-    const EventId id = queue.schedule(1.0, [&] { ran = true; });
-    queue.cancel(id);
-    queue.cancel(id);
-    queue.run();
-    EXPECT_FALSE(ran);
-    EXPECT_TRUE(queue.empty());
-    EXPECT_EQ(queue.executedCount(), 0u);
-}
-
-TEST(EventQueue, CancelledEventsDoNotBlockEmptyOrStep)
-{
-    EventQueue queue;
-    const EventId a = queue.schedule(1.0, [] {});
-    queue.cancel(a);
-    EXPECT_TRUE(queue.empty());
-    EXPECT_FALSE(queue.step());
-    // Cancelled head must not stop a later live event from running.
-    const EventId b = queue.schedule(2.0, [] {});
-    bool ran = false;
-    queue.schedule(3.0, [&] { ran = true; });
-    queue.cancel(b);
-    queue.run();
-    EXPECT_TRUE(ran);
-    EXPECT_DOUBLE_EQ(queue.now(), 3.0);
-}
-
-TEST(EventQueue, CancelDoesNotDisturbFifoOfSurvivors)
-{
-    EventQueue queue;
-    std::vector<int> order;
-    std::vector<EventId> ids;
-    for (int i = 0; i < 8; ++i)
-        ids.push_back(queue.schedule(1.0,
-                                     [&order, i] { order.push_back(i); }));
-    for (int i = 1; i < 8; i += 2)
-        queue.cancel(ids[static_cast<std::size_t>(i)]);
-    queue.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 2, 4, 6}));
-}
 
 TEST(ScalarStat, MeanVarianceExtrema)
 {

@@ -44,6 +44,8 @@
  *       output is byte-identical to the clean PR-5 sweep.
  */
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -283,6 +285,42 @@ runInterconnect(int threads, double fault_rate, int purification,
     return 0;
 }
 
+/** Whole-value integer parse of @p flag's @p value into [lo, hi]; exits
+ *  2 on anything else, so a mistyped CI step fails instead of running
+ *  a vacuous sweep. */
+long long
+parseInteger(const std::string &flag, const char *value, long long lo,
+             long long hi)
+{
+    errno = 0;
+    char *end = nullptr;
+    const long long parsed = std::strtoll(value, &end, 10);
+    if (end == value || *end != '\0' || errno == ERANGE || parsed < lo
+        || parsed > hi) {
+        std::fprintf(stderr, "%s takes an integer in [%lld, %lld], got %s\n",
+                     flag.c_str(), lo, hi, value);
+        std::exit(2);
+    }
+    return parsed;
+}
+
+/** Whole-value real parse of @p flag's @p value into [lo, hi]; exits 2
+ *  on anything else (NaN included). */
+double
+parseReal(const std::string &flag, const char *value, double lo, double hi)
+{
+    errno = 0;
+    char *end = nullptr;
+    const double parsed = std::strtod(value, &end);
+    if (end == value || *end != '\0' || errno == ERANGE
+        || !(parsed >= lo && parsed <= hi)) {
+        std::fprintf(stderr, "%s takes a number in [%g, %g], got %s\n",
+                     flag.c_str(), lo, hi, value);
+        std::exit(2);
+    }
+    return parsed;
+}
+
 int
 printHelp()
 {
@@ -351,21 +389,14 @@ main(int argc, char **argv)
             }
         }
         else if (arg == "--threads")
-            threads = std::atoi(next());
+            threads = static_cast<int>(parseInteger(arg, next(), 0, 1 << 20));
         else if (arg == "--shots")
-            shots = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--group") {
-            const char *value = next();
-            char *end = nullptr;
-            group = std::strtoull(value, &end, 10);
-            if (end == value || *end != '\0' || group < 1
-                || group > kMaxGroupWords) {
-                std::fprintf(stderr,
-                             "--group takes a width in [1, %zu], got %s\n",
-                             kMaxGroupWords, value);
-                return 2;
-            }
-        } else if (arg == "--compaction") {
+            shots = static_cast<std::size_t>(
+                parseInteger(arg, next(), 1, LLONG_MAX));
+        else if (arg == "--group")
+            group = static_cast<std::size_t>(parseInteger(
+                arg, next(), 1, static_cast<long long>(kMaxGroupWords)));
+        else if (arg == "--compaction") {
             const std::string value = next();
             if (value != "on" && value != "off") {
                 std::fprintf(stderr, "--compaction takes on or off, got %s\n",
@@ -374,17 +405,19 @@ main(int argc, char **argv)
             }
             compaction = value == "on";
         } else if (arg == "--fault-rate")
-            fault_rate = std::atof(next());
+            fault_rate = parseReal(arg, next(), 0.0, 1.0);
         else if (arg == "--purification")
-            purification = std::atoi(next());
+            purification = static_cast<int>(
+                parseInteger(arg, next(), 0, INT_MAX));
         else if (arg == "--link-fidelity")
-            link_fidelity = std::atof(next());
+            link_fidelity = parseReal(arg, next(), 0.0, 1.0);
         else if (arg == "--retry-budget")
-            retry_budget = std::atoi(next());
+            retry_budget = static_cast<int>(
+                parseInteger(arg, next(), 0, INT_MAX));
         else if (arg == "--compute-fraction")
-            compute_fraction = std::atof(next());
+            compute_fraction = parseReal(arg, next(), 0.0, 1.0);
         else if (arg == "--memory-level")
-            memory_level = std::atoi(next());
+            memory_level = static_cast<int>(parseInteger(arg, next(), 1, 2));
         else if (arg == "--help")
             return printHelp();
         else {

@@ -174,6 +174,18 @@ parseSizeArg(const char *arg, std::size_t &value)
     return true;
 }
 
+/** --workers: a whole count in [0, 2^20] (0 = QLA_THREADS, then the
+ *  hardware concurrency). */
+bool
+parseWorkersArg(const char *arg, int &workers)
+{
+    std::size_t value = 0;
+    if (!parseSizeArg(arg, value) || value > (std::size_t{1} << 20))
+        return false;
+    workers = static_cast<int>(value);
+    return true;
+}
+
 int
 emitResult(const std::string &out_path, const std::string &output)
 {
@@ -209,9 +221,10 @@ cmdRun(int argc, char **argv)
             out_path = value;
         else if (arg == "--checkpoint" && (value = next()))
             options.checkpointPath = value;
-        else if (arg == "--workers" && (value = next()))
-            options.workers = std::atoi(value);
-        else if (arg == "--checkpoint-every" && (value = next())) {
+        else if (arg == "--workers" && (value = next())) {
+            if (!parseWorkersArg(value, options.workers))
+                return usage("bad --workers");
+        } else if (arg == "--checkpoint-every" && (value = next())) {
             if (!parseSizeArg(value, options.checkpointEveryChunks)
                 || options.checkpointEveryChunks == 0)
                 return usage("bad --checkpoint-every");
@@ -377,9 +390,10 @@ cmdServe(int argc, char **argv)
         const char *value = nullptr;
         if (arg == "--queue" && (value = next()))
             queue_dir = value;
-        else if (arg == "--workers" && (value = next()))
-            workers = std::atoi(value);
-        else if (arg == "--once")
+        else if (arg == "--workers" && (value = next())) {
+            if (!parseWorkersArg(value, workers))
+                return usage("bad --workers");
+        } else if (arg == "--once")
             once = true;
         else
             return usage(("unknown serve option '" + arg + "'").c_str());
