@@ -38,6 +38,8 @@ struct PendingDemand
     std::uint64_t backoffUntil = 0;
 };
 
+constexpr std::size_t kNoSlot = ~std::size_t{0};
+
 /** A gate occupying its operands (and gadget ancilla tiles). */
 struct ActiveGate
 {
@@ -84,7 +86,9 @@ class CoSimEngine
                 slotsForWindow()),
           placement_(extent.width, extent.height,
                      program.config().tilesPerIslandX),
-          deps_remaining_(program.gates().size())
+          deps_remaining_(program.gates().size()),
+          slot_of_(program.gates().size(), kNoSlot),
+          active_users_(program.circuit().numQubits(), 0)
     {
         // Spread the data qubits out so every neighborhood keeps free
         // tiles for gadget-ancilla blocks and drift (capped: scattering
@@ -248,25 +252,62 @@ class CoSimEngine
             return false;
         active.undeliveredFor.resize(
             static_cast<std::size_t>(gate.durationWindows));
-        active_.insert(lowerBoundById(id), std::move(active));
+        // Gates mostly activate in id order, so the insertion point is
+        // found by walking back from the end.
+        std::size_t slot = active_.size();
+        while (slot > 0 && active_[slot - 1].id > id)
+            --slot;
+        active_.insert(active_.begin() + static_cast<std::ptrdiff_t>(slot),
+                       std::move(active));
+        reindexFrom(slot);
+        for (const std::size_t q : gate.qubits)
+            ++active_users_[q];
+        checkActiveTable();
         return true;
     }
 
-    /** Position of gate @p id in the id-sorted active_ vector (or the
-     *  insertion point when absent). The single place that encodes the
-     *  ordering invariant. */
-    std::vector<ActiveGate>::iterator lowerBoundById(std::size_t id)
+    /** Remove completed gate @p id from active_. */
+    void deactivate(std::size_t id)
     {
-        return std::lower_bound(
-            active_.begin(), active_.end(), id,
-            [](const ActiveGate &g, std::size_t v) { return g.id < v; });
+        const std::size_t slot = slot_of_[id];
+        slot_of_[id] = kNoSlot;
+        active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(slot));
+        reindexFrom(slot);
+        for (const std::size_t q : program_.gates()[id].qubits)
+            --active_users_[q];
+        checkActiveTable();
     }
 
-    bool isActive(std::size_t id)
+    /** Point slot_of_ at every active gate from @p slot on (the ones an
+     *  insert or erase shifted). */
+    void reindexFrom(std::size_t slot)
     {
-        const auto it = lowerBoundById(id);
-        return it != active_.end() && it->id == id;
+        for (; slot < active_.size(); ++slot)
+            slot_of_[active_[slot].id] = slot;
     }
+
+    /** Debug builds: the id->slot map and the per-qubit use counts
+     *  agree with a scan of active_, which is sorted by id. */
+    void checkActiveTable() const
+    {
+#ifndef NDEBUG
+        std::vector<std::uint32_t> users(active_users_.size(), 0);
+        std::vector<std::size_t> slot_of(slot_of_.size(), kNoSlot);
+        for (std::size_t slot = 0; slot < active_.size(); ++slot) {
+            const std::size_t id = active_[slot].id;
+            qla_assert(slot == 0 || active_[slot - 1].id < id,
+                       "active gates out of id order at slot ", slot);
+            slot_of[id] = slot;
+            for (const std::size_t q : program_.gates()[id].qubits)
+                ++users[q];
+        }
+        qla_assert(slot_of == slot_of_, "active-gate slot map is stale");
+        qla_assert(users == active_users_,
+                   "per-qubit active use counts are stale");
+#endif
+    }
+
+    bool isActive(std::size_t id) const { return slot_of_[id] != kNoSlot; }
 
     void startReadyGates()
     {
@@ -404,12 +445,12 @@ class CoSimEngine
                     const IslandCoord dst = placement_.islandOf(
                         entityOf(g, inter.target));
                     emitOne(g, rel, slot++, src, dst,
-                            program_.config().pairsPerInteraction);
+                            kToffoliPairsPerInteraction);
                     // Without drift the mover teleports straight back:
                     // round-trip traffic on the reverse links.
                     if (!config_.driftOptimization)
                         emitOne(g, rel, slot++, dst, src,
-                                program_.config().pairsPerInteraction);
+                                kToffoliPairsPerInteraction);
                 }
             }
         }
@@ -449,17 +490,12 @@ class CoSimEngine
     TileBand memoryBand() const { return {computeBand().xEnd}; }
 
     /** True when @p q is an operand of an active gate other than
-     *  @p gate (its tile must not move under that gate). */
+     *  active gate @p gate (its tile must not move under that gate). */
     bool pinnedByOther(EntityId q, std::size_t gate) const
     {
-        for (const ActiveGate &g : active_) {
-            if (g.id == gate)
-                continue;
-            const auto &qs = program_.gates()[g.id].qubits;
-            if (std::find(qs.begin(), qs.end(), q) != qs.end())
-                return true;
-        }
-        return false;
+        const auto &own = program_.gates()[gate].qubits;
+        return active_users_[q] > static_cast<std::uint32_t>(
+                   std::count(own.begin(), own.end(), q));
     }
 
     /**
@@ -558,15 +594,11 @@ class CoSimEngine
     bool evictColdest(ActiveGate &g, std::size_t &slot)
     {
         const std::size_t n = program_.circuit().numQubits();
-        std::vector<bool> pinned(n, false);
-        for (const ActiveGate &a : active_)
-            for (const std::size_t q : program_.gates()[a.id].qubits)
-                pinned[q] = true;
         constexpr std::uint64_t kNever = ~std::uint64_t{0};
         EntityId victim = kNoEntity;
         std::uint64_t victim_next = 0;
         for (std::size_t q = 0; q < n; ++q) {
-            if (pinned[q] || !placement_.isPlaced(q)
+            if (active_users_[q] > 0 || !placement_.isPlaced(q)
                 || !inCompute(placement_.tileOf(q)))
                 continue;
             const auto &uses = uses_of_[q];
@@ -746,10 +778,8 @@ class CoSimEngine
 
     ActiveGate &gateById(std::size_t id)
     {
-        const auto it = lowerBoundById(id);
-        qla_assert(it != active_.end() && it->id == id,
-                   "active gate ", id, " not found");
-        return *it;
+        qla_assert(isActive(id), "active gate ", id, " not found");
+        return active_[slot_of_[id]];
     }
 
     /** Commit (or stall) the current window of started gate @p g.
@@ -823,7 +853,7 @@ class CoSimEngine
             if (--deps_remaining_[s] == 0)
                 ready_.push_back(s);
         std::sort(ready_.begin(), ready_.end());
-        active_.erase(lowerBoundById(id));
+        deactivate(id);
         ++report_.gates;
         return true;
     }
@@ -883,6 +913,11 @@ class CoSimEngine
     std::vector<std::size_t> imminent_;
     std::vector<std::size_t> ready_;   // sorted gate ids
     std::vector<ActiveGate> active_;   // sorted by id
+    /** Per gate id: its slot in active_, or kNoSlot when inactive. */
+    std::vector<std::size_t> slot_of_;
+    /** Per data qubit: active gates (pre-activated included) listing it
+     *  as an operand, counted with multiplicity. */
+    std::vector<std::uint32_t> active_users_;
     std::vector<PendingDemand> pending_;
     /** routeWindow's carry-over buffer, swapped with pending_. */
     std::vector<PendingDemand> still_pending_;

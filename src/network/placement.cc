@@ -1,6 +1,7 @@
 #include "network/placement.h"
 
 #include <algorithm>
+#include <limits>
 
 namespace qla::network {
 
@@ -71,6 +72,13 @@ TilePlacement::moveTo(EntityId entity, const TileCoord &tile)
 std::optional<TileCoord>
 TilePlacement::nearestFree(const TileCoord &near, const TileBand &band) const
 {
+    return nearestFreeWithin(near, band, std::numeric_limits<int>::max());
+}
+
+std::optional<TileCoord>
+TilePlacement::nearestFreeWithin(const TileCoord &near, const TileBand &band,
+                                 int radius_cap) const
+{
     qla_assert(inBounds(near), "tile out of bounds");
     const int x_begin = std::max(band.xBegin, 0);
     const int x_end = std::min(band.xEnd, tile_width_);
@@ -86,9 +94,10 @@ TilePlacement::nearestFree(const TileCoord &near, const TileBand &band) const
     // within a ring, a fixed deterministic walk (decreasing dx from +r
     // to -r, y below before above). Columns outside the band or without
     // a free tile are skipped, which leaves the first hit unchanged.
-    const int max_radius =
+    const int max_radius = std::min(
+        radius_cap,
         std::max(near.x - x_begin, x_end - 1 - near.x)
-        + std::max(near.y, tile_height_ - 1 - near.y);
+            + std::max(near.y, tile_height_ - 1 - near.y));
     for (int r = 0; r <= max_radius; ++r) {
         const int dx_hi = std::min(r, x_end - 1 - near.x);
         const int dx_lo = std::max(-r, x_begin - near.x);
@@ -116,15 +125,20 @@ TilePlacement::driftToward(EntityId entity, EntityId partner,
     const TileCoord from = tileOf(entity);
     const TileCoord target = tileOf(partner);
     const IslandCoord target_island = islandOf(target);
-    if (islandOf(from) == target_island)
+    const int distance = islandDistance(islandOf(from), target_island);
+    if (distance == 0)
         return false; // already co-located: nothing to gain
-    const auto free = nearestFree(target, band);
-    if (!free)
-        return false;
     // Only move when it brings the pair strictly closer in island-grid
-    // distance ("only moved back if necessary" -- never drift away).
-    if (islandDistance(islandOf(*free), target_island)
-        >= islandDistance(islandOf(from), target_island))
+    // distance ("only moved back if necessary" -- never drift away). A
+    // tile r rings from the target is at least floor(|dx| / k) + |dy|
+    // islands away (k = tilesPerIslandX, r = |dx| + |dy|), so past ring
+    // k * distance - 1 every tile is at least `distance` islands away
+    // and would be refused: the ring walk stops there. Inside the cap
+    // the first free tile is the uncapped walk's first hit.
+    const auto free = nearestFreeWithin(
+        target, band, tiles_per_island_x_ * distance - 1);
+    if (!free
+        || islandDistance(islandOf(*free), target_island) >= distance)
         return false;
     moveTo(entity, *free);
     return true;

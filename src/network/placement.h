@@ -162,6 +162,13 @@ class TilePlacement
     std::vector<EntityId> placedEntities() const;
 
   private:
+    /** nearestFree restricted to rings of Manhattan radius at most
+     *  @p radius_cap around @p near (empty when none of them has a
+     *  free tile of the band). */
+    std::optional<TileCoord> nearestFreeWithin(const TileCoord &near,
+                                               const TileBand &band,
+                                               int radius_cap) const;
+
     std::size_t tileIndex(const TileCoord &t) const
     {
         return static_cast<std::size_t>(t.y) * tile_width_ + t.x;

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "network/scheduler.h"
 
 namespace qla::network {
 
@@ -59,10 +60,7 @@ ProgramWorkload::ProgramWorkload(circuit::QuantumCircuit circuit,
     qla_assert(config_.tilesPerIslandX >= 1,
                "tilesPerIslandX must be >= 1, got ",
                config_.tilesPerIslandX);
-    qla_assert(config_.toffoliInteractionsPerWindow >= 0,
-               "toffoliInteractionsPerWindow must be >= 0, got ",
-               config_.toffoliInteractionsPerWindow);
-    const int count = config_.toffoliInteractionsPerWindow;
+    const int count = kToffoliInteractionsPerWindow;
     const int prep = static_cast<int>(config_.toffoli.prepEccSteps);
     for (int w = 0; w < gateDuration(circuit::OpKind::Toffoli, config_); ++w) {
         const MemberInteraction *cycle =
@@ -118,8 +116,8 @@ ProgramWorkload::interactionsForWindow(std::size_t gate, int window) const
       case circuit::OpKind::Swap:
         return kTwoQubit;
       case circuit::OpKind::Toffoli: {
-        const auto count =
-            static_cast<std::size_t>(config_.toffoliInteractionsPerWindow);
+        constexpr auto count =
+            static_cast<std::size_t>(kToffoliInteractionsPerWindow);
         return std::span<const MemberInteraction>(toffoli_table_)
             .subspan(static_cast<std::size_t>(window) * count, count);
       }

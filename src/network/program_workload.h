@@ -16,9 +16,13 @@
  *    physical data ion -- 49 at level 2);
  *  - Toffoli: the fault-tolerant gadget of Section 5 -- 6 logical
  *    ancilla qubits, 15 EC windows of ancilla preparation plus 6 to
- *    finish, with `toffoliInteractionsPerWindow` interacting logical
+ *    finish, with kToffoliInteractionsPerWindow interacting logical
  *    pairs in each window (ancilla-network pairs while preparing,
  *    operand-ancilla pairs while finishing).
+ *
+ * Pairs per interaction and interactions per Toffoli window are the
+ * paper's constants in network/scheduler.h, shared with the synthetic
+ * Section-5 experiment (runSyntheticScheduler).
  *
  * The co-simulator (network/cosim.h) executes this DAG as a loop over
  * EC windows: gate windows advance only when their EPR demands were
@@ -44,10 +48,6 @@ struct ProgramConfig
     /** Logical-qubit tiles per mesh island in x (paper: an island every
      *  third logical qubit for the 100-cell separation); >= 1. */
     int tilesPerIslandX = 3;
-    /** EPR pairs per transversal logical interaction (49 ions at L2). */
-    std::uint64_t pairsPerInteraction = 49;
-    /** Interacting logical pairs per window of a running Toffoli; >= 0. */
-    int toffoliInteractionsPerWindow = 2;
     /** Fault-tolerant Toffoli gadget shape (15 + 6 windows, 6 ancilla). */
     apps::ToffoliGadget toffoli;
 };
@@ -143,7 +143,7 @@ class ProgramWorkload
     ProgramConfig config_;
     std::vector<LogicalGate> gates_;
     /** Toffoli interactions, window-major: window w's are entries
-     *  [w * toffoliInteractionsPerWindow, (w + 1) * ...). */
+     *  [w * kToffoliInteractionsPerWindow, (w + 1) * ...). */
     std::vector<MemberInteraction> toffoli_table_;
 };
 

@@ -87,7 +87,9 @@ inline constexpr int kSlackWindows = 3;
 inline constexpr int kToffoliWindows = 21;
 /** Interacting logical pairs per window of a running Toffoli. */
 inline constexpr int kToffoliInteractionsPerWindow = 2;
-/** EPR pairs per logical interaction (49 physical ions at L2). */
+/** EPR pairs per transversal logical interaction (49 physical ions at
+ *  L2). The co-sim charges it to every interaction it lowers, two-qubit
+ *  gates included. */
 inline constexpr std::uint64_t kToffoliPairsPerInteraction = 49;
 /** Operand spread: max island-grid distance per axis between a
  *  Toffoli's center and each of its qubits. */

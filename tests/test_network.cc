@@ -903,6 +903,90 @@ TEST(TilePlacement, DriftMovesTowardPartnerIsland)
     EXPECT_TRUE(banded.isBijective());
 }
 
+TEST(TilePlacement, DriftMatchesUncappedReference)
+{
+    // driftToward stops its ring walk at ring k * d - 1 (k tiles per
+    // island in x, d the mover's island distance to its partner), since
+    // every tile past it is at least d islands away and would be
+    // refused. Reference: the uncapped nearestFree plus the same
+    // strictly-closer rule.
+    const auto reference = [](TilePlacement &placement, EntityId entity,
+                              EntityId partner, const TileBand &band) {
+        const IslandCoord target = placement.islandOf(partner);
+        const int distance =
+            islandDistance(placement.islandOf(entity), target);
+        if (distance == 0)
+            return false;
+        const auto free =
+            placement.nearestFree(placement.tileOf(partner), band);
+        if (!free
+            || islandDistance(placement.islandOf(*free), target)
+                >= distance)
+            return false;
+        placement.moveTo(entity, *free);
+        return true;
+    };
+    Rng rng(22);
+    std::uint64_t moves = 0, refusals = 0, edge_moves = 0;
+    const std::pair<int, int> meshes[] = {{2, 2}, {3, 5}, {6, 4}, {9, 9}};
+    for (int tpx = 1; tpx <= 4; ++tpx)
+        for (const auto &[mesh_w, mesh_h] : meshes)
+            for (const double density : {0.2, 0.6, 0.9, 0.98}) {
+                TilePlacement placement(mesh_w, mesh_h, tpx);
+                const int w = placement.tileWidth();
+                EntityId placed = 0;
+                for (int y = 0; y < placement.tileHeight(); ++y)
+                    for (int x = 0; x < w; ++x)
+                        if (rng.bernoulli(density))
+                            placement.assign(placed++, {x, y});
+                if (placed < 2)
+                    continue;
+                // Compute/memory split at a whole island column, as the
+                // co-sim's region bands are.
+                const int split = tpx
+                    * (1 + static_cast<int>(rng.uniformInt(
+                           static_cast<std::uint64_t>(mesh_w - 1))));
+                const TileBand bands[] = {{}, {0, split}, {split}};
+                for (int step = 0; step < 150; ++step) {
+                    const EntityId entity = rng.uniformInt(placed);
+                    const EntityId partner =
+                        (entity + 1 + rng.uniformInt(placed - 1)) % placed;
+                    const TileBand &band = bands[rng.uniformInt(3)];
+                    const TileCoord to = placement.tileOf(partner);
+                    const int distance =
+                        islandDistance(placement.islandOf(entity),
+                                       placement.islandOf(partner));
+                    TilePlacement expect = placement;
+                    const bool want =
+                        reference(expect, entity, partner, band);
+                    const bool got =
+                        placement.driftToward(entity, partner, band);
+                    ASSERT_EQ(got, want)
+                        << "tpx " << tpx << " mesh " << mesh_w << "x"
+                        << mesh_h << " density " << density << " step "
+                        << step;
+                    ASSERT_EQ(placement.tileOf(entity),
+                              expect.tileOf(entity))
+                        << "tpx " << tpx << " step " << step;
+                    if (!got) {
+                        ++refusals;
+                        continue;
+                    }
+                    ++moves;
+                    const TileCoord at = placement.tileOf(entity);
+                    // A move that lands on the cap ring itself.
+                    if (std::abs(at.x - to.x) + std::abs(at.y - to.y)
+                        == tpx * distance - 1)
+                        ++edge_moves;
+                }
+                ASSERT_TRUE(placement.isBijective());
+            }
+    // Both outcomes, and moves landing on the cap ring, were exercised.
+    EXPECT_GT(moves, 1000u);
+    EXPECT_GT(refusals, 1000u);
+    EXPECT_GT(edge_moves, 50u);
+}
+
 TEST(TilePlacement, HilbertOrderCoversEveryTileOnce)
 {
     for (const auto &[w, h] : {std::pair{5, 7}, {8, 8}, {12, 3}}) {
@@ -1052,46 +1136,43 @@ TEST(ProgramWorkload, ToffoliInteractionTableMatchesCyclicSchedule)
     c.cz(1, 4);         // gate 3
     c.swapGate(3, 4);   // gate 4
     c.h(0);             // gate 5
-    for (const int count : {0, 1, 2, 3, 7}) {
-        ProgramConfig config;
-        config.toffoliInteractionsPerWindow = count;
-        const ProgramWorkload program(c, config);
-        const int duration = program.gates()[0].durationWindows;
-        ASSERT_EQ(duration, 21);
-        for (int w = 0; w < duration; ++w) {
-            const auto got = program.interactionsForWindow(0, w);
-            ASSERT_EQ(got.size(), static_cast<std::size_t>(count));
-            const auto &cycle = w < 15 ? prep : finish;
-            for (int i = 0; i < count; ++i) {
-                const MemberInteraction &want = cycle[(w * count + i) % 6];
-                EXPECT_EQ(got[static_cast<std::size_t>(i)].mover,
-                          want.mover)
-                    << "count " << count << " window " << w << " i " << i;
-                EXPECT_EQ(got[static_cast<std::size_t>(i)].target,
-                          want.target)
-                    << "count " << count << " window " << w << " i " << i;
-            }
-            // Every Toffoli gate reads the one lowered table.
-            const auto other = program.interactionsForWindow(2, w);
-            EXPECT_EQ(other.data(), got.data());
-            EXPECT_EQ(other.size(), got.size());
+    constexpr int count = kToffoliInteractionsPerWindow;
+    const ProgramWorkload program(c);
+    const int duration = program.gates()[0].durationWindows;
+    ASSERT_EQ(duration, 21);
+    for (int w = 0; w < duration; ++w) {
+        const auto got = program.interactionsForWindow(0, w);
+        ASSERT_EQ(got.size(), static_cast<std::size_t>(count));
+        const auto &cycle = w < 15 ? prep : finish;
+        for (int i = 0; i < count; ++i) {
+            const MemberInteraction &want = cycle[(w * count + i) % 6];
+            EXPECT_EQ(got[static_cast<std::size_t>(i)].mover,
+                      want.mover)
+                << "window " << w << " i " << i;
+            EXPECT_EQ(got[static_cast<std::size_t>(i)].target,
+                      want.target)
+                << "window " << w << " i " << i;
         }
-        const auto cnot = program.interactionsForWindow(1, 0);
-        ASSERT_EQ(cnot.size(), 1u);
-        EXPECT_EQ(cnot[0].mover, op[0]);
-        EXPECT_EQ(cnot[0].target, op[1]);
-        const auto cz = program.interactionsForWindow(3, 0);
-        ASSERT_EQ(cz.size(), 1u);
-        EXPECT_EQ(cz[0].mover, op[0]);
-        EXPECT_EQ(cz[0].target, op[1]);
-        const auto swap = program.interactionsForWindow(4, 0);
-        ASSERT_EQ(swap.size(), 2u);
-        EXPECT_EQ(swap[0].mover, op[0]);
-        EXPECT_EQ(swap[0].target, op[1]);
-        EXPECT_EQ(swap[1].mover, op[1]);
-        EXPECT_EQ(swap[1].target, op[0]);
-        EXPECT_TRUE(program.interactionsForWindow(5, 0).empty());
+        // Every Toffoli gate reads the one lowered table.
+        const auto other = program.interactionsForWindow(2, w);
+        EXPECT_EQ(other.data(), got.data());
+        EXPECT_EQ(other.size(), got.size());
     }
+    const auto cnot = program.interactionsForWindow(1, 0);
+    ASSERT_EQ(cnot.size(), 1u);
+    EXPECT_EQ(cnot[0].mover, op[0]);
+    EXPECT_EQ(cnot[0].target, op[1]);
+    const auto cz = program.interactionsForWindow(3, 0);
+    ASSERT_EQ(cz.size(), 1u);
+    EXPECT_EQ(cz[0].mover, op[0]);
+    EXPECT_EQ(cz[0].target, op[1]);
+    const auto swap = program.interactionsForWindow(4, 0);
+    ASSERT_EQ(swap.size(), 2u);
+    EXPECT_EQ(swap[0].mover, op[0]);
+    EXPECT_EQ(swap[0].target, op[1]);
+    EXPECT_EQ(swap[1].mover, op[1]);
+    EXPECT_EQ(swap[1].target, op[0]);
+    EXPECT_TRUE(program.interactionsForWindow(5, 0).empty());
 }
 
 TEST(ProgramWorkload, RejectsInvalidConfig)
@@ -1102,10 +1183,6 @@ TEST(ProgramWorkload, RejectsInvalidConfig)
     no_tiles.tilesPerIslandX = 0;
     EXPECT_DEATH({ const ProgramWorkload program(c, no_tiles); },
                  "tilesPerIslandX must be >= 1");
-    ProgramConfig negative;
-    negative.toffoliInteractionsPerWindow = -1;
-    EXPECT_DEATH({ const ProgramWorkload program(c, negative); },
-                 "toffoliInteractionsPerWindow must be >= 0");
 }
 
 TEST(ProgramWorkload, MeshSizingFitsProgram)
