@@ -111,7 +111,7 @@ BENCHMARK(BM_BatchedRunShotL2)->Arg(10)->Arg(30);
 
 constexpr std::size_t kSweepShots = 2048;
 
-/** Single-thread defaults (group of 16 words + lane compaction): the
+/** Single-thread defaults (group of 32 words + lane compaction): the
  *  engine-level speedup, comparable across machines. */
 McRunOptions
 singleThreadOptions()

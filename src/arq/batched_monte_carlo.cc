@@ -49,7 +49,6 @@ struct BatchedLogicalQubitExperiment::Recording
     /** Shadow class of each primary class (index = primary id). */
     std::vector<std::uint8_t> shadowOfPrimary;
     std::uint8_t clsCorr = 0; // shadow gate1 class for corrections
-    RelocatedSegments relocated;
 };
 
 namespace {
@@ -168,8 +167,6 @@ BatchedLogicalQubitExperiment::BatchedLogicalQubitExperiment(
         models_.emplace_back(classes_);
         flips_[w].reserve(n_ * n_);
     }
-    retry_pool_ = std::make_unique<PrepRetryPool>(
-        code_, recording_->relocated, max_prep_attempts_, classes_);
 }
 
 BatchedLogicalQubitExperiment::~BatchedLogicalQubitExperiment() = default;
@@ -186,9 +183,8 @@ BatchedLogicalQubitExperiment::ion(std::size_t n, std::size_t c,
 // Trace recording. Each recorder mirrors its scalar twin in
 // monte_carlo.cc operation for operation; only the execution strategy
 // differs (emit once here, replay word-parallel later). The row-level
-// prep/verify segments live in TileRowRecorder, shared with the
-// lane-compaction pool so the relocated retry traces can never drift
-// from these.
+// prep/verify segments live in TileRowRecorder, which records them at
+// every site's row base.
 //
 
 std::size_t
@@ -257,9 +253,7 @@ BatchedLogicalQubitExperiment::Recording::Recording(
     const ecc::CssCode &code, const NoiseParameters &noise,
     const LayoutDistances &layout, const NoiseClassTable &classes)
     : shadowOfPrimary(shadowMap(classes)),
-      clsCorr(shadowOfPrimary[0]), // gate1 is bind()'s first class
-      relocated(TileRowRecorder(code, noise, layout), code.blockLength(),
-                classes, shadowOfPrimary)
+      clsCorr(shadowOfPrimary[0]) // gate1 is bind()'s first class
 {
     const std::size_t n = code.blockLength();
     const TileRowRecorder rows(code, noise, layout);
@@ -398,25 +392,6 @@ BatchedLogicalQubitExperiment::decodeXLogicalPlane(
 // Driver building blocks.
 //
 
-bool
-BatchedLogicalQubitExperiment::compactionWorthwhile(const LaneSet &mask,
-                                                    std::size_t sites) const
-{
-    if (!options_.laneCompaction)
-        return false;
-    const std::uint32_t words = mask.activeWords();
-    if (words < 2)
-        return false;
-    // Cost gate: a dense replay saves (words - dense) word replays per
-    // site per attempt, while the one-off transplant in/out costs
-    // O(migrated lanes). Compact only when the saving clearly wins; the
-    // factor approximates (replayed ops per saved word) / (transplant
-    // ops per lane), calibrated on the Figure-7 tail.
-    const std::uint64_t count = mask.count();
-    const std::uint64_t dense = (count + kBatchLanes - 1) / kBatchLanes;
-    return (words - dense) * sites * 16 >= count;
-}
-
 void
 BatchedLogicalQubitExperiment::prepVerified(std::size_t c, std::size_t g,
                                             Role role, bool plus,
@@ -432,16 +407,6 @@ BatchedLogicalQubitExperiment::prepVerified(std::size_t c, std::size_t g,
     while (mask.any() && attempts < max_prep_attempts_) {
         ++attempts;
         shadow_ = caller_shadow || attempts > 1;
-        if (shadow_ && compactionWorthwhile(mask, 1)) {
-            // Sparse retry (or sparse re-extraction subtree): regroup
-            // the surviving lanes into dense words and finish their
-            // attempts there. Draw-for-draw identical to replaying in
-            // place -- see arq/lane_compaction.h.
-            retry_pool_->runRetries(plus, mask, attempts, frames_,
-                                    models_, ion(c, g, role, 0), stats);
-            shadow_ = caller_shadow;
-            return;
-        }
         replaySeg(Seg::PrepRound, c, g, static_cast<std::size_t>(role),
                   plus, mask);
         for (std::uint32_t w = 0; w < mask.n; ++w) {
@@ -567,19 +532,8 @@ BatchedLogicalQubitExperiment::prepL2AttemptRound(std::size_t c, bool plus,
     const std::size_t num_checks = plus ? x_check_bits_.size()
                                         : z_check_bits_.size();
     const BitList &logical = plus ? logical_x_bits_ : logical_z_bits_;
-    std::array<std::size_t, 32> sites;
     for (std::size_t g = 0; g < n_; ++g)
-        sites[g] = ion(c, g, Role::Data, 0);
-    if (shadow_ && compactionWorthwhile(mask, n_)) {
-        // The per-group preps of one attempt share this mask, so one
-        // transplant serves all of them -- profitable even at the
-        // moderate fills of a "Start Over" round.
-        retry_pool_->runPrepSeries(false, mask, sites.data(), n_,
-                                   frames_, models_, stats);
-    } else {
-        for (std::size_t g = 0; g < n_; ++g)
-            prepVerified(c, g, Role::Data, false, mask, stats);
-    }
+        prepVerified(c, g, Role::Data, false, mask, stats);
     replaySeg(Seg::L2Network, c, 0, 0, plus, mask);
     for (std::size_t g = 0; g < n_; ++g)
         ecCycleL1(c, g, mask, stats);

@@ -15,12 +15,12 @@
  * Shot groups: the experiment simulates BatchOptions::groupWords words
  * (up to kMaxGroupWords x 64 shots) in lockstep, each word with its own
  * frame and noise model. Running words side by side is what enables
- * lane compaction: when the surviving lanes of a verified-preparation
- * retry, or of a level-2 retry subtree, are spread thinly enough across
- * the group that regrouping pays (each mechanism has its own cost
- * gate), they are regrouped -- rng streams and sampler clocks carried
- * along -- into fresh dense words (arq/lane_compaction.h) instead of
- * replaying every nearly-empty word.
+ * lane compaction: when the surviving lanes of a level-2 retry subtree
+ * are spread across more words than they would fill densely, they are
+ * regrouped -- rng streams and sampler clocks carried along -- into a
+ * dense twin experiment (arq/lane_compaction.h) instead of replaying
+ * every nearly-empty word. Verified-preparation retries replay in
+ * place.
  *
  * Recording: the schedule belongs to the layout, not to the error rate.
  * A recording depends only on the code, the layout distances, the
@@ -84,7 +84,6 @@ struct LaneSet
     std::uint32_t activeWords() const;
 };
 
-class PrepRetryPool;
 class SegmentPool;
 struct SamplerClassMap;
 
@@ -245,24 +244,16 @@ class BatchedLogicalQubitExperiment
     // the group.
     //
 
-    /**
-     * True when regrouping the mask into dense words beats replaying it
-     * in place, for a replay of @p sites consecutive same-mask prep
-     * sites (the per-lane transplant cost amortizes over the sites).
-     */
-    bool compactionWorthwhile(const LaneSet &mask,
-                              std::size_t sites) const;
-
     //
     // Subtree regrouping: the two retry-heavy far-above-threshold
     // subtrees -- the level-2 "Start Over" rounds and the repeated
     // level-2 extraction -- migrate their surviving lanes into a dense
     // twin experiment and run there in full, one migration amortized
     // over the whole subtree (thousands of ops). The twin is bound to
-    // the parent's recording and class table, so its traces, class ids
-    // and nested prep pool's relocated traces are the parent's own;
-    // migration transplants each lane's rng stream and shadow-sampler
-    // clocks, keeping results bit-identical with the in-place replay.
+    // the parent's recording and class table, so its traces and class
+    // ids are the parent's own; migration transplants each lane's rng
+    // stream and shadow-sampler clocks, keeping results bit-identical
+    // with the in-place replay.
     //
 
     /** One attempt round of the level-2 verified ancilla preparation;
@@ -319,7 +310,7 @@ class BatchedLogicalQubitExperiment
     std::size_t n_; // block length (7)
     /** This point's fault probabilities, in the recording's class ids. */
     NoiseClassTable classes_;
-    /** The tile schedule: traces, shadow map, relocated prep traces. */
+    /** The tile schedule: traces and shadow map. */
     std::shared_ptr<const Recording> recording_;
     /**
      * True while replaying a retry / conditional subtree. Decides the
@@ -335,10 +326,8 @@ class BatchedLogicalQubitExperiment
     quantum::GroupPauliFrames frames_;
     std::vector<BatchedNoiseModel> models_;
     std::array<std::vector<std::uint64_t>, kMaxGroupWords> flips_;
-    std::unique_ptr<PrepRetryPool> retry_pool_;
 
-    /** False in the twin itself (no recursive twin regrouping; the
-     *  prep-retry pool still runs inside the twin). */
+    /** False in the twin itself (no recursive twin regrouping). */
     bool subtree_enabled_ = true;
     std::unique_ptr<BatchedLogicalQubitExperiment> twin_; // lazy
     std::unique_ptr<SegmentPool> twin_pool_;              // lazy

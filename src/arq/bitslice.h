@@ -1,7 +1,8 @@
 /**
  * @file
- * Bit-sliced classical decoding primitives shared by the batched
- * Monte-Carlo driver and the lane-compaction retry pool.
+ * Bit-sliced classical decoding primitives of the batched Monte-Carlo
+ * driver, plus the bit extract/deposit that lane compaction's row
+ * gather/scatter is built on.
  *
  * Measurement flips are words over 64 shot lanes; a syndrome is one
  * parity plane per check row (XOR of the flip words the row selects),

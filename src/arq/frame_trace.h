@@ -391,9 +391,10 @@ struct BatchedNoiseModel
 /**
  * Replay @p trace on @p frame for the lanes in @p active. Measurement
  * flip words are appended to @p flips in op order (the caller clears the
- * buffer between replays). Takes the concrete engine so every gate and
- * readout compiles to direct word operations -- replay is the Monte
- * Carlo's innermost loop. The trace must be finalized
+ * buffer between replays). The batched Monte Carlo replays through
+ * replayTraceGroup; this one-word form is the reference its tile
+ * carvings are checked against lane by lane (tests/test_batched_frame.cc).
+ * The trace must be finalized
  * (finalizeTraceClassSites): the active lanes' clocks are walked over
  * the whole trace first, then the word replays through the compiled
  * effect model or the op interpreter, whichever the cost model prices

@@ -12,29 +12,22 @@
  * dense words and replay there, one dense word instead of many sparse
  * ones.
  *
- * The machinery has two layers:
- *
- * - SegmentPool is the migration engine every pooled path shares: it
- *   plans the (word, lane) -> dense-slot assignment, transplants each
- *   migrated lane's identity (its per-shot rng stream by value, its
- *   noise-clock state in every relevant sampler class exported/imported
- *   through BernoulliWordSampler::exportLane/importLane), and moves
- *   frame rows and result bit-planes between home lane positions and
- *   dense slots.
- *
- * - PrepRetryPool replays the relocated verified-preparation traces
- *   (RelocatedSegments, recorded by the same TileRowRecorder as the
- *   in-place traces, at fixed scratch rows, and shared with the rest of
- *   the tile recording) against a small scratch frame. Its noise
- *   classes are pool-local and mapped to the parent's shadow classes of
- *   the same probability, so a migrated lane's clocks transplant
- *   between its home shadow samplers and the pool samplers.
- *
- * Whole sparse subtrees (level-2 "Start Over" rounds, repeated level-2
- * extraction) instead migrate into a dense twin experiment
- * (arq/batched_monte_carlo.cc) -- same SegmentPool engine, identity
- * class map, no relocation needed because the twin is bound to the
- * parent's recording and shares the tile's qubit indexing.
+ * Regrouping is one path. SegmentPool plans the (word, lane) ->
+ * dense-slot assignment, transplants each migrated lane's identity (its
+ * per-shot rng stream by value, its noise-clock state in every relevant
+ * sampler class exported/imported through
+ * BernoulliWordSampler::exportLane/importLane), and moves frame rows and
+ * result bit-planes between home lane positions and dense slots. Its
+ * one user is the dense twin experiment (arq/batched_monte_carlo.cc):
+ * the level-2 "Start Over" rounds and the repeated level-2 extraction
+ * migrate their surviving lanes into the twin and run there in full,
+ * one migration amortized over the whole subtree. The twin is bound to
+ * the parent's recording and class table, so the class map is the
+ * identity over the shadow classes and no trace is relocated. Sparse
+ * verified-preparation retries replay in place: one prep round
+ * amortizes a migration over too few ops, and regrouping them (on
+ * relocated traces, behind a cost gate of their own) bought only about
+ * 4-5% of tail throughput.
  *
  * The determinism contract survives because a migrated lane consumes
  * draws at exactly the sites, and in exactly the order, it would have
@@ -53,8 +46,6 @@
 #include "arq/batched_monte_carlo.h"
 #include "arq/bitslice.h"
 #include "arq/frame_trace.h"
-#include "arq/tile_schedule.h"
-#include "ecc/css_code.h"
 #include "quantum/batched_frame.h"
 
 namespace qla::arq {
@@ -119,9 +110,8 @@ struct SamplerClassMap
  * rows, and result bit-planes between the home words and the dense
  * destination.
  *
- * The destination of chunk k is one 64-lane word (a scratch frame/model
- * reused per chunk, or word k of a dense twin experiment); the engine
- * itself is agnostic.
+ * The destination of chunk k is word k of a dense twin experiment's
+ * group frame and noise models.
  */
 class SegmentPool
 {
@@ -181,16 +171,10 @@ class SegmentPool
                    std::size_t dense_word, std::size_t dense_q) const;
 
     /**
-     * Scatter the frame bits of qubit @p dense_q of a dense source --
-     * the one-word frame @p dense, or word @p dense_word of a dense
-     * group frame -- back to chunk @p k's home lanes of qubit
-     * @p home_q; home lanes outside the chunk keep their bits.
+     * Scatter the frame bits of qubit @p dense_q in word @p dense_word
+     * of the dense group frame @p dense back to chunk @p k's home lanes
+     * of qubit @p home_q; home lanes outside the chunk keep their bits.
      */
-    void scatterRow(std::size_t k, quantum::GroupPauliFrames &home,
-                    std::size_t home_q,
-                    const quantum::BatchedPauliFrame &dense,
-                    std::size_t dense_q) const;
-
     void scatterRow(std::size_t k, quantum::GroupPauliFrames &home,
                     std::size_t home_q,
                     const quantum::GroupPauliFrames &dense,
@@ -209,125 +193,6 @@ class SegmentPool
     /** Gathered lane refs, (word, lane)-sorted (see gatherLaneRefs). */
     std::array<LaneRef, kMaxGroupWords * kBatchLanes> refs_;
     std::array<LaneChunkPlan, kMaxGroupWords> plans_;
-};
-
-/**
- * The relocated verified-preparation traces of one tile recording,
- * recorded by the same TileRowRecorder as the in-place traces but at
- * the fixed scratch rows of a PrepRetryPool: target row [0, n),
- * verification row [n, 2n). Like the rest of the recording it is
- * immutable and shared by every experiment bound to it; each
- * experiment's pool only adds scratch state.
- *
- * Its noise classes are pool-local; each maps to the parent's shadow
- * class of the same probability.
- */
-struct RelocatedSegments
-{
-    /**
-     * The sampler classes a pooled prep transplants: exactly the pool
-     * classes the prep traces reference, paired with the parent shadow
-     * classes of the same probability.
-     */
-    struct Classes
-    {
-        std::vector<std::uint8_t> home;  // parent shadow class ids
-        std::vector<std::uint8_t> dense; // pool class ids
-
-        SamplerClassMap map() const
-        {
-            return {home.data(), dense.data(), home.size()};
-        }
-    };
-
-    /**
-     * @param recorder          Records the relocated segments (must be
-     *                          the recorder the parent traces used).
-     * @param parent_classes    The parent experiment's class table.
-     * @param shadow_of_primary Parent shadow class of each primary id.
-     */
-    RelocatedSegments(const TileRowRecorder &recorder,
-                      std::size_t block_length,
-                      const NoiseClassTable &parent_classes,
-                      const std::vector<std::uint8_t> &shadow_of_primary);
-
-    // Indexed by plus.
-    std::array<FrameTrace, 2> prep;
-    Classes prepClasses;
-    /** Parent shadow class of each pool class: a pool's per-point
-     *  class table takes its probabilities from there. */
-    std::vector<std::uint8_t> parentOf;
-};
-
-/**
- * Dense replay engine for sparse verified-preparation retries: their
- * surviving lanes migrate through here instead of replaying
- * nearly-empty words in place. The traces come from a shared
- * RelocatedSegments; the pool owns only the scratch frame, noise model
- * and migration plan of one experiment.
- */
-class PrepRetryPool
-{
-  public:
-    /**
-     * @param segments       The parent's relocated segments (must
-     *                       outlive the pool).
-     * @param parent_classes The parent experiment's class table: the
-     *                       pool samplers take their probabilities from
-     *                       its shadow classes.
-     */
-    PrepRetryPool(const ecc::CssCode &code,
-                  const RelocatedSegments &segments,
-                  int max_prep_attempts,
-                  const NoiseClassTable &parent_classes);
-
-    /**
-     * Run the remaining verified-preparation attempts (the first one
-     * being attempt number @p first_attempt) for every lane in @p mask,
-     * regrouped into dense words. The prepared row starts at parent
-     * qubit @p role_q0; its final state, each lane's rng stream and
-     * sampler clocks are scattered back into @p frames / @p models when
-     * done. (The verification row is dead state after the round -- it
-     * is re-encoded before every later use -- so it stays behind.)
-     */
-    void runRetries(bool plus, const LaneSet &mask, int first_attempt,
-                    quantum::GroupPauliFrames &frames,
-                    std::vector<BatchedNoiseModel> &models,
-                    std::size_t role_q0, ExperimentStats *stats);
-
-    /**
-     * Full verified preparation (attempts from 1) of several sites that
-     * share one lane mask -- the per-group prep loop of the level-2
-     * ancilla -- under a single gather/scatter: the per-lane transplant
-     * cost amortizes over every site, which is what makes regrouping
-     * profitable even at moderate mask fills. Sites execute in order,
-     * each site's retry loop running to completion before the next, so
-     * every lane consumes its stream exactly as the in-place loop
-     * would.
-     */
-    void runPrepSeries(bool plus, const LaneSet &mask,
-                       const std::size_t *site_role_q0,
-                       std::size_t num_sites,
-                       quantum::GroupPauliFrames &frames,
-                       std::vector<BatchedNoiseModel> &models,
-                       ExperimentStats *stats);
-
-  private:
-    /** Dense retry loop of one site; pool frame rows hold the result. */
-    void runAttempts(bool plus, std::uint64_t mask, int first_attempt,
-                     ExperimentStats *stats);
-
-    std::size_t n_; // block length
-    int max_prep_attempts_;
-    const RelocatedSegments &segments_;
-    std::vector<BitList> x_check_bits_;
-    std::vector<BitList> z_check_bits_;
-    BitList logical_x_bits_;
-    BitList logical_z_bits_;
-    quantum::BatchedPauliFrame frame_;
-    BatchedNoiseModel model_;
-    std::vector<std::uint64_t> flips_;
-    SegmentPool mig_;
 };
 
 } // namespace qla::arq

@@ -240,11 +240,11 @@ struct BatchOptions
      */
     std::size_t groupWords = 32;
     /**
-     * Regroup sparse retry masks into dense words: verified-prep
-     * retries through the prep-retry pool, level-2 "Start Over" rounds
-     * and repeated level-2 extractions through the dense twin
-     * experiment (arq/lane_compaction.h). Each path has its own cost
-     * gate; results are bit-identical either way.
+     * Regroup sparse level-2 retry subtrees -- "Start Over" rounds and
+     * repeated level-2 extractions -- into a dense twin experiment
+     * whenever that replays fewer words (arq/lane_compaction.h).
+     * Verified-prep retries always replay in place. Results are
+     * bit-identical either way.
      */
     bool laneCompaction = true;
 };

@@ -2,15 +2,12 @@
  * @file
  * Row-level recorders for the Figure-5 tile schedule.
  *
- * The verified-preparation segment (encode a row, encode its
- * verification row, interact and read out) is recorded in two places:
- * once per tile site by BatchedLogicalQubitExperiment, and once in
- * relocated form (rows at fixed scratch offsets) by the lane-compaction
- * retry pool. Both must emit the exact same operation sequence -- a
- * compacted lane's noise draws replay against the relocated trace and
- * must consume its rng stream exactly as the in-place trace would -- so
- * the recording logic lives here, parameterized only by the two row
- * base indices.
+ * The row-level segments (a verified-preparation round: encode a row,
+ * encode its verification row, interact and read out; a verification
+ * pair; a syndrome extraction round; the level-2 encoding network) are
+ * recorded once per tile site by BatchedLogicalQubitExperiment's
+ * recording. Each is parameterized only by its row base indices, so
+ * every site's trace is the same operation sequence at its own rows.
  */
 
 #ifndef QLA_ARQ_TILE_SCHEDULE_H

@@ -1,5 +1,6 @@
 #include "serve/checkpoint.h"
 
+#include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -93,6 +94,9 @@ struct FieldEncoder
 bool
 parseU64Token(const std::string &token, std::uint64_t &value)
 {
+    // Decimal digits only: strtoull alone would take "-1" as 2^64 - 1.
+    if (token.empty() || token[0] < '0' || token[0] > '9')
+        return false;
     errno = 0;
     char *end = nullptr;
     value = std::strtoull(token.c_str(), &end, 10);
@@ -102,6 +106,9 @@ parseU64Token(const std::string &token, std::uint64_t &value)
 bool
 parseHex64Token(const std::string &token, std::uint64_t &value)
 {
+    if (token.empty()
+        || !std::isxdigit(static_cast<unsigned char>(token[0])))
+        return false;
     errno = 0;
     char *end = nullptr;
     value = std::strtoull(token.c_str(), &end, 16);
@@ -294,6 +301,17 @@ decodeCheckpoint(const std::string &text, CheckpointData &data,
         if (!(rest >> key))
             return fail("empty line");
         std::string token;
+
+        // The header is fixed -- config, kind and chunks on lines 2-4,
+        // once each -- so every chunk line is checked against the
+        // file's final kind and chunk count.
+        static const char *const kHeader[] = {"config", "kind", "chunks"};
+        if (line_no <= 4 && key != kHeader[line_no - 2])
+            return fail(std::string("expected a '") + kHeader[line_no - 2]
+                        + "' line");
+        if (line_no > 4
+            && (key == "config" || key == "kind" || key == "chunks"))
+            return fail("'" + key + "' line after the header");
 
         if (key == "end") {
             if (!(rest >> token))

@@ -82,6 +82,9 @@ appendList(std::string &out, const char *key,
 bool
 parseU64Token(const std::string &token, std::uint64_t &value)
 {
+    // Decimal digits only: strtoull alone would take "-1" as 2^64 - 1.
+    if (token.empty() || token[0] < '0' || token[0] > '9')
+        return false;
     errno = 0;
     char *end = nullptr;
     value = std::strtoull(token.c_str(), &end, 10);

@@ -5,9 +5,10 @@
  * The load-bearing invariant of the batched Monte Carlo: every
  * BatchOptions setting -- shot-group width, lane compaction on/off --
  * is an execution-shape choice only. A lane's draw sequence is
- * preserved exactly through every regrouping (verified-prep retry
- * pool, dense twin subtrees), so all integer-counted experiment
- * statistics must be byte-identical to the scalar-grouping reference.
+ * preserved exactly through every regrouping into the dense twin
+ * (level-2 "Start Over" rounds and repeated level-2 extractions), so
+ * all integer-counted experiment statistics must be byte-identical to
+ * the scalar-grouping reference.
  * This suite promotes that invariance -- previously enforced only by
  * the CI determinism gate -- into tier-1 ctest, fuzzing the options
  * over a seeded matrix of small experiments.
@@ -106,8 +107,8 @@ describeOptions(const BatchOptions &options)
 TEST(LaneCompaction, RandomizedBatchOptionsBitIdentical)
 {
     // Seeded fuzz over the execution-shape space, swept from just above
-    // threshold to deep in the retry-heavy tail so every migration path
-    // (prep retries, prep series, dense twin subtrees) actually runs.
+    // threshold to deep in the retry-heavy tail so both twin migrations
+    // ("Start Over" rounds and repeated level-2 extractions) run.
     struct Config
     {
         double p;

@@ -602,3 +602,387 @@ TEST(SweepService, StreamsIncrementalWilsonIntervals)
         EXPECT_NE(lines[i].find("+-"), std::string::npos) << lines[i];
     }
 }
+
+//
+// Deterministic mutation fuzzing of the two parsers that take outside
+// bytes: seeded byte flips, truncations and splices of valid inputs.
+// Every mutant must either be rejected with an error message or parse
+// to a value whose re-encoding parses back to the same value.
+//
+
+namespace {
+
+/** Printable form of a mutant for failure messages. */
+std::string
+escapeBytes(const std::string &text)
+{
+    std::string out;
+    for (const unsigned char c : text) {
+        if (c == '\n') {
+            out += "\\n";
+        } else if (c >= 0x20 && c < 0x7f && c != '\\') {
+            out += static_cast<char>(c);
+        } else {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\x%02x", c);
+            out += buf;
+        }
+    }
+    return out;
+}
+
+/** Start of the line holding byte @p at (at <= text.size()). */
+std::size_t
+lineStart(const std::string &text, std::size_t at)
+{
+    if (at == 0)
+        return 0;
+    const std::size_t newline = text.rfind('\n', at - 1);
+    return newline == std::string::npos ? 0 : newline + 1;
+}
+
+/** One past the newline ending the line that holds byte @p at. */
+std::size_t
+lineEnd(const std::string &text, std::size_t at)
+{
+    const std::size_t newline = text.find('\n', at);
+    return newline == std::string::npos ? text.size() : newline + 1;
+}
+
+/**
+ * One to four random edits of @p text: a bit flip, a byte overwritten
+ * with a character the parsers treat specially, a truncation, a splice
+ * of a slice of @p donor, a deleted range, a donor line inserted at a
+ * line start, two lines swapped, or a decimal number replaced by an
+ * edge value.
+ */
+std::string
+mutate(std::string text, const std::string &donor, Rng &rng)
+{
+    static const char kSpecial[] = "0123456789-+.eExXpPn#: \t\r\n";
+    static const char *const kNumbers[] = {
+        "0", "1", "2", "-1", "+3", "1e3", "0x10",
+        "18446744073709551615", "18446744073709551616",
+        "99999999999999999999999"};
+    const int edits = 1 + static_cast<int>(rng.uniformInt(4));
+    for (int e = 0; e < edits; ++e) {
+        const std::size_t at = rng.uniformInt(text.size() + 1);
+        switch (rng.uniformInt(8)) {
+        case 0:
+            if (at < text.size())
+                text[at] ^= static_cast<char>(1u << rng.uniformInt(8));
+            break;
+        case 1:
+            if (at < text.size())
+                text[at] = rng.uniformInt(8) == 0
+                    ? '\0'
+                    : kSpecial[rng.uniformInt(sizeof(kSpecial) - 1)];
+            break;
+        case 2:
+            text.resize(at);
+            break;
+        case 3: {
+            const std::size_t from = rng.uniformInt(donor.size() + 1);
+            const std::size_t len = rng.uniformInt(donor.size() - from + 1);
+            text.insert(at, donor, from, len);
+            break;
+        }
+        case 4:
+            text.erase(at, rng.uniformInt(text.size() - at + 1));
+            break;
+        case 5: {
+            if (donor.empty())
+                break;
+            const std::size_t pick = rng.uniformInt(donor.size());
+            const std::size_t start = lineStart(donor, pick);
+            text.insert(lineStart(text, at), donor, start,
+                        lineEnd(donor, pick) - start);
+            break;
+        }
+        case 6: {
+            // Swap the line holding byte `at` with a later line.
+            if (at >= text.size())
+                break;
+            const std::size_t a0 = lineStart(text, at);
+            const std::size_t a1 = lineEnd(text, at);
+            if (a1 >= text.size())
+                break;
+            const std::size_t pick
+                = a1 + rng.uniformInt(text.size() - a1);
+            const std::size_t b0 = lineStart(text, pick);
+            const std::size_t b1 = lineEnd(text, pick);
+            text = text.substr(0, a0) + text.substr(b0, b1 - b0)
+                + text.substr(a1, b0 - a1) + text.substr(a0, a1 - a0)
+                + text.substr(b1);
+            break;
+        }
+        default: {
+            // Replace the digit run holding or following `at`.
+            std::size_t begin = at;
+            while (begin < text.size()
+                   && !(text[begin] >= '0' && text[begin] <= '9'))
+                ++begin;
+            std::size_t end = begin;
+            while (end < text.size() && text[end] >= '0'
+                   && text[end] <= '9')
+                ++end;
+            if (begin < text.size())
+                text.replace(begin, end - begin,
+                             kNumbers[rng.uniformInt(std::size(kNumbers))]);
+            break;
+        }
+        }
+    }
+    return text;
+}
+
+/**
+ * Rewrite the hash on the last "end" line to match the bytes before
+ * it, so a mutated checkpoint passes the integrity check and reaches
+ * the field validation behind it.
+ */
+std::string
+restampCheckpoint(const std::string &text)
+{
+    std::size_t pos = text.rfind("end ");
+    while (pos != std::string::npos && pos > 0 && text[pos - 1] != '\n')
+        pos = text.rfind("end ", pos - 1);
+    if (pos == std::string::npos)
+        return text;
+    const std::size_t eol = text.find('\n', pos);
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "end %016llx",
+                  static_cast<unsigned long long>(
+                      fnv1a64(text.data(), pos)));
+    return text.substr(0, pos) + buf
+        + (eol == std::string::npos ? std::string() : text.substr(eol));
+}
+
+/** Empty when @p text is rejected with a message or round-trips;
+ *  otherwise what went wrong. */
+std::string
+specViolation(const std::string &text)
+{
+    SweepJobSpec spec;
+    std::string error;
+    if (!SweepJobSpec::parse(text, spec, error))
+        return error.empty() ? "rejected without an error message" : "";
+    const std::string canonical = spec.canonicalText();
+    SweepJobSpec again;
+    if (!SweepJobSpec::parse(canonical, again, error))
+        return "accepted, but its canonical text is rejected: " + error;
+    if (again.canonicalText() != canonical
+        || again.configHash() != spec.configHash())
+        return "accepted, but its canonical text parses to another spec";
+    return "";
+}
+
+std::string
+checkpointViolation(const std::string &text)
+{
+    CheckpointData data;
+    std::string error;
+    if (!decodeCheckpoint(text, data, error))
+        return error.empty() ? "rejected without an error message" : "";
+    const std::string encoded = encodeCheckpoint(data);
+    CheckpointData again;
+    if (!decodeCheckpoint(encoded, again, error))
+        return "accepted, but its re-encoding is rejected: " + error;
+    if (encodeCheckpoint(again) != encoded
+        || again.kind != data.kind
+        || again.threshold.size() != data.threshold.size()
+        || again.cosim.size() != data.cosim.size())
+        return "accepted, but its re-encoding decodes to other data";
+    return "";
+}
+
+SweepJobSpec
+noisyCoSimSpec()
+{
+    SweepJobSpec spec = smallCoSimSpec();
+    WorkloadSpec toffoli;
+    toffoli.app = WorkloadSpec::App::Toffoli;
+    toffoli.size = 12;
+    toffoli.depth = 4;
+    spec.cosim.workloads.push_back(toffoli);
+    spec.cosim.faultRates = {0.0, 0.02};
+    spec.cosim.purificationLevels = {0, 1};
+    spec.cosim.linkFidelities = {0.96};
+    spec.cosim.computeFractions = {1.0, 0.5};
+    spec.cosim.memoryCodeLevels = {1};
+    spec.cosim.opError = 1e-4;
+    spec.cosim.retryBudget = 2;
+    return spec;
+}
+
+CheckpointData
+thresholdCheckpoint()
+{
+    CheckpointData data;
+    data.configHash = 0x0123456789abcdefULL;
+    data.kind = SweepKind::Threshold;
+    data.totalChunks = 6;
+    for (const std::size_t index : {1u, 2u, 5u}) {
+        ThresholdChunkPartial partial;
+        partial.chunk = index;
+        partial.failures.addBulk(index, 64);
+        partial.stats.logicalFailure.addBulk(index, 64);
+        partial.stats.nontrivialSyndrome.addBulk(3 * index, 64);
+        partial.stats.prepAttempts.add(1.0);
+        partial.stats.prepAttempts.add(0.1 * index);
+        data.threshold.push_back(partial);
+    }
+    return data;
+}
+
+CheckpointData
+coSimCheckpoint()
+{
+    CheckpointData data;
+    data.configHash = 0xfedcba9876543210ULL;
+    data.kind = SweepKind::CoSim;
+    data.totalChunks = 3;
+    for (const std::size_t index : {0u, 2u}) {
+        CoSimChunkPartial partial;
+        partial.chunk = index;
+        partial.report.completed = true;
+        partial.report.windows = 40 + index;
+        partial.report.pairsRequested = 1000 * (index + 1);
+        partial.report.deliveredFidelitySum = 0.97 * index;
+        partial.report.deliveredFidelityMin = 0.9;
+        partial.report.utilization = 0.23;
+        data.cosim.push_back(partial);
+    }
+    return data;
+}
+
+} // namespace
+
+TEST(ParserFuzz, SweepJobSpecMutantsRejectOrRoundTrip)
+{
+    const std::vector<std::string> seeds = {
+        smallThresholdSpec().canonicalText(),
+        smallCoSimSpec().canonicalText(),
+        noisyCoSimSpec().canonicalText(),
+    };
+    for (const std::string &seed : seeds)
+        ASSERT_EQ(specViolation(seed), "") << seed;
+    Rng rng(0x5eedf00d);
+    int failures = 0;
+    for (int i = 0; i < 20000 && failures < 5; ++i) {
+        const std::string &base = seeds[i % seeds.size()];
+        const std::string &donor = seeds[rng.uniformInt(seeds.size())];
+        const std::string mutant = mutate(base, donor, rng);
+        const std::string why = specViolation(mutant);
+        if (!why.empty()) {
+            ++failures;
+            ADD_FAILURE() << why << "\nmutant: " << escapeBytes(mutant);
+        }
+    }
+}
+
+TEST(ParserFuzz, CheckpointMutantsRejectOrRoundTrip)
+{
+    const std::vector<std::string> seeds = {
+        encodeCheckpoint(thresholdCheckpoint()),
+        encodeCheckpoint(coSimCheckpoint()),
+    };
+    for (const std::string &seed : seeds)
+        ASSERT_EQ(checkpointViolation(seed), "") << seed;
+    Rng rng(0xc0ffee);
+    int failures = 0;
+    for (int i = 0; i < 20000 && failures < 5; ++i) {
+        const std::string &base = seeds[i % seeds.size()];
+        const std::string &donor = seeds[rng.uniformInt(seeds.size())];
+        const std::string mutant = mutate(base, donor, rng);
+        // Raw mutants exercise the integrity check; restamped ones get
+        // past it to the line and field validation.
+        for (const std::string &text : {mutant, restampCheckpoint(mutant)}) {
+            const std::string why = checkpointViolation(text);
+            if (!why.empty()) {
+                ++failures;
+                ADD_FAILURE() << why << "\nmutant: " << escapeBytes(text);
+            }
+        }
+    }
+}
+
+TEST(ParserFuzz, CheckpointHeaderLinesOutOfPlaceAreRejected)
+{
+    // Found by the checkpoint fuzz: a repeated header line after the
+    // chunk lines used to override the header, so a file could carry
+    // chunk 40 of a 16-chunk job or threshold partials under "kind
+    // cosim". A resume from the first never completed and reported no
+    // error; a shard merge indexes the partition by the bad chunk. Each
+    // case is restamped, so only the header rule can reject it.
+    const SweepJobSpec spec = smallThresholdSpec();
+    const std::size_t total = partitionJob(spec).chunks.size();
+    CheckpointData data;
+    data.configHash = spec.configHash();
+    data.kind = spec.kind;
+    data.totalChunks = 100;
+    ThresholdChunkPartial partial;
+    partial.chunk = 40;
+    partial.failures.addBulk(1, 64);
+    data.threshold.push_back(partial);
+    const std::string text = encodeCheckpoint(data);
+    const std::size_t end_at = text.rfind("end ");
+    const std::string body = text.substr(0, end_at);
+    const std::string cases[] = {
+        body + "chunks " + std::to_string(total) + "\nend 0\n",
+        body + "kind cosim\nend 0\n",
+        body + "config 0\nend 0\n",
+        "qla-sweep-checkpoint v1\nend 0\n",
+        "qla-sweep-checkpoint v1\nkind threshold\nconfig 0\nchunks 1\n"
+        "end 0\n",
+    };
+    for (const std::string &raw : cases) {
+        CheckpointData loaded;
+        std::string error;
+        EXPECT_FALSE(decodeCheckpoint(restampCheckpoint(raw), loaded, error))
+            << escapeBytes(raw);
+        EXPECT_FALSE(error.empty());
+    }
+
+    // The first case, fed to a resume: refused, not run.
+    const std::string path = tempPath("header_override");
+    std::FILE *file = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(file, nullptr);
+    const std::string hostile = restampCheckpoint(cases[0]);
+    std::fwrite(hostile.data(), 1, hostile.size(), file);
+    std::fclose(file);
+    SweepCaches caches;
+    RunnerOptions options;
+    options.checkpointPath = path;
+    const RunOutcome outcome = runSweepJob(spec, options, caches);
+    EXPECT_FALSE(outcome.complete);
+    EXPECT_NE(outcome.error.find("after the header"), std::string::npos)
+        << outcome.error;
+    std::remove(path.c_str());
+}
+
+TEST(ParserFuzz, SignedIntegersAreRejected)
+{
+    // strtoull accepts a sign, so "-1" used to read as 2^64 - 1.
+    SweepJobSpec spec;
+    std::string error;
+    for (const char *line : {"shots -1", "shots +256", "seed -7",
+                             "chunk-shots -64", "group-words +1"}) {
+        const std::string text = std::string("kind threshold\nerrors 1e-3\n")
+            + line + "\n";
+        EXPECT_FALSE(SweepJobSpec::parse(text, spec, error)) << line;
+    }
+    const std::string text = encodeCheckpoint(thresholdCheckpoint());
+    const std::pair<const char *, const char *> edits[] = {
+        {"chunks 6", "chunks -6"},
+        {"config 0123456789abcdef", "config -123456789abcdef"},
+    };
+    for (const auto &[from, to] : edits) {
+        std::string signed_text = text;
+        signed_text.replace(signed_text.find(from), std::strlen(from), to);
+        CheckpointData loaded;
+        EXPECT_FALSE(decodeCheckpoint(restampCheckpoint(signed_text),
+                                      loaded, error))
+            << to;
+    }
+}
