@@ -532,22 +532,6 @@ LogicalQubitExperiment::failureRate(int level, std::size_t shots,
 
 namespace {
 
-/**
- * Scheduler chunk size: whole shot groups, so every chunk's word
- * grouping matches the grouping of a single uninterrupted run.
- */
-std::size_t
-alignedChunkShots(const McRunOptions &options)
-{
-    qla_assert(options.batch.groupWords >= 1
-                   && options.batch.groupWords <= kMaxGroupWords,
-               "groupWords must be in [1, ", kMaxGroupWords, "]");
-    const std::size_t capacity = options.batch.groupWords * kBatchLanes;
-    if (options.chunkShots <= capacity)
-        return capacity;
-    return options.chunkShots - options.chunkShots % capacity;
-}
-
 /** Per-chunk partial result, reduced in fixed chunk order. */
 struct ChunkResult
 {
@@ -566,27 +550,70 @@ struct WorkerExperiment
     std::unique_ptr<BatchedLogicalQubitExperiment> experiment;
 };
 
-/** One scheduler job: a contiguous shot range of one task. */
-struct ShotChunk
-{
-    std::size_t task = 0;
-    std::uint64_t firstShot = 0;
-    std::size_t count = 0;
-};
+} // namespace
 
-std::vector<ShotChunk>
-chunkTasks(std::size_t num_tasks, std::size_t shots,
-           std::size_t chunk_shots)
+std::vector<SweepChunk>
+planShotChunks(std::size_t tasks, std::size_t shots,
+               std::size_t chunk_shots, std::size_t group_words)
 {
-    std::vector<ShotChunk> chunks;
-    for (std::size_t task = 0; task < num_tasks; ++task)
-        for (std::size_t first = 0; first < shots; first += chunk_shots)
-            chunks.push_back({task, first,
-                              std::min(chunk_shots, shots - first)});
+    qla_assert(group_words >= 1 && group_words <= kMaxGroupWords,
+               "groupWords must be in [1, ", kMaxGroupWords, "]");
+    const std::size_t capacity = group_words * kBatchLanes;
+    const std::size_t aligned = chunk_shots <= capacity
+        ? capacity
+        : chunk_shots - chunk_shots % capacity;
+    std::vector<SweepChunk> chunks;
+    for (std::size_t task = 0; task < tasks; ++task)
+        for (std::size_t first = 0; first < shots; first += aligned)
+            chunks.push_back({chunks.size(), task, first,
+                              std::min(aligned, shots - first)});
     return chunks;
 }
 
-} // namespace
+ThresholdPlan
+planThresholdSweep(const std::vector<double> &physical_errors,
+                   std::size_t shots, std::uint64_t seed,
+                   std::size_t chunk_shots, std::size_t group_words)
+{
+    ThresholdPlan plan;
+    Rng seeder(seed);
+    for (std::size_t i = 0; i < physical_errors.size(); ++i) {
+        const double p = physical_errors[i];
+        plan.tasks.push_back({i, 1, p, seeder.next64()});
+        plan.tasks.push_back({i, 2, p, seeder.next64()});
+    }
+    plan.chunks = planShotChunks(plan.tasks.size(), shots, chunk_shots,
+                                 group_words);
+    return plan;
+}
+
+std::vector<ThresholdPoint>
+foldThresholdSweep(const ThresholdPlan &plan,
+                   const std::vector<sim::RateStat> &chunk_rates)
+{
+    qla_assert(chunk_rates.size() == plan.chunks.size(),
+               "one rate per chunk");
+    std::vector<sim::RateStat> task_rates(plan.tasks.size());
+    for (const SweepChunk &chunk : plan.chunks)
+        task_rates[chunk.task].merge(chunk_rates[chunk.index]);
+
+    std::vector<ThresholdPoint> points(
+        plan.tasks.empty() ? 0 : plan.tasks.back().point + 1);
+    for (std::size_t t = 0; t < plan.tasks.size(); ++t) {
+        const ThresholdTask &task = plan.tasks[t];
+        ThresholdPoint &point = points[task.point];
+        point.physicalError = task.physicalError;
+        const sim::RateStat &rate = task_rates[t];
+        if (task.level == 1) {
+            point.level1Failure = rate.rate();
+            point.level1Error = rate.halfWidth95();
+        } else {
+            point.level2Failure = rate.rate();
+            point.level2Error = rate.halfWidth95();
+        }
+    }
+    return points;
+}
 
 std::vector<std::size_t>
 sweepDispatchOrder(const std::vector<SweepChunkKey> &chunks)
@@ -611,8 +638,8 @@ runLogicalExperiment(const ecc::CssCode &code, const NoiseParameters &noise,
                      int level, std::size_t shots, std::uint64_t seed,
                      const McRunOptions &options, ExperimentStats *stats)
 {
-    const std::vector<ShotChunk> chunks
-        = chunkTasks(1, shots, alignedChunkShots(options));
+    const std::vector<SweepChunk> chunks = planShotChunks(
+        1, shots, options.chunkShots, options.batch.groupWords);
     std::vector<ChunkResult> results(chunks.size());
 
     sim::ShotScheduler scheduler(options.threads);
@@ -623,9 +650,9 @@ runLogicalExperiment(const ecc::CssCode &code, const NoiseParameters &noise,
         if (!experiment)
             experiment = std::make_unique<BatchedLogicalQubitExperiment>(
                 code, noise, LayoutDistances{}, 16, options.batch);
-        const ShotChunk &chunk = chunks[job];
+        const SweepChunk &chunk = chunks[job];
         results[job].rate = experiment->failureRateRange(
-            level, chunk.firstShot, chunk.count, seed,
+            level, chunk.firstShot, chunk.shotCount, seed,
             stats ? &results[job].stats : nullptr);
     });
 
@@ -645,32 +672,15 @@ thresholdSweep(const std::vector<double> &physical_errors,
                std::size_t shots, std::uint64_t seed,
                const McRunOptions &options)
 {
-    // Task seeds derive exactly as in the sequential sweep (one seeder
-    // draw per task in point order), so the parallel sweep reproduces
-    // its results bit for bit.
-    struct SweepTask
-    {
-        std::size_t point;
-        int level;
-        double p;
-        std::uint64_t seed;
-    };
-    std::vector<SweepTask> tasks;
-    Rng seeder(seed);
-    for (std::size_t i = 0; i < physical_errors.size(); ++i) {
-        const double p = physical_errors[i];
-        tasks.push_back({i, 1, p, seeder.next64()});
-        tasks.push_back({i, 2, p, seeder.next64()});
-    }
-
-    const std::vector<ShotChunk> chunks
-        = chunkTasks(tasks.size(), shots, alignedChunkShots(options));
-    std::vector<ChunkResult> results(chunks.size());
+    const ThresholdPlan plan
+        = planThresholdSweep(physical_errors, shots, seed,
+                             options.chunkShots, options.batch.groupWords);
+    std::vector<sim::RateStat> rates(plan.chunks.size());
     std::vector<SweepChunkKey> keys;
-    keys.reserve(chunks.size());
-    for (const ShotChunk &chunk : chunks) {
-        const SweepTask &task = tasks[chunk.task];
-        keys.push_back({task.point, task.p, task.level});
+    keys.reserve(plan.chunks.size());
+    for (const SweepChunk &chunk : plan.chunks) {
+        const ThresholdTask &task = plan.tasks[chunk.task];
+        keys.push_back({task.point, task.physicalError, task.level});
     }
     const std::vector<std::size_t> order = sweepDispatchOrder(keys);
 
@@ -684,39 +694,22 @@ thresholdSweep(const std::vector<double> &physical_errors,
     // per worker suffices.
     std::vector<WorkerExperiment> cache(scheduler.threadCount());
     scheduler.run(order.size(), [&](std::size_t job, int worker) {
-        const std::size_t index = order[job];
-        const ShotChunk &chunk = chunks[index];
-        const SweepTask &task = tasks[chunk.task];
+        const SweepChunk &chunk = plan.chunks[order[job]];
+        const ThresholdTask &task = plan.tasks[chunk.task];
         WorkerExperiment &slot = cache[worker];
         if (!slot.experiment || slot.point != task.point) {
             slot.experiment.reset(); // free it before building the next
             slot.point = task.point;
             slot.experiment = std::make_unique<BatchedLogicalQubitExperiment>(
-                ecc::steaneCode(), NoiseParameters::swept(task.p),
+                ecc::steaneCode(),
+                NoiseParameters::swept(task.physicalError),
                 LayoutDistances{}, 16, options.batch);
         }
-        results[index].rate = slot.experiment->failureRateRange(
-            task.level, chunk.firstShot, chunk.count, task.seed, nullptr);
+        rates[chunk.index] = slot.experiment->failureRateRange(
+            task.level, chunk.firstShot, chunk.shotCount, task.seed,
+            nullptr);
     });
-
-    std::vector<sim::RateStat> task_rates(tasks.size());
-    for (std::size_t j = 0; j < chunks.size(); ++j)
-        task_rates[chunks[j].task].merge(results[j].rate);
-
-    std::vector<ThresholdPoint> points(physical_errors.size());
-    for (std::size_t t = 0; t < tasks.size(); ++t) {
-        ThresholdPoint &point = points[tasks[t].point];
-        point.physicalError = tasks[t].p;
-        const sim::RateStat &rate = task_rates[t];
-        if (tasks[t].level == 1) {
-            point.level1Failure = rate.rate();
-            point.level1Error = rate.halfWidth95();
-        } else {
-            point.level2Failure = rate.rate();
-            point.level2Error = rate.halfWidth95();
-        }
-    }
-    return points;
+    return foldThresholdSweep(plan, rates);
 }
 
 std::vector<ThresholdPoint>

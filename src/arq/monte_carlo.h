@@ -273,6 +273,67 @@ struct ThresholdPoint
     double level2Error = 0.0;
 };
 
+/** One (point, level) Monte-Carlo task of a threshold sweep. */
+struct ThresholdTask
+{
+    std::size_t point = 0;    ///< Index into the swept physical errors.
+    int level = 1;            ///< Recursion level (1 or 2).
+    double physicalError = 0; ///< Swept component failure rate.
+    std::uint64_t seed = 0;   ///< Task seed (see planThresholdSweep).
+};
+
+/** One scheduler job: the shot range [firstShot, firstShot +
+ *  shotCount) of task @p task. */
+struct SweepChunk
+{
+    std::size_t index = 0; ///< Position in the plan's chunk order.
+    std::size_t task = 0;  ///< Index of the chunk's task.
+    std::uint64_t firstShot = 0;
+    std::size_t shotCount = 0;
+};
+
+/** A threshold sweep's tasks and their chunks, in chunk order. */
+struct ThresholdPlan
+{
+    std::vector<ThresholdTask> tasks;
+    std::vector<SweepChunk> chunks;
+};
+
+/**
+ * Chunks tiling [0, @p shots) of each of @p tasks tasks, task-major.
+ * The chunk size is @p chunk_shots aligned to whole shot groups
+ * (@p group_words x 64 lanes), so every chunk's word grouping matches
+ * a single uninterrupted run: below one group's capacity it rounds up
+ * to that capacity, above it rounds down to whole groups. The last
+ * chunk of a task may be short.
+ */
+std::vector<SweepChunk> planShotChunks(std::size_t tasks,
+                                       std::size_t shots,
+                                       std::size_t chunk_shots,
+                                       std::size_t group_words);
+
+/**
+ * The Figure-7 sweep plan: tasks (point i, level 1) then (point i,
+ * level 2) for each point in order, each seeded by the next draw of
+ * one Rng(@p seed), chunked by planShotChunks. thresholdSweep and the
+ * sweep service both run this plan, so a served job reproduces the
+ * in-process sweep bit for bit.
+ */
+ThresholdPlan planThresholdSweep(const std::vector<double> &physical_errors,
+                                 std::size_t shots, std::uint64_t seed,
+                                 std::size_t chunk_shots,
+                                 std::size_t group_words);
+
+/**
+ * Fold per-chunk failure rates (@p chunk_rates[j] for chunk j of
+ * @p plan) into the sweep's points: chunks merge into their tasks in
+ * ascending chunk order, so the result is bit-identical however the
+ * chunks were scheduled.
+ */
+std::vector<ThresholdPoint> foldThresholdSweep(
+    const ThresholdPlan &plan,
+    const std::vector<sim::RateStat> &chunk_rates);
+
 /** What the sweep dispatch order needs to know of one chunk. */
 struct SweepChunkKey
 {

@@ -966,44 +966,53 @@ ProgramCoSimulator::run(const WindowProbeFn &probe)
     return engine.run();
 }
 
-std::vector<CoSimSweepPoint>
-runCoSimSweep(const std::vector<ProgramWorkload> &workloads,
-              const CoSimSweepConfig &config)
+std::vector<CoSimPointParams>
+enumerateCoSimPoints(std::size_t workloads, const CoSimSweepConfig &config)
 {
-    std::vector<CoSimSweepPoint> points;
-    for (std::size_t w = 0; w < workloads.size(); ++w)
+    std::vector<CoSimPointParams> points;
+    for (std::size_t w = 0; w < workloads; ++w)
       for (const int bandwidth : config.bandwidths)
         for (const double fault_rate : config.faultRates)
           for (const int level : config.purificationLevels)
             for (const double fidelity : config.linkFidelities)
               for (const double fraction : config.computeFractions)
                 for (const int mem_level : config.memoryCodeLevels)
-                  for (const std::uint64_t seed : config.seeds) {
-                      CoSimSweepPoint point;
-                      point.workload = w;
-                      point.bandwidth = bandwidth;
-                      point.faultRate = fault_rate;
-                      point.purificationLevel = level;
-                      point.linkFidelity = fidelity;
-                      point.computeFraction = fraction;
-                      point.memoryLevel = mem_level;
-                      point.seed = seed;
-                      points.push_back(point);
-                  }
+                  for (const std::uint64_t seed : config.seeds)
+                      points.push_back({w, bandwidth, fault_rate, level,
+                                        fidelity, fraction, mem_level,
+                                        seed});
+    return points;
+}
+
+CoSimConfig
+pointCoSimConfig(const CoSimConfig &base, const CoSimPointParams &point)
+{
+    CoSimConfig cosim = base;
+    cosim.bandwidth = point.bandwidth;
+    cosim.seed = point.seed;
+    cosim.linkFaults = base.linkFaults.atRate(point.faultRate);
+    cosim.fidelity.elementaryFidelity = point.linkFidelity;
+    cosim.fidelity.purificationLevel = point.purificationLevel;
+    cosim.memory.computeFraction = point.computeFraction;
+    cosim.memory.memoryCodeLevel = point.memoryLevel;
+    return cosim;
+}
+
+std::vector<CoSimSweepPoint>
+runCoSimSweep(const std::vector<ProgramWorkload> &workloads,
+              const CoSimSweepConfig &config)
+{
+    std::vector<CoSimSweepPoint> points;
+    for (const CoSimPointParams &params :
+         enumerateCoSimPoints(workloads.size(), config))
+        points.push_back({params, {}});
     if (points.empty())
         return points;
     sim::ShotScheduler scheduler(config.threads);
     scheduler.run(points.size(), [&](std::size_t job, int) {
         CoSimSweepPoint &point = points[job];
-        CoSimConfig cosim = config.base;
-        cosim.bandwidth = point.bandwidth;
-        cosim.seed = point.seed;
-        cosim.linkFaults = config.base.linkFaults.atRate(point.faultRate);
-        cosim.fidelity.elementaryFidelity = point.linkFidelity;
-        cosim.fidelity.purificationLevel = point.purificationLevel;
-        cosim.memory.computeFraction = point.computeFraction;
-        cosim.memory.memoryCodeLevel = point.memoryLevel;
-        ProgramCoSimulator simulator(workloads[point.workload], cosim);
+        ProgramCoSimulator simulator(workloads[point.workload],
+                                     pointCoSimConfig(config.base, point));
         point.report = simulator.run();
     });
     return points;

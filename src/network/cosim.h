@@ -296,10 +296,10 @@ class ProgramCoSimulator
 // Configuration sweeps.
 //
 
-/** One point of a co-simulation sweep. */
-struct CoSimSweepPoint
+/** The parameters of one co-simulation sweep point. */
+struct CoSimPointParams
 {
-    std::size_t workload = 0; ///< Index into CoSimSweepConfig::workloads.
+    std::size_t workload = 0; ///< Index into the sweep's workloads.
     int bandwidth = 0;        ///< Channels per direction per mesh link.
     /** Uniform link-fault rate (LinkFaultConfig::atRate axis). */
     double faultRate = 0.0;
@@ -312,7 +312,12 @@ struct CoSimSweepPoint
     /** Memory-region code level (only meaningful when split). */
     int memoryLevel = 1;
     std::uint64_t seed = 0; ///< Placement/noise seed of this run.
-    CoSimReport report;     ///< The executed schedule's ledger.
+};
+
+/** One executed point of a co-simulation sweep. */
+struct CoSimSweepPoint : CoSimPointParams
+{
+    CoSimReport report; ///< The executed schedule's ledger.
 };
 
 /** Sweep axes: workloads x bandwidths x fault rates x purification
@@ -374,6 +379,23 @@ struct CoSimSweepStats
 std::vector<CoSimSweepPoint> runCoSimSweep(
     const std::vector<ProgramWorkload> &workloads,
     const CoSimSweepConfig &config);
+
+/**
+ * The axis product of @p config over @p workloads workloads, in the
+ * sweep's fixed job order: workload, bandwidth, fault rate,
+ * purification level, link fidelity, compute fraction, memory level,
+ * seed, nested in that order (seed innermost).
+ */
+std::vector<CoSimPointParams> enumerateCoSimPoints(
+    std::size_t workloads, const CoSimSweepConfig &config);
+
+/**
+ * @p base with @p point's axis values applied: bandwidth, seed, the
+ * fault rate (LinkFaultConfig::atRate of base.linkFaults), the
+ * fidelity axes and the memory-hierarchy axes.
+ */
+CoSimConfig pointCoSimConfig(const CoSimConfig &base,
+                             const CoSimPointParams &point);
 
 /** Reduce sweep points in index order (deterministic merge). */
 CoSimSweepStats reduceCoSimSweep(

@@ -53,8 +53,9 @@ struct CacheCounters
 class ExperimentCache
 {
   public:
-    /** @p slots bounds resident experiments (round-robin eviction,
-     *  like thresholdSweep's per-worker WorkerCache). */
+    /** @p slots bounds resident experiments (round-robin eviction:
+     *  the service keeps a worker's experiments warm across jobs,
+     *  which thresholdSweep, holding one per worker, does not). */
     explicit ExperimentCache(std::size_t slots = 8) : slots_(slots) {}
 
     /** The experiment for (physicalError p, groupWords), constructing

@@ -295,8 +295,8 @@ SweepJobSpec::parse(const std::string &text, SweepJobSpec &spec,
                 return fail("bad link-fidelities list (want [0, 1])");
         } else if (key == "compute-fractions") {
             if (!parseList(rest, spec.cosim.computeFractions,
-                           parseDoubleToken))
-                return fail("bad compute-fractions list");
+                           parseRateToken))
+                return fail("bad compute-fractions list (want [0, 1])");
         } else if (key == "memory-levels") {
             if (!parseList(rest, spec.cosim.memoryCodeLevels,
                            [](const std::string &t, int &v) {

@@ -1,72 +1,45 @@
 #include "serve/partition.h"
 
-#include "common/batched_sampler.h"
 #include "common/logging.h"
-#include "common/rng.h"
 
 namespace qla::serve {
 
-std::size_t
-alignedChunkShots(const ThresholdJobParams &params)
+network::CoSimSweepConfig
+coSimSweepConfig(const CoSimJobParams &params)
 {
-    const std::size_t capacity = params.groupWords * kBatchLanes;
-    if (params.chunkShots <= capacity)
-        return capacity;
-    return params.chunkShots - params.chunkShots % capacity;
+    network::CoSimSweepConfig config;
+    config.base.placement = params.randomPlacement
+        ? network::PlacementStrategy::Random
+        : network::PlacementStrategy::Affinity;
+    config.base.fidelity.opError = params.opError;
+    config.base.fidelity.deliveryThreshold = params.deliveryThreshold;
+    config.base.fidelity.retryBudget = params.retryBudget;
+    config.bandwidths = params.bandwidths;
+    config.faultRates = params.faultRates;
+    config.purificationLevels = params.purificationLevels;
+    config.linkFidelities = params.linkFidelities;
+    config.computeFractions = params.computeFractions;
+    config.memoryCodeLevels = params.memoryCodeLevels;
+    config.seeds = params.seeds;
+    return config;
 }
 
 JobPartition
 partitionJob(const SweepJobSpec &spec)
 {
-    JobPartition partition;
     if (spec.kind == SweepKind::Threshold) {
         const ThresholdJobParams &params = spec.threshold;
-        // Task seeds derive exactly as in arq::thresholdSweep: one
-        // seeder draw per (point, level) task in point order, so a
-        // served job reproduces the in-process sweep bit for bit.
-        Rng seeder(params.seed);
-        for (std::size_t i = 0; i < params.physicalErrors.size(); ++i) {
-            const double p = params.physicalErrors[i];
-            partition.tasks.push_back({i, 1, p, seeder.next64()});
-            partition.tasks.push_back({i, 2, p, seeder.next64()});
-        }
-        const std::size_t chunk_shots = alignedChunkShots(params);
-        for (std::size_t t = 0; t < partition.tasks.size(); ++t)
-            for (std::uint64_t first = 0; first < params.shots;
-                 first += chunk_shots)
-                partition.chunks.push_back(
-                    {partition.chunks.size(), t, first,
-                     std::min<std::size_t>(chunk_shots,
-                                           params.shots - first)});
-        return partition;
+        return {arq::planThresholdSweep(params.physicalErrors, params.shots,
+                                        params.seed, params.chunkShots,
+                                        params.groupWords),
+                {}};
     }
 
-    // CoSim: the axis product in network::runCoSimSweep's exact nesting
-    // order, so point indices (and therefore chunk indices) coincide
-    // with the in-process sweep's job order.
-    const CoSimJobParams &params = spec.cosim;
-    for (std::size_t w = 0; w < params.workloads.size(); ++w)
-      for (const int bandwidth : params.bandwidths)
-        for (const double fault_rate : params.faultRates)
-          for (const int level : params.purificationLevels)
-            for (const double fidelity : params.linkFidelities)
-              for (const double fraction : params.computeFractions)
-                for (const int mem_level : params.memoryCodeLevels)
-                  for (const std::uint64_t seed : params.seeds) {
-                      CoSimPointTask point;
-                      point.workload = w;
-                      point.bandwidth = bandwidth;
-                      point.faultRate = fault_rate;
-                      point.purificationLevel = level;
-                      point.linkFidelity = fidelity;
-                      point.computeFraction = fraction;
-                      point.memoryLevel = mem_level;
-                      point.seed = seed;
-                      partition.points.push_back(point);
-                      partition.chunks.push_back(
-                          {partition.chunks.size(),
-                           partition.points.size() - 1, 0, 0});
-                  }
+    JobPartition partition;
+    partition.points = network::enumerateCoSimPoints(
+        spec.cosim.workloads.size(), coSimSweepConfig(spec.cosim));
+    for (std::size_t p = 0; p < partition.points.size(); ++p)
+        partition.chunks.push_back({p, p, 0, 0});
     return partition;
 }
 

@@ -18,10 +18,11 @@
  * So a killed-and-resumed run, a 1-vs-N-worker run, and a sharded
  * run reassembled by mergeSweepCheckpoints() all emit byte-identical
  * output -- the property the CI resume-equivalence gate and
- * tests/test_sweep_service.cc enforce with cmp/EXPECT_EQ. Threshold
- * output additionally matches rendering arq::thresholdSweep's points
- * directly (same seeds, same chunk reduction), which the
- * cross-validation test asserts.
+ * tests/test_sweep_service.cc enforce with cmp/EXPECT_EQ. The text
+ * comes from renderThresholdPoints / renderCoSimPoints, the renderers
+ * the determinism gate prints the in-process sweeps with, applied to
+ * arq::foldThresholdSweep of the partials or to the partials' points,
+ * so served output equals the in-process sweep's byte for byte.
  */
 
 #ifndef QLA_SERVE_SWEEP_RUNNER_H
@@ -112,6 +113,19 @@ RunOutcome runSweepJob(const SweepJobSpec &spec,
 bool mergeSweepCheckpoints(const SweepJobSpec &spec,
                            const std::vector<CheckpointData> &shards,
                            std::string &output, std::string &error);
+
+/** The threshold-sweep text: one "p=... L1=... L2=..." line per point,
+ *  then the estimated threshold. */
+std::string renderThresholdPoints(
+    const std::vector<arq::ThresholdPoint> &points);
+
+/** The co-simulation sweep text: one line per point, extended with the
+ *  degradation ledger when @p noisy and the cache ledger when
+ *  @p hierarchy, then one summary line of the sweep's
+ *  reduceCoSimSweep. */
+std::string renderCoSimPoints(
+    const std::vector<network::CoSimSweepPoint> &points, bool noisy,
+    bool hierarchy);
 
 /** Render the final result text from a complete, ascending partial
  *  set (exposed for the merge path and tests). */

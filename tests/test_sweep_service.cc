@@ -14,8 +14,12 @@
 #include <string>
 #include <vector>
 
+#include "apps/qcla.h"
+#include "apps/qft.h"
+#include "apps/toffoli.h"
 #include "arq/monte_carlo.h"
 #include "common/rng.h"
+#include "network/cosim.h"
 #include "serve/checkpoint.h"
 #include "serve/engine_cache.h"
 #include "serve/job_spec.h"
@@ -146,6 +150,10 @@ TEST(SweepJobSpec, RejectsValuesTheEnginesWouldAbortOn)
         {cosim, "link-fidelities 1.5"},
         {cosim, "link-fidelities nan"},
         {cosim, "link-fidelities -1"},
+        {cosim, "compute-fractions nan"},
+        {cosim, "compute-fractions inf"},
+        {cosim, "compute-fractions -1e300"},
+        {cosim, "compute-fractions 1.5"},
     };
     for (const auto &[head, line] : bad) {
         const std::string text = std::string(head) + line + "\n";
@@ -167,6 +175,7 @@ TEST(SweepJobSpec, RejectsValuesTheEnginesWouldAbortOn)
     EXPECT_TRUE(SweepJobSpec::parse(
         "kind cosim\nworkload toffoli 3\nbandwidths 1\n"
         "fault-rates 0 1\nlink-fidelities 0 1\nmemory-levels 1 2\n"
+        "compute-fractions 0 1\n"
         "op-error 1\n",
         spec, error))
         << error;
@@ -174,33 +183,65 @@ TEST(SweepJobSpec, RejectsValuesTheEnginesWouldAbortOn)
 
 TEST(SweepPartition, IsDeterministicAndMirrorsThresholdSweepSeeds)
 {
-    const SweepJobSpec spec = smallThresholdSpec();
-    const JobPartition a = partitionJob(spec);
-    const JobPartition b = partitionJob(spec);
-    ASSERT_EQ(a.tasks.size(), 4u);
-    ASSERT_EQ(a.chunks.size(), 16u);
-    ASSERT_EQ(a.chunks.size(), b.chunks.size());
+    // The chunk alignment rule, per (chunkShots, groupWords): below one
+    // group's capacity (groupWords x 64 shots) a chunk rounds up to it,
+    // above it rounds down to whole groups; the last chunk of a task
+    // may be short.
+    struct Layout
+    {
+        std::size_t chunkShots, groupWords, aligned;
+    };
+    const Layout layouts[] = {
+        {64, 1, 64},
+        {100, 1, 64},
+        {1000, 32, 2048},
+        {2048, 32, 2048},
+        {5000, 32, 4096},
+    };
+    for (const Layout &layout : layouts) {
+        SCOPED_TRACE(std::to_string(layout.chunkShots) + " shots, "
+                     + std::to_string(layout.groupWords) + " words");
+        SweepJobSpec spec = smallThresholdSpec();
+        spec.threshold.shots = 5000;
+        spec.threshold.chunkShots = layout.chunkShots;
+        spec.threshold.groupWords = layout.groupWords;
+        const JobPartition a = partitionJob(spec);
+        const JobPartition b = partitionJob(spec);
+        ASSERT_EQ(a.tasks.size(), 4u);
+        const std::size_t per_task
+            = (spec.threshold.shots + layout.aligned - 1) / layout.aligned;
+        ASSERT_EQ(a.chunks.size(), a.tasks.size() * per_task);
+        ASSERT_EQ(a.chunks.size(), b.chunks.size());
 
-    // Seeds derive exactly as arq::thresholdSweep derives them.
-    Rng seeder(spec.threshold.seed);
-    for (std::size_t i = 0; i < spec.threshold.physicalErrors.size();
-         ++i) {
-        EXPECT_EQ(a.tasks[2 * i].seed, seeder.next64());
-        EXPECT_EQ(a.tasks[2 * i].level, 1);
-        EXPECT_EQ(a.tasks[2 * i + 1].seed, seeder.next64());
-        EXPECT_EQ(a.tasks[2 * i + 1].level, 2);
-    }
+        // Seeds derive exactly as arq::thresholdSweep derives them.
+        Rng seeder(spec.threshold.seed);
+        for (std::size_t i = 0; i < spec.threshold.physicalErrors.size();
+             ++i) {
+            EXPECT_EQ(a.tasks[2 * i].seed, seeder.next64());
+            EXPECT_EQ(a.tasks[2 * i].level, 1);
+            EXPECT_EQ(a.tasks[2 * i + 1].seed, seeder.next64());
+            EXPECT_EQ(a.tasks[2 * i + 1].level, 2);
+        }
 
-    // Chunks tile every task's shot range exactly, in index order.
-    std::vector<std::uint64_t> covered(a.tasks.size(), 0);
-    for (std::size_t j = 0; j < a.chunks.size(); ++j) {
-        const SweepChunk &chunk = a.chunks[j];
-        EXPECT_EQ(chunk.index, j);
-        EXPECT_EQ(chunk.firstShot, covered[chunk.task]);
-        covered[chunk.task] += chunk.shotCount;
+        // Chunks tile every task's shot range exactly, in index order,
+        // each a whole aligned chunk but the task's last.
+        std::vector<std::uint64_t> covered(a.tasks.size(), 0);
+        for (std::size_t j = 0; j < a.chunks.size(); ++j) {
+            const SweepChunk &chunk = a.chunks[j];
+            EXPECT_EQ(chunk.index, j);
+            EXPECT_EQ(chunk.task, j / per_task);
+            EXPECT_EQ(chunk.firstShot, covered[chunk.task]);
+            EXPECT_EQ(chunk.firstShot, b.chunks[j].firstShot);
+            EXPECT_EQ(chunk.shotCount, b.chunks[j].shotCount);
+            covered[chunk.task] += chunk.shotCount;
+            if (covered[chunk.task] < spec.threshold.shots)
+                EXPECT_EQ(chunk.shotCount, layout.aligned);
+            else
+                EXPECT_LE(chunk.shotCount, layout.aligned);
+        }
+        for (const std::uint64_t shots : covered)
+            EXPECT_EQ(shots, spec.threshold.shots);
     }
-    for (const std::uint64_t shots : covered)
-        EXPECT_EQ(shots, spec.threshold.shots);
 }
 
 TEST(SweepPartition, ShardsOwnEveryChunkExactlyOnce)
@@ -334,6 +375,81 @@ TEST(SweepRunner, ThresholdOutputMatchesInProcessSweep)
                   arq::estimateThreshold(points));
     expected += buf;
     EXPECT_EQ(served, expected);
+}
+
+TEST(SweepRunner, CoSimOutputMatchesInProcessSweep)
+{
+    // The determinism gate's three interconnect configurations, served
+    // from spec text and run in process through network::runCoSimSweep
+    // with hand-built axes. Both run in this process, so the check holds
+    // on every build, including ones whose floating-point bytes differ
+    // from the golden files.
+    struct Config
+    {
+        const char *name;
+        const char *spec;
+        bool noisy, hierarchy;
+    };
+    const Config configs[] = {
+        {"clean",
+         "kind cosim\nworkload toffoli 15 12\nworkload qcla 16\n"
+         "workload qft 24\nbandwidths 1 2 4\nseeds 1 2\n"
+         "placement random\n",
+         false, false},
+        {"hierarchy",
+         "kind cosim\nworkload toffoli 15 12\nworkload qcla 16\n"
+         "bandwidths 2 4\nseeds 1\ncompute-fractions 1 0.2\n"
+         "memory-levels 1\nplacement random\n",
+         false, true},
+        {"noisy",
+         "kind cosim\nworkload toffoli 15 12\nworkload qcla 16\n"
+         "bandwidths 2 4\nseeds 1\nfault-rates 0 0.05\n"
+         "purifications 0 2\nlink-fidelities 1 0.96\n"
+         "placement random\nop-error 1e-4\ndelivery-threshold 0.88\n"
+         "retry-budget 2\n",
+         true, false},
+    };
+    for (const Config &config : configs) {
+        SCOPED_TRACE(config.name);
+        SweepJobSpec spec;
+        std::string error;
+        ASSERT_TRUE(SweepJobSpec::parse(config.spec, spec, error))
+            << error;
+        EXPECT_EQ(spec.cosim.noisy(), config.noisy);
+        EXPECT_EQ(spec.cosim.hierarchical(), config.hierarchy);
+        const std::string served = runToCompletion(spec, 2);
+
+        std::vector<network::ProgramWorkload> workloads;
+        workloads.emplace_back(apps::toffoliNetworkCircuit(15, 12));
+        workloads.emplace_back(apps::qclaAdderCircuit(16));
+        network::CoSimSweepConfig sweep;
+        sweep.base.placement = network::PlacementStrategy::Random;
+        sweep.threads = 2;
+        if (!config.noisy && !config.hierarchy) {
+            workloads.emplace_back(
+                apps::bandedQftCircuit(24, apps::qftBandWidth(24)));
+            sweep.bandwidths = {1, 2, 4};
+            sweep.seeds = {1, 2};
+        } else {
+            sweep.bandwidths = {2, 4};
+            sweep.seeds = {1};
+        }
+        if (config.hierarchy) {
+            sweep.computeFractions = {1.0, 0.2};
+            sweep.memoryCodeLevels = {1};
+        }
+        if (config.noisy) {
+            sweep.faultRates = {0.0, 0.05};
+            sweep.purificationLevels = {0, 2};
+            sweep.linkFidelities = {1.0, 0.96};
+            sweep.base.fidelity.opError = 1e-4;
+            sweep.base.fidelity.deliveryThreshold = 0.88;
+            sweep.base.fidelity.retryBudget = 2;
+        }
+        const auto points = network::runCoSimSweep(workloads, sweep);
+        EXPECT_EQ(served, renderCoSimPoints(points, config.noisy,
+                                            config.hierarchy));
+    }
 }
 
 TEST(SweepRunner, KillAndResumeIsByteIdenticalAtEveryBoundary)

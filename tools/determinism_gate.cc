@@ -58,6 +58,7 @@
 #include "common/rng.h"
 #include "ecc/steane.h"
 #include "network/cosim.h"
+#include "serve/sweep_runner.h"
 
 using namespace qla;
 using namespace qla::arq;
@@ -75,12 +76,7 @@ runSweep(int threads, std::size_t shots)
     McRunOptions options;
     options.threads = threads;
     const auto points = thresholdSweep(window, shots, 20050938, options);
-    for (const auto &point : points)
-        std::printf("p=%.17g L1=%.17g +- %.17g L2=%.17g +- %.17g\n",
-                    point.physicalError, point.level1Failure,
-                    point.level1Error, point.level2Failure,
-                    point.level2Error);
-    std::printf("threshold=%.17g\n", estimateThreshold(points));
+    std::fputs(serve::renderThresholdPoints(points).c_str(), stdout);
     return 0;
 }
 
@@ -201,87 +197,8 @@ runInterconnect(int threads, double fault_rate, int purification,
         sweep.base.fidelity.retryBudget = retry_budget;
     }
     const auto points = runCoSimSweep(workloads, sweep);
-    for (const auto &point : points) {
-        const auto &r = point.report;
-        std::printf(
-            "w=%zu bw=%d seed=%llu windows=%llu warmup=%llu "
-            "stallW=%llu gatesStalled=%llu req=%llu mesh=%llu "
-            "local=%llu deferred=%llu drift=%llu reroutes=%llu "
-            "util=%.17g route=%.17g",
-            point.workload, point.bandwidth,
-            (unsigned long long)point.seed,
-            (unsigned long long)r.windows,
-            (unsigned long long)r.warmupWindows,
-            (unsigned long long)r.stallWindows,
-            (unsigned long long)r.gatesStalled,
-            (unsigned long long)r.pairsRequested,
-            (unsigned long long)r.pairsRoutedOnMesh,
-            (unsigned long long)r.pairsLocal,
-            (unsigned long long)r.deferredPairWindows,
-            (unsigned long long)r.driftMoves,
-            (unsigned long long)r.backoffReroutes, r.utilization,
-            r.averageRouteLength);
-        if (noisy)
-            std::printf(
-                " fr=%.17g lvl=%d ef=%.17g dropped=%llu lost=%llu "
-                "rej=%llu aband=%llu demAband=%llu degraded=%llu "
-                "retries=%llu backoffW=%llu penaltyW=%llu "
-                "fidMean=%.17g fidMin=%.17g resid=%.17g",
-                point.faultRate, point.purificationLevel,
-                point.linkFidelity,
-                (unsigned long long)r.pairsDropped,
-                (unsigned long long)r.pairsLostInTransit,
-                (unsigned long long)r.pairsRejectedFidelity,
-                (unsigned long long)r.pairsAbandoned,
-                (unsigned long long)r.demandsAbandoned,
-                (unsigned long long)r.gatesDegraded,
-                (unsigned long long)r.retryAttempts,
-                (unsigned long long)r.retryBackoffWindows,
-                (unsigned long long)r.fallbackPenaltyWindows,
-                r.deliveredFidelityMean(), r.deliveredFidelityMin,
-                r.residualEprError());
-        if (hierarchy)
-            std::printf(
-                " cf=%.17g ml=%d touches=%llu hits=%llu miss=%llu "
-                "inplace=%llu evict=%llu fetchReq=%llu wbReq=%llu "
-                "convW=%llu cTiles=%llu mTiles=%llu",
-                point.computeFraction, point.memoryLevel,
-                (unsigned long long)r.operandTouches,
-                (unsigned long long)r.memHits,
-                (unsigned long long)r.memMisses,
-                (unsigned long long)r.memInPlaceMisses,
-                (unsigned long long)r.memEvictions,
-                (unsigned long long)r.fetchPairsRequested,
-                (unsigned long long)r.writebackPairsRequested,
-                (unsigned long long)r.missConversionWindows,
-                (unsigned long long)r.computeTiles,
-                (unsigned long long)r.memoryTiles);
-        std::printf("\n");
-    }
-    const auto stats = reduceCoSimSweep(points);
-    std::printf("makespan_mean=%.17g util_mean=%.17g stall_mean=%.17g "
-                "stalled_runs=%llu/%llu",
-                stats.makespanWindows.mean(), stats.utilization.mean(),
-                stats.stallWindows.mean(),
-                (unsigned long long)stats.stalledRuns.successes(),
-                (unsigned long long)stats.stalledRuns.trials());
-    if (noisy)
-        std::printf(" dropped_mean=%.17g abandoned_mean=%.17g "
-                    "retries_mean=%.17g resid_mean=%.17g "
-                    "degraded_runs=%llu/%llu",
-                    stats.droppedPairs.mean(),
-                    stats.abandonedPairs.mean(),
-                    stats.retryAttempts.mean(),
-                    stats.residualEprError.mean(),
-                    (unsigned long long)stats.degradedRuns.successes(),
-                    (unsigned long long)stats.degradedRuns.trials());
-    if (hierarchy)
-        std::printf(" miss_mean=%.17g missrate_mean=%.17g "
-                    "evict_mean=%.17g",
-                    stats.cacheMisses.mean(),
-                    stats.cacheMissRate.mean(),
-                    stats.cacheEvictions.mean());
-    std::printf("\n");
+    std::fputs(serve::renderCoSimPoints(points, noisy, hierarchy).c_str(),
+               stdout);
     return 0;
 }
 
