@@ -148,10 +148,6 @@ struct MemoryHierarchyConfig
     /** Steane level of the memory-region code (1 or 2); selects the
      *  RegionCodeParams::memoryAtLevel profile. */
     int memoryCodeLevel = 1;
-    /** EPR pairs per cache-miss teleport (fetch or write-back) of one
-     *  logical qubit; 0 derives it from the memory region's
-     *  teleportPairs. */
-    std::uint64_t pairsPerFetch = 0;
     /** Extra EC windows a fetched qubit spends re-encoding up to the
      *  compute level when the memory code is below it (code
      *  conversion); charged on the missing gate's dependency chain. */

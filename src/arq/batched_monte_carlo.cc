@@ -48,7 +48,6 @@ struct BatchedLogicalQubitExperiment::Recording
     std::array<std::vector<FrameTrace>, 2> traces;
     /** Shadow class of each primary class (index = primary id). */
     std::vector<std::uint8_t> shadowOfPrimary;
-    std::uint8_t clsCorr = 0; // shadow gate1 class for corrections
 };
 
 namespace {
@@ -91,8 +90,7 @@ BatchedLogicalQubitExperiment::bind(const ecc::CssCode &code,
     // The fixed fault classes, registered in recording order so the
     // class ids are those the recording's ops carry; then a shadow
     // class space over the same probabilities: retry / conditional-path
-    // replays get samplers of their own and never park and unpark the
-    // full-width samplers' lane clocks.
+    // replays get clocks of their own (see NoiseClassTable::newClass).
     const TileRowRecorder rows(code, noise, layout);
     const std::array<double, 5> rates = {
         noise.gate1Error, noise.gate2Error, noise.measureError,
@@ -162,9 +160,12 @@ BatchedLogicalQubitExperiment::BatchedLogicalQubitExperiment(
     logical_x_bits_ = bitListOf(code_.logicalX());
     logical_z_bits_ = bitListOf(code_.logicalZ());
 
+    // Corrections are physical single-qubit gates: gate1 is bind()'s
+    // first class.
+    const double correction_p = classes_.probabilities().front();
     models_.reserve(options_.groupWords);
     for (std::size_t w = 0; w < options_.groupWords; ++w) {
-        models_.emplace_back(classes_);
+        models_.emplace_back(classes_, correction_p);
         flips_[w].reserve(n_ * n_);
     }
 }
@@ -252,8 +253,7 @@ shadowMap(const NoiseClassTable &classes)
 BatchedLogicalQubitExperiment::Recording::Recording(
     const ecc::CssCode &code, const NoiseParameters &noise,
     const LayoutDistances &layout, const NoiseClassTable &classes)
-    : shadowOfPrimary(shadowMap(classes)),
-      clsCorr(shadowOfPrimary[0]) // gate1 is bind()'s first class
+    : shadowOfPrimary(shadowMap(classes))
 {
     const std::size_t n = code.blockLength();
     const TileRowRecorder rows(code, noise, layout);
@@ -472,20 +472,32 @@ BatchedLogicalQubitExperiment::applyCorrection(std::size_t c,
             const std::uint64_t lanes = inject[i] & active.w[w];
             if (!lanes)
                 continue;
-            const std::size_t q = ion(c, g, role, i);
-            // Fold the Pauli correction into the frame; the physical
-            // gate can itself fault, on exactly the lanes that applied
-            // it. Corrections are rare and data-dependent, so they draw
-            // from the per-site shadow sampler, not a trace plan.
-            if (detect_x)
-                frames_.injectX(w, q, lanes);
-            else
-                frames_.injectZ(w, q, lanes);
-            quantum::depolarize1(frames_, w, q,
-                                 models_[w].samplers[recording_->clsCorr],
-                                 models_[w].lanes, lanes);
+            injectCorrection(w, ion(c, g, role, i), detect_x, lanes);
         }
     }
+}
+
+void
+BatchedLogicalQubitExperiment::injectCorrection(std::uint32_t w,
+                                                std::size_t q, bool x,
+                                                std::uint64_t lanes)
+{
+    // The physical gate can itself fault, on exactly the lanes that
+    // applied it. Corrections are rare and data-dependent, so they take
+    // one trial of the correction clock each, not a trace plan.
+    if (x)
+        frames_.injectX(w, q, lanes);
+    else
+        frames_.injectZ(w, q, lanes);
+    BatchedNoiseModel &model = models_[w];
+    const std::uint64_t fired = model.correction.trial(lanes, model.lanes);
+    if (!fired)
+        return;
+    const quantum::Pauli1Draw d = quantum::drawPauli1(fired, model.lanes);
+    if (d.fx)
+        frames_.injectX(w, q, d.fx);
+    if (d.fz)
+        frames_.injectZ(w, q, d.fz);
 }
 
 void
@@ -682,16 +694,9 @@ BatchedLogicalQubitExperiment::ecCycleL2(const LaneSet &active,
                 const std::uint64_t lanes = blocks[g] & repeat.w[w];
                 if (!lanes)
                     continue;
-                for (std::size_t i = 0; i < n_; ++i) {
-                    const std::size_t q = ion(0, g, Role::Data, i);
-                    if (detect_x)
-                        frames_.injectX(w, q, lanes);
-                    else
-                        frames_.injectZ(w, q, lanes);
-                    quantum::depolarize1(frames_, w, q,
-                                         models_[w].samplers[recording_->clsCorr],
-                                         models_[w].lanes, lanes);
-                }
+                for (std::size_t i = 0; i < n_; ++i)
+                    injectCorrection(w, ion(0, g, Role::Data, i),
+                                     detect_x, lanes);
             }
         }
     }

@@ -212,10 +212,10 @@ class BatchedLogicalQubitExperiment
      * Replay a recorded segment on every active word of the group. The
      * straight-line schedule uses the primary noise classes; retry /
      * conditional subtrees (tracked by shadow_) use the shadow-class
-     * variant of the same trace so the full-width samplers keep their
-     * fast path (see NoiseClassTable::newClass). Words with an empty
-     * mask are skipped entirely -- their samplers never see the
-     * segment's sites, exactly as when the group is run word by word.
+     * variant of the same trace (see NoiseClassTable::newClass). Words
+     * with an empty mask are skipped entirely -- their clocks never see
+     * the segment's sites, exactly as when the group is run word by
+     * word.
      */
     void replaySeg(Seg seg, std::size_t c, std::size_t g,
                    std::size_t role, bool flag, const LaneSet &active);
@@ -252,8 +252,8 @@ class BatchedLogicalQubitExperiment
     // over the whole subtree (thousands of ops). The twin is bound to
     // the parent's recording and class table, so its traces and class
     // ids are the parent's own; migration transplants each lane's rng
-    // stream and shadow-sampler clocks, keeping results bit-identical
-    // with the in-place replay.
+    // stream, shadow-class clocks and correction clock, keeping results
+    // bit-identical with the in-place replay.
     //
 
     /** One attempt round of the level-2 verified ancilla preparation;
@@ -289,6 +289,11 @@ class BatchedLogicalQubitExperiment
     void applyCorrection(std::size_t c, std::size_t g, Role role,
                          bool detect_x, const GroupSyndrome &synd,
                          const LaneSet &active);
+    /** Fold a Pauli X (or Z) correction on qubit @p q into the @p lanes
+     *  of word @p w, then fault that physical gate on the lanes the
+     *  correction clock fires. */
+    void injectCorrection(std::uint32_t w, std::size_t q, bool x,
+                          std::uint64_t lanes);
     void ecCycleL1(std::size_t c, std::size_t g, const LaneSet &active,
                    ExperimentStats *stats);
     void prepL2Ancilla(std::size_t c, bool plus, const LaneSet &active,

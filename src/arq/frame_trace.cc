@@ -537,16 +537,13 @@ finalizeTraceClassSites(FrameTrace &trace, const NoiseClassTable &classes)
         compileTraceEffects(trace));
 }
 
-BatchedNoiseModel::BatchedNoiseModel(const NoiseClassTable &classes)
+BatchedNoiseModel::BatchedNoiseModel(const NoiseClassTable &classes,
+                                     double correction_p)
+    : draws(classes.probabilities().begin(),
+            classes.probabilities().end()),
+      correction(correction_p)
 {
-    const auto &probs = classes.probabilities();
-    samplers.reserve(probs.size());
-    draws.reserve(probs.size());
-    for (double p : probs) {
-        samplers.emplace_back(p);
-        draws.emplace_back(p);
-    }
-    plans.resize(probs.size());
+    plans.resize(classes.probabilities().size());
 }
 
 void
@@ -554,10 +551,9 @@ BatchedNoiseModel::rearm(const RngFamily &family, std::uint64_t first_shot)
 {
     for (std::size_t l = 0; l < kBatchLanes; ++l)
         lanes[l] = family.stream(first_shot + l);
-    for (auto &sampler : samplers)
-        sampler.disarm();
     for (auto &draw : draws)
         draw.disarm();
+    correction.disarm();
 }
 
 namespace {
@@ -667,7 +663,7 @@ packWalkedPlan(ClassDrawPlan &plan, std::uint32_t sites,
  * non-degenerate class with sites, and leave the sorted fire schedules
  * in model.plans. This is the planned replay's core saving: a no-fire
  * (class, lane) pair costs one counter update for the entire trace
- * instead of one calendar bump per site. Only the classes in the
+ * instead of one per site. Only the classes in the
  * trace's skeleton are touched: plans of absent classes are stale but
  * unreachable, because the replay switch never fires a class without
  * sites.

@@ -13,9 +13,10 @@
  *
  * Fault sites reference noise classes -- deduplicated probabilities
  * registered in a NoiseClassTable at record time -- and a
- * BatchedNoiseModel binds one geometric-gap lane clock per class plus
- * the 64 per-lane Rng streams, so every lane draws i.i.d. Bernoulli
- * faults from its own stream, exactly as the scalar engine's shots do.
+ * BatchedNoiseModel binds one geometric-gap lane clock per class (plus
+ * one for the unrecorded correction sites) and the 64 per-lane Rng
+ * streams, so every lane draws i.i.d. Bernoulli faults from its own
+ * stream, exactly as the scalar engine's shots do.
  */
 
 #ifndef QLA_ARQ_FRAME_TRACE_H
@@ -40,9 +41,9 @@ class NoiseClassTable
 
     /**
      * Register a fresh class even when the probability already exists.
-     * Used to give sparse-mask paths (retries, conditional corrections)
-     * samplers of their own, so they never force the full-width
-     * samplers to park and unpark whole words of lane clocks.
+     * Used to give sparse-mask paths (retry and conditional subtrees)
+     * clocks of their own, so a subtree migrated into the dense twin
+     * carries only those clocks and the full-width clocks stay home.
      */
     std::uint8_t newClass(double p);
 
@@ -336,31 +337,33 @@ struct ClassDrawPlan
     std::uint32_t scatters = 0;
 };
 
-/** Per-class samplers plus per-lane streams for one 64-shot word. */
+/** Per-class clocks plus per-lane streams for one 64-shot word. */
 struct BatchedNoiseModel
 {
-    explicit BatchedNoiseModel(const NoiseClassTable &classes);
+    /** One clock per class of @p classes, and the correction clock at
+     *  probability @p correction_p. */
+    BatchedNoiseModel(const NoiseClassTable &classes, double correction_p);
 
     /**
      * Bind the 64 lanes to the family streams for shots
-     * [first_shot, first_shot + 64) and disarm every sampler; lane l's
+     * [first_shot, first_shot + 64) and disarm every clock; lane l's
      * noise then depends only on (family, first_shot + l).
      */
     void rearm(const RngFamily &family, std::uint64_t first_shot);
 
     /**
      * Move one lane's migratable identity into @p dst: the rng stream
-     * by value, and -- for each of the @p num_classes sampler-class
-     * pairs -- the lane's noise clock, parked out of this model's
-     * sampler src_cls[c] and imported at @p dst_lane of @p dst's
-     * sampler dst_cls[c]. This is the per-lane reference semantics of
-     * lane compaction; arq::SegmentPool's bulk transplants perform
-     * exactly these moves but loop class-outer across a whole chunk of
-     * lanes for cache locality (clock moves between distinct
-     * (sampler, lane) slots commute). The class pairing must cover
-     * every class the migrated segment can sample (clocks of unlisted
-     * classes stay put, which is exactly right for classes the segment
-     * never replays), and each pair must carry the same probability
+     * by value, the correction clock, and -- for each of the
+     * @p num_classes class pairs -- the lane's trace clock, exported
+     * from this model's clock src_cls[c] and imported at @p dst_lane of
+     * @p dst's clock dst_cls[c]. This is the per-lane reference
+     * semantics of lane compaction; arq::SegmentPool's bulk transplants
+     * perform exactly these moves but loop class-outer across a whole
+     * chunk of lanes for cache locality (clock moves between distinct
+     * (clock, lane) slots commute). The class pairing must cover every
+     * class the migrated segment can sample (clocks of unlisted classes
+     * stay put, which is exactly right for classes the segment never
+     * replays), and each pair must carry the same probability
      * (asserted).
      */
     void moveLaneTo(BatchedNoiseModel &dst, std::size_t dst_lane,
@@ -368,22 +371,19 @@ struct BatchedNoiseModel
                     const std::uint8_t *dst_cls, std::size_t num_classes)
     {
         dst.lanes[dst_lane] = lanes[src_lane];
-        for (std::size_t c = 0; c < num_classes; ++c) {
-            samplers[src_cls[c]].moveLaneTo(dst.samplers[dst_cls[c]],
-                                            dst_lane, src_lane);
-            // The trace-draw clock of the same class travels with the
-            // lane: replayed fault sites draw from these clocks.
+        correction.moveLaneTo(dst.correction, dst_lane, src_lane);
+        for (std::size_t c = 0; c < num_classes; ++c)
             draws[src_cls[c]].moveLaneTo(dst.draws[dst_cls[c]], dst_lane,
                                          src_lane);
-        }
     }
 
     LaneRngs lanes;
-    /** Per-site word samplers; only the syndrome-conditioned
-     *  corrections draw from these (the other classes stay unseen). */
-    std::vector<BernoulliWordSampler> samplers;
     /** Trace-level clocks, one per class: every replayed fault site. */
     std::vector<ClassDrawSampler> draws;
+    /** The syndrome-conditioned corrections' clock, one trial per
+     *  correction gate (ClassDrawSampler::trial): their sites are
+     *  data-dependent, so no trace plans them. */
+    ClassDrawSampler correction;
     /** Scratch fire schedules for the trace being replayed. */
     std::vector<ClassDrawPlan> plans;
 };

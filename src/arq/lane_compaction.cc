@@ -58,28 +58,27 @@ SegmentPool::transplantIn(std::size_t k,
                           const SamplerClassMap &classes) const
 {
     // Each migrated lane carries its identity: rng stream by value,
-    // noise clocks parked out of the home word's samplers and into the
-    // dense word's samplers of the mapped class (the same per-lane
-    // transplant BatchedNoiseModel::moveLaneTo performs). The loops run
-    // class-outer rather than lane-outer purely for locality: clock
-    // moves between distinct (sampler, lane) slots commute, and with
-    // the refs (word, lane)-sorted each home word's sampler -- and the
-    // dense word's -- stays cache-hot across its whole run of lanes,
-    // where the lane-outer order walked every class's cold sampler pair
-    // once per migrated lane.
+    // correction clock, and trace clocks exported from the home word's
+    // clocks and imported into the dense word's clocks of the mapped
+    // class (the same per-lane transplant BatchedNoiseModel::moveLaneTo
+    // performs). The loops run class-outer rather than lane-outer
+    // purely for locality: clock moves between distinct (clock, lane)
+    // slots commute, and with the refs (word, lane)-sorted each home
+    // word's clock -- and the dense word's -- stays cache-hot across its
+    // whole run of lanes.
     const LaneRef *refs = refs_.data() + k * kBatchLanes;
     const std::size_t lanes = chunkLanes(k);
-    for (std::size_t j = 0; j < lanes; ++j)
-        dense.lanes[j] = home[refs[j].word].lanes[refs[j].lane];
+    for (std::size_t j = 0; j < lanes; ++j) {
+        BatchedNoiseModel &src = home[refs[j].word];
+        dense.lanes[j] = src.lanes[refs[j].lane];
+        src.correction.moveLaneTo(dense.correction, j, refs[j].lane);
+    }
     for (std::size_t c = 0; c < classes.count; ++c) {
         const std::uint8_t hc = classes.home[c];
         const std::uint8_t dc = classes.dense[c];
-        for (std::size_t j = 0; j < lanes; ++j) {
-            BatchedNoiseModel &src = home[refs[j].word];
-            src.samplers[hc].moveLaneTo(dense.samplers[dc], j,
-                                        refs[j].lane);
-            src.draws[hc].moveLaneTo(dense.draws[dc], j, refs[j].lane);
-        }
+        for (std::size_t j = 0; j < lanes; ++j)
+            home[refs[j].word].draws[hc].moveLaneTo(dense.draws[dc], j,
+                                                    refs[j].lane);
     }
 }
 
@@ -91,17 +90,17 @@ SegmentPool::transplantOut(std::size_t k,
 {
     const LaneRef *refs = refs_.data() + k * kBatchLanes;
     const std::size_t lanes = chunkLanes(k);
-    for (std::size_t j = 0; j < lanes; ++j)
-        home[refs[j].word].lanes[refs[j].lane] = dense.lanes[j];
+    for (std::size_t j = 0; j < lanes; ++j) {
+        BatchedNoiseModel &dst = home[refs[j].word];
+        dst.lanes[refs[j].lane] = dense.lanes[j];
+        dense.correction.moveLaneTo(dst.correction, refs[j].lane, j);
+    }
     for (std::size_t c = 0; c < classes.count; ++c) {
         const std::uint8_t hc = classes.home[c];
         const std::uint8_t dc = classes.dense[c];
-        for (std::size_t j = 0; j < lanes; ++j) {
-            BatchedNoiseModel &dst = home[refs[j].word];
-            dense.samplers[dc].moveLaneTo(dst.samplers[hc], refs[j].lane,
-                                          j);
-            dense.draws[dc].moveLaneTo(dst.draws[hc], refs[j].lane, j);
-        }
+        for (std::size_t j = 0; j < lanes; ++j)
+            dense.draws[dc].moveLaneTo(home[refs[j].word].draws[hc],
+                                       refs[j].lane, j);
     }
 }
 

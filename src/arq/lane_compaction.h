@@ -14,9 +14,9 @@
  *
  * Regrouping is one path. SegmentPool plans the (word, lane) ->
  * dense-slot assignment, transplants each migrated lane's identity (its
- * per-shot rng stream by value, its noise-clock state in every relevant
- * sampler class exported/imported through
- * BernoulliWordSampler::exportLane/importLane), and moves frame rows and
+ * per-shot rng stream by value, and its correction clock and trace
+ * clock in every relevant class exported/imported through
+ * ClassDrawSampler::exportLane/importLane), and moves frame rows and
  * result bit-planes between home lane positions and dense slots. Its
  * one user is the dense twin experiment (arq/batched_monte_carlo.cc):
  * the level-2 "Start Over" rounds and the repeated level-2 extraction
@@ -87,9 +87,9 @@ struct LaneChunkPlan
 static_assert(kMaxGroupWords <= 32, "LaneChunkPlan::words is 32 bits");
 
 /**
- * The sampler classes migrating with each lane of one pooled segment:
- * class home[i] in a home model pairs with class dense[i] in the dense
- * model (same probability, asserted in the transplant). The map must
+ * The noise classes whose trace clocks migrate with each lane of one
+ * pooled segment: class home[i] in a home model pairs with class
+ * dense[i] in the dense model (same probability, asserted in the transplant). The map must
  * cover every class the migrated segment can sample -- and, for the
  * transplant cost's sake, nothing more: clocks of unlisted classes
  * stay home untouched, which is exactly right both for primary-class
@@ -106,9 +106,9 @@ struct SamplerClassMap
 /**
  * The shared lane-migration engine: plans a migration of a sparse
  * LaneSet into dense 64-lane chunks and moves lane identity (rng
- * stream + sampler clocks of the segment's SamplerClassMap), frame
- * rows, and result bit-planes between the home words and the dense
- * destination.
+ * stream, correction clock and the trace clocks of the segment's
+ * SamplerClassMap), frame rows, and result bit-planes between the home
+ * words and the dense destination.
  *
  * The destination of chunk k is word k of a dense twin experiment's
  * group frame and noise models.
@@ -147,9 +147,9 @@ class SegmentPool
     LaneSet denseSet() const;
 
     /**
-     * Move the identity (rng stream + the clocks of @p classes) of
-     * chunk @p k's lanes from their home words into dense slots of
-     * @p dense.
+     * Move the identity (rng stream, correction clock and the clocks of
+     * @p classes) of chunk @p k's lanes from their home words into
+     * dense slots of @p dense.
      */
     void transplantIn(std::size_t k, std::vector<BatchedNoiseModel> &home,
                       BatchedNoiseModel &dense,

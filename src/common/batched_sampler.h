@@ -7,8 +7,10 @@
  * independent Bernoulli(p) draw from lane l's private stream. Drawing one
  * uniform per lane per site would cost as much as the scalar simulation;
  * instead each lane advances by geometric gaps ("how many trials until my
- * next success"), so the common all-lanes-active no-fire case is a single
- * counter bump regardless of p.
+ * next success"), so the common no-fire case is a single counter
+ * subtraction regardless of p. ClassDrawSampler is the one such clock:
+ * replayed trace sites walk it a whole class block at a time, and the
+ * syndrome-conditioned corrections take it one trial at a time.
  *
  * Determinism contract: a lane's draws are a function of its own Rng
  * stream and of the sequence of sites at which that lane was active --
@@ -24,8 +26,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <limits>
-#include <memory>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -121,8 +121,7 @@ geometricGap(Rng &rng, double inv_log2_q)
  * Identical draw-for-draw to calling geometricGapFromU on each entry --
  * it is the same inlined expression tree -- but shaped as the flat loop
  * the compiler turns into SIMD floor/multiply lanes. This is the refill
- * kernel behind ClassDrawSampler's batched walks and
- * BernoulliWordSampler's calendar arming.
+ * kernel behind ClassDrawSampler's batched walks and arming.
  */
 inline void
 geometricGapBlock(const double *u, std::size_t n, double inv_log2_q,
@@ -133,191 +132,24 @@ geometricGapBlock(const double *u, std::size_t n, double inv_log2_q,
 }
 
 /**
- * Batched Bernoulli(p) bit source over 64 lanes.
+ * Batched Bernoulli(p) clock over 64 lanes: the sampler behind every
+ * fault site of the batched Monte Carlo (see arq/frame_trace.h).
  *
- * sample(active) returns the word of lanes (a subset of @p active) whose
- * current trial succeeded; inactive lanes neither fire nor consume a
- * trial. Each lane's success sequence is i.i.d. Bernoulli(p) over the
- * trials at which it was active, realized by geometric gap sampling
- * from the lane's own stream (inversion of the exact geometric CDF; the
- * fast log2 it uses deviates from exact inversion on a ~1e-6 fraction
- * of draws, far below anything a Monte-Carlo estimate can resolve).
- */
-class BernoulliWordSampler
-{
-  public:
-    explicit BernoulliWordSampler(double p);
-
-    double probability() const { return p_; }
-
-    /**
-     * Forget all lane state. Call at batch boundaries, after reseeding
-     * the lane streams; lanes re-arm from their streams on first use.
-     */
-    void disarm();
-
-    /**
-     * Lane-state handle for moving a shot between words (lane
-     * compaction): the frozen number of active trials remaining until
-     * the lane's next success, or kLaneUnseen for a lane that has not
-     * drawn its first gap yet.
-     */
-    static constexpr std::int64_t kLaneUnseen = 0;
-
-    /**
-     * Park @p lane and remove it from this sampler, returning its
-     * remaining-trials state for importLane in another sampler of the
-     * same probability. A lane re-imported where it left off continues
-     * the exact trial/draw sequence it would have produced in place --
-     * that is what lets lane compaction regroup shots across words
-     * without breaking the determinism contract.
-     */
-    std::int64_t exportLane(std::size_t lane)
-    {
-        const std::uint64_t bit = std::uint64_t{1} << lane;
-        if (!(seen_ & bit))
-            return kLaneUnseen;
-        std::int64_t remaining;
-        if (armed_ & bit) {
-            // Armed lanes keep an absolute fire time; parked form is
-            // the trial count still to go (>= 1: a due lane fires
-            // inside sample(), so cnt_ > elapsed_ between calls).
-            (*ring_)[cnt_[lane] & kRingMask] &= ~bit;
-            remaining = cnt_[lane] - elapsed_;
-            armed_ &= ~bit;
-        } else {
-            remaining = cnt_[lane]; // already parked
-        }
-        seen_ &= ~bit;
-        cnt_[lane] = kNeverFires;
-        qla_assert(remaining >= 1);
-        return remaining;
-    }
-
-    /**
-     * Install @p lane as parked with @p remaining trials to its next
-     * success (a value returned by exportLane). The lane must be
-     * unknown to this sampler; kLaneUnseen leaves it unseen, so it
-     * arms fresh from its stream on first activity, exactly as it
-     * would have where it came from.
-     */
-    void importLane(std::size_t lane, std::int64_t remaining)
-    {
-        const std::uint64_t bit = std::uint64_t{1} << lane;
-        qla_assert(!(seen_ & bit), "importLane over a live lane");
-        if (remaining == kLaneUnseen)
-            return;
-        qla_assert(remaining >= 1);
-        seen_ |= bit; // parked (seen, not armed); rebase unparks later
-        cnt_[lane] = remaining;
-    }
-
-    /**
-     * exportLane from this sampler + importLane into @p dst, with the
-     * probability pairing asserted: transplanting a clock between
-     * samplers of different probabilities would silently break the
-     * determinism contract (the remaining-trials count is only
-     * meaningful against the same geometric distribution), so every
-     * migration path funnels through this check.
-     */
-    void moveLaneTo(BernoulliWordSampler &dst, std::size_t dst_lane,
-                    std::size_t src_lane)
-    {
-        qla_assert(dst.p_ == p_,
-                   "lane clock moved across probabilities ", p_, " -> ",
-                   dst.p_);
-        dst.importLane(dst_lane, exportLane(src_lane));
-    }
-
-    /**
-     * One trial for every lane in @p active; returns the fired lanes.
-     *
-     * Inline fast path: when the active mask equals the armed mask (the
-     * straight-line schedule between retries), a trial is one increment
-     * and one calendar-bucket load -- lane fire times live in a ring of
-     * buckets keyed by trial count, so a site with no due lane costs
-     * O(1) regardless of p. A mask change (entering or leaving a retry /
-     * conditional path) rebases the sampler once, parking the trial
-     * clocks of lanes that left and resuming lanes that returned, after
-     * which the new mask runs on the fast path too.
-     */
-    std::uint64_t sample(std::uint64_t active, LaneRngs &lanes)
-    {
-        if (active == armed_) {
-            if (!active)
-                return 0;
-            const std::uint64_t due = (*ring_)[++elapsed_ & kRingMask];
-            if (!due)
-                return 0;
-            return fireCheck(due, lanes);
-        }
-        return rebase(active, lanes);
-    }
-
-  private:
-    /** Ring slots; fire times collide mod this (cheap re-check later). */
-    static constexpr std::size_t kRingSize = 2048;
-    static constexpr std::uint64_t kRingMask = kRingSize - 1;
-
-    /** cnt_ value of lanes with no scheduled fire. */
-    static constexpr std::int64_t kNeverFires
-        = std::numeric_limits<std::int64_t>::max();
-
-    /** Trials until (and including) lane's next success, >= 1. */
-    std::int64_t nextGap(Rng &rng) const;
-
-    std::uint64_t fireCheck(std::uint64_t candidates, LaneRngs &lanes);
-    std::uint64_t rebase(std::uint64_t active, LaneRngs &lanes);
-
-    // Hot scalars first: the sample()/exportLane fast paths and the
-    // per-lane transplant loops touch only these, and keeping them in
-    // the object's first cache line instead of behind the 16 KiB ring
-    // is worth ~10% of a whole threshold sweep (the transplant paths
-    // poke many samplers per migrated lane).
-    double p_;
-    double inv_log2_q_ = 0.0; // 1 / log2(1 - p) for geometric inversion
-    std::uint64_t armed_ = 0;
-    std::uint64_t seen_ = 0;
-    std::int64_t elapsed_ = 0;
-
-    // Armed lane l fires when the shared trial counter elapsed_ reaches
-    // cnt_[l]; bucket cnt_[l] & kRingMask of the ring carries the lane's
-    // bit (lanes parked farther than the ring wraps are simply
-    // re-checked when their bucket comes around again). Parked lanes
-    // (seen_ but not armed_) hold their remaining-trials count in cnt_
-    // instead and sit in no bucket; their clocks stand still until the
-    // mask brings them back.
-    std::array<std::int64_t, kBatchLanes> cnt_{};
-
-    // The calendar lives behind a pointer, zero-filled the first time
-    // rebase arms a lane (every ring access is on behalf of an armed
-    // lane). Keeping the 16 KiB ring out of the object matters twice:
-    // an experiment builds one sampler per (class, word) and only the
-    // correction class ever arms (replays use ClassDrawSampler), so inline
-    // rings would memset megabytes per experiment for buckets never
-    // read -- and the lane-transplant paths (lane compaction) poke a
-    // handful of scalars in many samplers per moved lane, which with
-    // 16 KiB objects makes every poke a cold cache line. As a ~600 B
-    // object, a model's whole sampler vector stays cache-resident.
-    std::unique_ptr<std::array<std::uint64_t, kRingSize>> ring_;
-};
-
-/**
- * Trace-level batched Bernoulli(p) clock over 64 lanes: the sampler
- * behind every replayed fault site (see arq/frame_trace.h).
+ * Each lane holds the number of trials remaining until its next
+ * success, drawn as geometric gaps from the lane's own stream (inversion
+ * of the exact geometric CDF; the fast log2 it uses deviates from exact
+ * inversion on a ~1e-6 fraction of draws, far below anything a
+ * Monte-Carlo estimate can resolve). A lane arms with one gap draw the
+ * first time it is active and draws one more gap per fire. Inactive
+ * lanes neither fire nor consume a trial: their clocks stand still
+ * until a mask brings them back.
  *
- * Where BernoulliWordSampler takes one trial per site per word,
- * ClassDrawSampler advances each lane over a whole block of @p sites
- * consecutive trials in one walkLane call: in the common no-fire case a
- * lane costs a single counter subtraction for the entire trace instead
- * of a calendar bump per site. The clock is the same parked
- * remaining-trials count the word sampler exports (geometric gaps from
- * the lane's own stream, same inversion), so a lane's fire positions
- * are a pure function of (stream, activity sequence) -- the determinism
- * contract across widths, groupings, compaction and threads holds
- * exactly as for the word sampler. Only the *order* in which a lane's
- * stream is consumed differs (gap draws grouped per class per trace
- * instead of interleaved per site).
+ * walkLane/walkWord advance a lane over a whole block of @p sites
+ * consecutive trials at once, so in the common no-fire case a lane costs
+ * a single counter subtraction for an entire trace; trial() takes one
+ * trial per call. Either way a lane's fire positions are a pure function
+ * of (stream, activity sequence) -- the determinism contract across
+ * widths, groupings, compaction and threads.
  */
 class ClassDrawSampler
 {
@@ -334,9 +166,22 @@ class ClassDrawSampler
     /** Forget all lane state; lanes re-arm from their streams. */
     void disarm() { seen_ = 0; }
 
-    /** Same parked-lane handle as BernoulliWordSampler. */
+    /**
+     * Lane-state handle for moving a shot between words (lane
+     * compaction): the number of trials remaining until the lane's next
+     * success (>= 1), or kLaneUnseen for a lane that has not drawn its
+     * first gap yet.
+     */
     static constexpr std::int64_t kLaneUnseen = 0;
 
+    /**
+     * Remove @p lane from this clock, returning its remaining-trials
+     * state for importLane in another clock of the same probability. A
+     * lane re-imported where it left off continues the exact trial/draw
+     * sequence it would have produced in place -- that is what lets
+     * lane compaction regroup shots across words without breaking the
+     * determinism contract.
+     */
     std::int64_t exportLane(std::size_t lane)
     {
         const std::uint64_t bit = std::uint64_t{1} << lane;
@@ -347,6 +192,13 @@ class ClassDrawSampler
         return cnt_[lane];
     }
 
+    /**
+     * Install @p lane with @p remaining trials to its next success (a
+     * value returned by exportLane). The lane must be unknown to this
+     * clock; kLaneUnseen leaves it unseen, so it arms fresh from its
+     * stream on first activity, exactly as it would have where it came
+     * from.
+     */
     void importLane(std::size_t lane, std::int64_t remaining)
     {
         const std::uint64_t bit = std::uint64_t{1} << lane;
@@ -358,6 +210,12 @@ class ClassDrawSampler
         cnt_[lane] = remaining;
     }
 
+    /**
+     * exportLane from this clock + importLane into @p dst, with the
+     * probability pairing asserted: a remaining-trials count is only
+     * meaningful against the same geometric distribution, so every
+     * migration path funnels through this check.
+     */
     void moveLaneTo(ClassDrawSampler &dst, std::size_t dst_lane,
                     std::size_t src_lane)
     {
@@ -446,6 +304,24 @@ class ClassDrawSampler
         if (!firing)
             return 0;
         return walkFiring(firing, sites, lanes, fires);
+    }
+
+    /**
+     * One trial for every lane in @p active (a one-site walkWord);
+     * returns the fired lanes. Degenerate probabilities consume no
+     * stream, like Rng::bernoulli: p <= 0 fires no lane and p >= 1
+     * fires every active lane. The syndrome-conditioned corrections,
+     * whose sites are data-dependent and never planned, draw here.
+     */
+    std::uint64_t trial(std::uint64_t active, LaneRngs &lanes)
+    {
+        if (p_ <= 0.0)
+            return 0;
+        if (p_ >= 1.0)
+            return active;
+        std::uint64_t fired = 0;
+        walkWord(active, 1, lanes, &fired);
+        return fired;
     }
 
   private:

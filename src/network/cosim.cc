@@ -115,9 +115,6 @@ class CoSimEngine
         if (hierarchy_on_) {
             mem_params_ = arch::RegionCodeParams::memoryAtLevel(
                 config_.memory.memoryCodeLevel);
-            fetch_pairs_ = config_.memory.pairsPerFetch
-                ? config_.memory.pairsPerFetch
-                : mem_params_.teleportPairs;
             // Belady eviction needs each data qubit's next use: the
             // gate lists are already in increasing id order.
             uses_of_.resize(program_.circuit().numQubits());
@@ -577,9 +574,9 @@ class CoSimEngine
         }
         const IslandCoord src = placement_.islandOf(q);
         placement_.moveTo(q, *tile);
-        report_.fetchPairsRequested += fetch_pairs_;
+        report_.fetchPairsRequested += mem_params_.teleportPairs;
         emitOne(g, 0, slot++, src, placement_.islandOf(q),
-                fetch_pairs_);
+                mem_params_.teleportPairs);
     }
 
     /**
@@ -620,9 +617,9 @@ class CoSimEngine
         const IslandCoord src = placement_.islandOf(victim);
         placement_.moveTo(victim, *tile);
         ++report_.memEvictions;
-        report_.writebackPairsRequested += fetch_pairs_;
+        report_.writebackPairsRequested += mem_params_.teleportPairs;
         emitOne(g, 0, slot++, src, placement_.islandOf(victim),
-                fetch_pairs_);
+                mem_params_.teleportPairs);
         return true;
     }
 
@@ -721,7 +718,7 @@ class CoSimEngine
                 if (grab.burstLinks > 0)
                     fidelity = PathFidelityTable::withBursts(
                         fidelity, grab.burstLinks,
-                        config_.linkFaults.burstDepolarization);
+                        kBurstDepolarization);
             }
             if (fidelity < config_.fidelity.deliveryThreshold) {
                 report_.pairsRejectedFidelity += survivors;
@@ -772,7 +769,7 @@ class CoSimEngine
             g.degraded = true;
             ++report_.gatesDegraded;
         }
-        g.penaltyWindows += config_.fidelity.abandonPenaltyWindows;
+        g.penaltyWindows += kAbandonPenaltyWindows;
         --g.undeliveredFor[static_cast<std::size_t>(pd.relWindow)];
     }
 
@@ -941,7 +938,6 @@ class CoSimEngine
     bool hierarchy_on_ = false;
     arch::RegionMap regions_;
     arch::RegionCodeParams mem_params_;
-    std::uint64_t fetch_pairs_ = 0;
     /** Per data qubit: gate ids touching it, increasing (Belady). */
     std::vector<std::vector<std::size_t>> uses_of_;
 };

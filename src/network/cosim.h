@@ -127,7 +127,7 @@ struct CoSimReport
     /** Dropped sub-counter: delivered below the fidelity threshold. */
     std::uint64_t pairsRejectedFidelity = 0;
     /** Pairs of demands abandoned after the retry budget ran out (the
-     *  fallback path: the gate pays abandonPenaltyWindows instead). */
+     *  fallback path: the gate pays kAbandonPenaltyWindows instead). */
     std::uint64_t pairsAbandoned = 0;
     /** Demands abandoned (each charges one fallback penalty). */
     std::uint64_t demandsAbandoned = 0;

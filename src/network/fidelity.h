@@ -30,6 +30,11 @@
 
 namespace qla::network {
 
+/** Fallback penalty charged to a gate per abandoned demand, in stall
+ *  windows (the cost of falling back to ballistic shuttling /
+ *  recompilation for the missing interaction). */
+inline constexpr int kAbandonPenaltyWindows = 4;
+
 /**
  * Fidelity model for EPR delivery in the co-simulator.
  *
@@ -61,10 +66,6 @@ struct FidelityConfig
     /** Base backoff after a rejection, in windows (doubles per retry,
      *  capped at 8x). */
     int backoffWindows = 1;
-    /** Fallback penalty charged to a gate per abandoned demand, in
-     *  stall windows (the cost of falling back to ballistic shuttling /
-     *  recompilation for the missing interaction). */
-    int abandonPenaltyWindows = 4;
 
     /** True when the model can alter behavior vs the ideal engine. */
     bool enabled() const

@@ -84,6 +84,9 @@ struct MeshRoute
     }
 };
 
+/** Werner depolarization applied per bursting link crossed. */
+inline constexpr double kBurstDepolarization = 0.05;
+
 /**
  * Stochastic link-fault model (PR 7 noisy-interconnect co-design).
  *
@@ -96,7 +99,7 @@ struct MeshRoute
  *                   linkDownWindows windows) with per-window probability
  *                   linkDownRate;
  *  - depol. burst:  a link depolarizes every pair crossing it this
- *                   window (extra Werner decay burstDepolarization) with
+ *                   window (extra Werner decay kBurstDepolarization) with
  *                   per-window probability burstRate.
  *
  * Determinism contract: the down/burst state of (link, window) is a pure
@@ -116,8 +119,6 @@ struct LinkFaultConfig
     int linkDownWindows = 2;
     /** Per-link per-window probability of a depolarization burst. */
     double burstRate = 0.0;
-    /** Werner depolarization applied per bursting link crossed. */
-    double burstDepolarization = 0.05;
     /** Fault-process seed (mixed with the run seed by the co-sim). */
     std::uint64_t seed = 1;
 

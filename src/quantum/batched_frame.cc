@@ -82,65 +82,4 @@ drawPauli2(std::uint64_t fired, LaneRngs &lanes)
     return {fxa, fza, fxb, fzb};
 }
 
-void
-applyDepolarize1(BatchedPauliFrame &frame, std::size_t q,
-                 std::uint64_t fired, LaneRngs &lanes)
-{
-    const Pauli1Draw d = drawPauli1(fired, lanes);
-    if (d.fx)
-        frame.injectX(q, d.fx);
-    if (d.fz)
-        frame.injectZ(q, d.fz);
-}
-
-void
-applyDepolarize2(BatchedPauliFrame &frame, std::size_t a, std::size_t b,
-                 std::uint64_t fired, LaneRngs &lanes)
-{
-    const Pauli2Draw d = drawPauli2(fired, lanes);
-    if (d.fxa)
-        frame.injectX(a, d.fxa);
-    if (d.fza)
-        frame.injectZ(a, d.fza);
-    if (d.fxb)
-        frame.injectX(b, d.fxb);
-    if (d.fzb)
-        frame.injectZ(b, d.fzb);
-}
-
-void
-depolarize1(BatchedPauliFrame &frame, std::size_t q,
-            BernoulliWordSampler &sampler, LaneRngs &lanes,
-            std::uint64_t active)
-{
-    const std::uint64_t fired = sampler.sample(active, lanes);
-    if (fired)
-        applyDepolarize1(frame, q, fired, lanes);
-}
-
-void
-depolarize2(BatchedPauliFrame &frame, std::size_t a, std::size_t b,
-            BernoulliWordSampler &sampler, LaneRngs &lanes,
-            std::uint64_t active)
-{
-    const std::uint64_t fired = sampler.sample(active, lanes);
-    if (fired)
-        applyDepolarize2(frame, a, b, fired, lanes);
-}
-
-void
-depolarize1(GroupPauliFrames &frames, std::size_t w, std::size_t q,
-            BernoulliWordSampler &sampler, LaneRngs &lanes,
-            std::uint64_t active)
-{
-    const std::uint64_t fired = sampler.sample(active, lanes);
-    if (!fired)
-        return;
-    const Pauli1Draw d = drawPauli1(fired, lanes);
-    if (d.fx)
-        frames.injectX(w, q, d.fx);
-    if (d.fz)
-        frames.injectZ(w, q, d.fz);
-}
-
 } // namespace qla::quantum

@@ -281,12 +281,10 @@ class GroupPauliFrames
 };
 
 //
-// Batched depolarizing-noise injection. The apply* functions are the
-// fire path -- they draw each fired lane's Pauli from that lane's own
-// stream, with the same distribution as the scalar PauliFrame helpers --
-// while the sampler decides which lanes fault (one trial per active
-// lane). They take the concrete frame: fires are the dominant per-lane
-// cost of the batched Monte Carlo and must not dispatch virtually.
+// Batched depolarizing-noise fire path: once a clock has decided which
+// lanes fault (common/batched_sampler.h), these draw each fired lane's
+// Pauli from that lane's own stream, with the same distribution as the
+// scalar PauliFrame helpers.
 //
 
 /** X/Z injection words of one random single-qubit Pauli per fired lane. */
@@ -314,29 +312,6 @@ struct Pauli2Draw {
  * non-identity pairs (encoding matches the scalar depolarize2).
  */
 Pauli2Draw drawPauli2(std::uint64_t fired, LaneRngs &lanes);
-
-/** Apply random single-qubit Paulis to the @p fired lanes of @p q. */
-void applyDepolarize1(BatchedPauliFrame &frame, std::size_t q,
-                      std::uint64_t fired, LaneRngs &lanes);
-
-/** Apply random two-qubit Paulis (15 non-identity pairs, uniform). */
-void applyDepolarize2(BatchedPauliFrame &frame, std::size_t a,
-                      std::size_t b, std::uint64_t fired, LaneRngs &lanes);
-
-/** Depolarize @p q with the sampler's probability on @p active lanes. */
-void depolarize1(BatchedPauliFrame &frame, std::size_t q,
-                 BernoulliWordSampler &sampler, LaneRngs &lanes,
-                 std::uint64_t active);
-
-/** Two-qubit depolarization with the sampler's probability. */
-void depolarize2(BatchedPauliFrame &frame, std::size_t a, std::size_t b,
-                 BernoulliWordSampler &sampler, LaneRngs &lanes,
-                 std::uint64_t active);
-
-/** depolarize1 on word @p w of a group frame (correction-path noise). */
-void depolarize1(GroupPauliFrames &frames, std::size_t w, std::size_t q,
-                 BernoulliWordSampler &sampler, LaneRngs &lanes,
-                 std::uint64_t active);
 
 } // namespace qla::quantum
 

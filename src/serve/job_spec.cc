@@ -217,10 +217,6 @@ SweepJobSpec::parse(const std::string &text, SweepJobSpec &spec,
             return static_cast<bool>(rest >> token)
                 && parseU64Token(token, value) && !(rest >> token);
         };
-        auto one_double = [&](double &value) {
-            return static_cast<bool>(rest >> token)
-                && parseDoubleToken(token, value) && !(rest >> token);
-        };
         if (key == "kind") {
             if (!(rest >> token))
                 return fail("missing kind");
@@ -318,8 +314,10 @@ SweepJobSpec::parse(const std::string &text, SweepJobSpec &spec,
                 || (rest >> token))
                 return fail("bad op-error (want [0, 1])");
         } else if (key == "delivery-threshold") {
-            if (!one_double(spec.cosim.deliveryThreshold))
-                return fail("bad delivery-threshold");
+            if (!(rest >> token)
+                || !parseRateToken(token, spec.cosim.deliveryThreshold)
+                || (rest >> token))
+                return fail("bad delivery-threshold (want [0, 1])");
         } else if (key == "retry-budget") {
             std::uint64_t budget = 0;
             if (!one_u64(budget) || budget > 1u << 20)

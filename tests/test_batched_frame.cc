@@ -8,10 +8,11 @@
  * random lane masks, and flip readout. The scalar frame is the reference
  * engine; the batched one must be indistinguishable lane by lane.
  *
- * The batched Bernoulli sampler is additionally checked for statistics
- * (exact geometric-gap sampling of i.i.d. trials) and for its
- * determinism contract: a lane's draws depend only on its own stream and
- * its own activity, not on which other lanes share the word.
+ * The batched Bernoulli clock is additionally checked for statistics
+ * (exact geometric-gap sampling of i.i.d. trials), in both its block-walk
+ * and its one-trial use, and for its determinism contract: a lane's
+ * draws depend only on its own stream and its own activity, not on which
+ * other lanes share the word.
  */
 
 #include <gtest/gtest.h>
@@ -184,42 +185,57 @@ TEST(BatchedPauliFrame, MaskedLanesStayUntouched)
     }
 }
 
-TEST(BatchedSampler, MatchesBernoulliStatistics)
+TEST(ClassDrawTrial, TrialsFireWhereTheBlockWalkDoes)
 {
-    // Word-level rate over many trials must match p for every lane.
-    for (const double p : {0.002, 0.05, 0.3}) {
-        RngFamily family(17);
-        LaneRngs lanes;
-        for (std::size_t l = 0; l < kBatchLanes; ++l)
-            lanes[l] = family.stream(l);
-        BernoulliWordSampler sampler(p);
-        const int trials = 40000;
-        std::int64_t fires = 0;
-        for (int t = 0; t < trials; ++t)
-            fires += std::popcount(sampler.sample(~0ULL, lanes));
-        const double rate =
-            static_cast<double>(fires) / (trials * 64.0);
-        EXPECT_NEAR(rate, p, 5.0 * std::sqrt(p / (trials * 64.0)))
-            << "p = " << p;
-    }
+    // trial() is a one-site walkWord: a lane's fires over N single
+    // trials land on exactly the ordinals one N-site walkLane fires,
+    // from the same stream.
+    const double p = 0.04;
+    const int lane = 21;
+    const int trials = 5000;
+    RngFamily family(61);
+
+    LaneRngs lanes;
+    for (std::size_t l = 0; l < kBatchLanes; ++l)
+        lanes[l] = family.stream(l);
+    ClassDrawSampler stepped(p);
+    std::vector<std::int64_t> got;
+    for (int t = 0; t < trials; ++t)
+        if ((stepped.trial(~0ULL, lanes) >> lane) & 1)
+            got.push_back(t);
+
+    Rng rng = family.stream(lane);
+    ClassDrawSampler walked(p);
+    std::vector<std::int64_t> want;
+    walked.walkLane(lane, trials, rng,
+                    [&](std::int64_t o) { want.push_back(o); });
+    EXPECT_FALSE(want.empty());
+    EXPECT_EQ(got, want);
 }
 
-TEST(BatchedSampler, EdgeProbabilities)
+TEST(ClassDrawTrial, DegenerateProbabilitiesDrawNothing)
 {
+    // p = 0 fires no lane and p = 1 fires every active lane; like
+    // Rng::bernoulli, neither consumes any lane's stream.
     RngFamily family(3);
     LaneRngs lanes;
     for (std::size_t l = 0; l < kBatchLanes; ++l)
         lanes[l] = family.stream(l);
-    BernoulliWordSampler never(0.0);
-    BernoulliWordSampler always(1.0);
+    const LaneRngs before = lanes;
+    ClassDrawSampler never(0.0);
+    ClassDrawSampler always(1.0);
     for (int t = 0; t < 100; ++t) {
-        EXPECT_EQ(never.sample(~0ULL, lanes), 0u);
-        EXPECT_EQ(always.sample(0x123456789abcdefULL, lanes),
+        EXPECT_EQ(never.trial(~0ULL, lanes), 0u);
+        EXPECT_EQ(always.trial(0x123456789abcdefULL, lanes),
                   0x123456789abcdefULL);
+    }
+    for (std::size_t l = 0; l < kBatchLanes; ++l) {
+        Rng untouched = before[l];
+        EXPECT_EQ(lanes[l].next64(), untouched.next64()) << "lane " << l;
     }
 }
 
-TEST(BatchedSampler, LaneDrawsIndependentOfBatchComposition)
+TEST(ClassDrawTrial, LaneDrawsIndependentOfBatchComposition)
 {
     // The determinism contract: lane l's fire sequence over its active
     // trials is the same whether it shares the word with 63 other lanes
@@ -232,26 +248,25 @@ TEST(BatchedSampler, LaneDrawsIndependentOfBatchComposition)
     LaneRngs lanes_full;
     for (std::size_t l = 0; l < kBatchLanes; ++l)
         lanes_full[l] = family.stream(l);
-    BernoulliWordSampler full(p);
+    ClassDrawSampler full(p);
     std::vector<bool> fires_full;
     for (int t = 0; t < trials; ++t)
-        fires_full.push_back(
-            (full.sample(~0ULL, lanes_full) >> lane) & 1);
+        fires_full.push_back((full.trial(~0ULL, lanes_full) >> lane) & 1);
 
     LaneRngs lanes_solo;
     for (std::size_t l = 0; l < kBatchLanes; ++l)
         lanes_solo[l] = family.stream(l);
-    BernoulliWordSampler solo(p);
+    ClassDrawSampler solo(p);
     std::vector<bool> fires_solo;
     for (int t = 0; t < trials; ++t)
         fires_solo.push_back(
-            (solo.sample(std::uint64_t{1} << lane, lanes_solo) >> lane)
+            (solo.trial(std::uint64_t{1} << lane, lanes_solo) >> lane)
             & 1);
 
     EXPECT_EQ(fires_full, fires_solo);
 }
 
-TEST(BatchedSampler, ParkedLanesResumeWhereTheyStopped)
+TEST(ClassDrawTrial, ParkedLanesResumeWhereTheyStopped)
 {
     // Alternating masks: a lane's sequence over its own active trials
     // must be unaffected by the interleaved activity of other lanes.
@@ -267,115 +282,41 @@ TEST(BatchedSampler, ParkedLanesResumeWhereTheyStopped)
     };
 
     LaneRngs a = seed_lanes();
-    BernoulliWordSampler alternating(p);
+    ClassDrawSampler alternating(p);
     std::vector<bool> seq_a;
     for (int round = 0; round < 200; ++round) {
         for (int t = 0; t < 7; ++t)
-            seq_a.push_back(
-                (alternating.sample(~0ULL, a) >> lane) & 1);
+            seq_a.push_back((alternating.trial(~0ULL, a) >> lane) & 1);
         for (int t = 0; t < 5; ++t) // lane parked here
-            alternating.sample(~0ULL & ~(std::uint64_t{1} << lane), a);
+            alternating.trial(~0ULL & ~(std::uint64_t{1} << lane), a);
     }
 
     LaneRngs b = seed_lanes();
-    BernoulliWordSampler steady(p);
+    ClassDrawSampler steady(p);
     std::vector<bool> seq_b;
     for (int t = 0; t < 200 * 7; ++t)
-        seq_b.push_back((steady.sample(~0ULL, b) >> lane) & 1);
+        seq_b.push_back((steady.trial(~0ULL, b) >> lane) & 1);
 
     EXPECT_EQ(seq_a, seq_b);
 }
 
-TEST(BatchedSampler, ExportImportContinuesSequence)
-{
-    // Lane compaction moves a shot between words mid-run. The moved
-    // lane must continue the exact fire sequence it would have produced
-    // in place: export its clock, import at another lane position of
-    // another sampler, keep sampling, move it back.
-    const double p = 0.05;
-    RngFamily family(123);
-    const int lane_home = 11;
-    const int lane_away = 3;
-
-    LaneRngs ref_lanes;
-    for (std::size_t l = 0; l < kBatchLanes; ++l)
-        ref_lanes[l] = family.stream(l);
-    BernoulliWordSampler reference(p);
-    std::vector<bool> ref_fires;
-    for (int t = 0; t < 3000; ++t)
-        ref_fires.push_back(
-            (reference.sample(~0ULL, ref_lanes) >> lane_home) & 1);
-
-    LaneRngs home_lanes;
-    for (std::size_t l = 0; l < kBatchLanes; ++l)
-        home_lanes[l] = family.stream(l);
-    LaneRngs away_lanes; // pool-side streams (only the slot in use set)
-    BernoulliWordSampler home(p);
-    BernoulliWordSampler away(p);
-    std::vector<bool> fires;
-    int t = 0;
-    for (int phase = 0; phase < 6; ++phase) {
-        // 300 trials at home (all lanes active, like a full word)...
-        for (int i = 0; i < 300; ++i, ++t)
-            fires.push_back(
-                (home.sample(~0ULL, home_lanes) >> lane_home) & 1);
-        // ...then migrate to slot lane_away of the away sampler for 200
-        // solo trials (like a compacted retry word).
-        away_lanes[lane_away] = home_lanes[lane_home];
-        away.importLane(lane_away, home.exportLane(lane_home));
-        for (int i = 0; i < 200; ++i, ++t)
-            fires.push_back((away.sample(std::uint64_t{1} << lane_away,
-                                         away_lanes)
-                             >> lane_away)
-                            & 1);
-        home_lanes[lane_home] = away_lanes[lane_away];
-        home.importLane(lane_home, away.exportLane(lane_away));
-    }
-    ASSERT_EQ(fires.size(), ref_fires.size());
-    EXPECT_EQ(fires, ref_fires);
-}
-
-TEST(BatchedSampler, ExportImportEdgeCases)
-{
-    RngFamily family(9);
-    LaneRngs lanes;
-    for (std::size_t l = 0; l < kBatchLanes; ++l)
-        lanes[l] = family.stream(l);
-
-    // A lane the sampler has never armed exports as kLaneUnseen, and
-    // importing kLaneUnseen leaves the destination lane fresh.
-    BernoulliWordSampler sampler(0.1);
-    EXPECT_EQ(sampler.exportLane(7), BernoulliWordSampler::kLaneUnseen);
-    BernoulliWordSampler other(0.1);
-    other.importLane(7, BernoulliWordSampler::kLaneUnseen);
-
-    // A parked lane (active once, then masked out) round-trips.
-    sampler.sample(~0ULL, lanes);
-    sampler.sample(1ULL, lanes); // parks every lane but 0
-    const std::int64_t remaining = sampler.exportLane(9);
-    EXPECT_GE(remaining, 1);
-    other.importLane(9, remaining);
-    EXPECT_EQ(other.exportLane(9), remaining);
-}
-
 TEST(BatchedDepolarize, SingleQubitStatistics)
 {
+    // A fired word's Paulis (drawPauli1) are uniform over X, Y, Z.
     RngFamily family(21);
     LaneRngs lanes;
     for (std::size_t l = 0; l < kBatchLanes; ++l)
         lanes[l] = family.stream(l);
     const double p = 0.3;
-    BernoulliWordSampler sampler(p);
+    ClassDrawSampler clock(p);
     const int trials = 4000;
     std::int64_t x = 0, y = 0, z = 0;
     for (int t = 0; t < trials; ++t) {
-        BatchedPauliFrame frame(1);
-        depolarize1(frame, 0, sampler, lanes, ~0ULL);
-        const std::uint64_t xw = frame.xWord(0);
-        const std::uint64_t zw = frame.zWord(0);
-        x += std::popcount(xw & ~zw);
-        y += std::popcount(xw & zw);
-        z += std::popcount(~xw & zw);
+        const quantum::Pauli1Draw d
+            = quantum::drawPauli1(clock.trial(~0ULL, lanes), lanes);
+        x += std::popcount(d.fx & ~d.fz);
+        y += std::popcount(d.fx & d.fz);
+        z += std::popcount(~d.fx & d.fz);
     }
     const double total = trials * 64.0;
     EXPECT_NEAR((x + y + z) / total, p, 0.01);
@@ -386,22 +327,24 @@ TEST(BatchedDepolarize, SingleQubitStatistics)
 
 TEST(BatchedDepolarize, TwoQubitUniformOverFifteenPairs)
 {
+    // A fired word's Pauli pairs (drawPauli2) are uniform over the 15
+    // non-identity pairs.
     RngFamily family(22);
     LaneRngs lanes;
     for (std::size_t l = 0; l < kBatchLanes; ++l)
         lanes[l] = family.stream(l);
     const double p = 0.45;
-    BernoulliWordSampler sampler(p);
+    ClassDrawSampler clock(p);
     const int trials = 4000;
     std::array<std::int64_t, 16> counts{};
     for (int t = 0; t < trials; ++t) {
-        BatchedPauliFrame frame(2);
-        depolarize2(frame, 0, 1, sampler, lanes, ~0ULL);
+        const quantum::Pauli2Draw d
+            = quantum::drawPauli2(clock.trial(~0ULL, lanes), lanes);
         for (std::size_t l = 0; l < kBatchLanes; ++l) {
-            const int pa = (frame.xBit(0, l) ? 1 : 0)
-                + (frame.zBit(0, l) ? 2 : 0);
-            const int pb = (frame.xBit(1, l) ? 1 : 0)
-                + (frame.zBit(1, l) ? 2 : 0);
+            const int pa = static_cast<int>(((d.fxa >> l) & 1)
+                                            + 2 * ((d.fza >> l) & 1));
+            const int pb = static_cast<int>(((d.fxb >> l) & 1)
+                                            + 2 * ((d.fzb >> l) & 1));
             ++counts[pa * 4 + pb];
         }
     }
@@ -414,8 +357,8 @@ TEST(BatchedDepolarize, TwoQubitUniformOverFifteenPairs)
 
 TEST(ClassDrawSampler, MatchesBernoulliStatistics)
 {
-    // The trace-level clock must realize i.i.d. Bernoulli(p) trials for
-    // every lane, exactly like the per-site word sampler.
+    // The block walk must realize i.i.d. Bernoulli(p) trials for every
+    // lane.
     for (const double p : {0.002, 0.05, 0.3}) {
         RngFamily family(29);
         LaneRngs lanes;
@@ -470,9 +413,9 @@ TEST(ClassDrawSampler, BlockBoundariesDoNotChangeFirePositions)
 
 TEST(ClassDrawSampler, ExportImportContinuesSequence)
 {
-    // Lane compaction moves a shot's trace-draw clock between words
-    // mid-run exactly like the word sampler's: the migrated lane must
-    // keep the fire sequence it would have produced in place.
+    // Lane compaction moves a shot's clocks between words mid-run: the
+    // migrated lane must keep the fire sequence it would have produced
+    // in place.
     const double p = 0.05;
     RngFamily family(123);
     const int lane_home = 11;
@@ -517,8 +460,7 @@ TEST(ClassDrawSampler, ExportImportEdgeCases)
     ClassDrawSampler other(0.1);
     other.importLane(7, ClassDrawSampler::kLaneUnseen);
 
-    // A walked lane's remaining-trials clock round-trips (>= 1, same
-    // convention as BernoulliWordSampler::exportLane).
+    // A walked lane's remaining-trials clock round-trips (>= 1).
     sampler.walkLane(9, 100, rng, [](std::int64_t) {});
     const std::int64_t remaining = sampler.exportLane(9);
     EXPECT_GE(remaining, 1);
@@ -569,7 +511,7 @@ TEST(GroupReplay, TileCarvingBitIdenticalLaneByLane)
                                               BatchedPauliFrame(n));
     std::vector<std::vector<std::uint64_t>> ref_flips(max_words);
     for (std::size_t w = 0; w < max_words; ++w) {
-        BatchedNoiseModel model(classes);
+        BatchedNoiseModel model(classes, 0.0);
         model.rearm(family, w * kBatchLanes);
         replayTrace(trace, ref_frames[w], model, masks[w], ref_flips[w]);
     }
@@ -578,7 +520,7 @@ TEST(GroupReplay, TileCarvingBitIdenticalLaneByLane)
         GroupPauliFrames frames(n, words);
         std::vector<BatchedNoiseModel> models;
         for (std::size_t w = 0; w < words; ++w) {
-            models.emplace_back(classes);
+            models.emplace_back(classes, 0.0);
             models.back().rearm(family, w * kBatchLanes);
         }
         std::vector<std::vector<std::uint64_t>> flips(words);
@@ -693,7 +635,7 @@ TEST(TraceReplay, CompiledMatchesInterpreterLaneByLane)
             }
             std::vector<std::uint64_t> flips[2];
             for (int e = 0; e < 2; ++e) {
-                BatchedNoiseModel model(classes);
+                BatchedNoiseModel model(classes, 0.0);
                 model.rearm(family, word * kBatchLanes);
                 for (int rep = 0; rep < 3; ++rep)
                     replayTrace(*engines[e], frames[e], model, mask,

@@ -14,9 +14,9 @@
  * over a seeded matrix of small experiments.
  *
  * The second half unit-tests the migration primitives themselves:
- * BernoulliWordSampler::exportLane/importLane round trips under
- * adversarial clock states (parked lanes, zero-gap fires, shadow-class
- * lanes mid-series) and the SegmentPool gather/scatter planning.
+ * ClassDrawSampler::exportLane/importLane round trips under adversarial
+ * clock states (parked lanes, zero-gap fires, a correction clock moved
+ * mid-series) and the SegmentPool gather/scatter planning.
  */
 
 #include <gtest/gtest.h>
@@ -202,16 +202,16 @@ TEST(SamplerTransplant, ZeroGapFiresSurviveRoundTrip)
         const int lane = 13;
 
         LaneRngs ref_lanes = familyLanes(family);
-        BernoulliWordSampler reference(p);
+        ClassDrawSampler reference(p);
         std::vector<bool> want;
         for (int t = 0; t < 400; ++t)
-            want.push_back((reference.sample(~0ULL, ref_lanes) >> lane)
+            want.push_back((reference.trial(~0ULL, ref_lanes) >> lane)
                            & 1);
 
         LaneRngs home_lanes = familyLanes(family);
         LaneRngs away_lanes;
-        BernoulliWordSampler home(p);
-        BernoulliWordSampler away(p);
+        ClassDrawSampler home(p);
+        ClassDrawSampler away(p);
         std::vector<bool> got;
         int t = 0;
         for (int phase = 0; phase < 40; ++phase) {
@@ -219,13 +219,13 @@ TEST(SamplerTransplant, ZeroGapFiresSurviveRoundTrip)
             // including directly after a fire, when the redrawn gap of
             // a p = 0.9 lane is almost always exactly 1.
             for (int i = 0; i < 7; ++i, ++t)
-                got.push_back((home.sample(~0ULL, home_lanes) >> lane)
+                got.push_back((home.trial(~0ULL, home_lanes) >> lane)
                               & 1);
             away_lanes[lane] = home_lanes[lane];
             home.moveLaneTo(away, lane, lane);
             for (int i = 0; i < 3; ++i, ++t)
-                got.push_back((away.sample(std::uint64_t{1} << lane,
-                                           away_lanes)
+                got.push_back((away.trial(std::uint64_t{1} << lane,
+                                          away_lanes)
                                >> lane)
                               & 1);
             home_lanes[lane] = away_lanes[lane];
@@ -238,105 +238,103 @@ TEST(SamplerTransplant, ZeroGapFiresSurviveRoundTrip)
 
 TEST(SamplerTransplant, ParkedLaneRoundTripsExactly)
 {
-    // A lane parked by a mask change (seen, not armed) must export its
-    // frozen remaining-trials count, and the count must survive any
-    // number of import/export hops unchanged.
+    // A lane parked by a mask change (armed, then left out of the
+    // active mask) must export its frozen remaining-trials count, and
+    // the count must survive any number of import/export hops unchanged.
     RngFamily family(11);
     LaneRngs lanes = familyLanes(family);
-    BernoulliWordSampler sampler(0.07);
+    ClassDrawSampler clock(0.07);
     for (int t = 0; t < 50; ++t)
-        sampler.sample(~0ULL, lanes);
-    sampler.sample(1ULL, lanes); // parks every lane but 0
+        clock.trial(~0ULL, lanes);
+    clock.trial(1ULL, lanes); // parks every lane but 0
 
-    const std::int64_t remaining = sampler.exportLane(21);
+    const std::int64_t remaining = clock.exportLane(21);
     ASSERT_GE(remaining, 1);
-    BernoulliWordSampler hop1(0.07), hop2(0.07);
+    ClassDrawSampler hop1(0.07), hop2(0.07);
     hop1.importLane(40, remaining);
     hop2.importLane(3, hop1.exportLane(40));
     EXPECT_EQ(hop2.exportLane(3), remaining);
 
     // An unseen lane keeps exporting kLaneUnseen through hops.
-    EXPECT_EQ(hop1.exportLane(40), BernoulliWordSampler::kLaneUnseen);
-    hop1.importLane(40, BernoulliWordSampler::kLaneUnseen);
-    EXPECT_EQ(hop1.exportLane(40), BernoulliWordSampler::kLaneUnseen);
+    EXPECT_EQ(hop1.exportLane(40), ClassDrawSampler::kLaneUnseen);
+    hop1.importLane(40, ClassDrawSampler::kLaneUnseen);
+    EXPECT_EQ(hop1.exportLane(40), ClassDrawSampler::kLaneUnseen);
 }
 
-TEST(SamplerTransplant, ShadowClassLaneMovesMidSeries)
+TEST(SamplerTransplant, CorrectionClockMovesMidSeries)
 {
-    // The migration pattern of a real retry path: a lane draws from a
-    // primary sampler on the straight-line schedule and from a shadow
-    // sampler of the same probability on sporadic retry bursts, all
-    // from one shared stream. Moving the shadow clock to a pool sampler
-    // mid-burst (while the primary clock stays home, parked mid-series)
-    // must leave both fire sequences exactly as if nothing ever moved.
-    const double p_primary = 0.04;
-    const double p_shadow = 0.04;
+    // The migration pattern of a real subtree: a lane walks a trace
+    // clock over straight-line blocks and takes sporadic single trials
+    // of its correction clock, all from one shared stream. Moving the
+    // correction clock to a pool clock mid-burst (while the trace clock
+    // stays home mid-series) must leave both fire sequences exactly as
+    // if nothing ever moved.
+    const double p = 0.04;
     const int lane = 27;
     RngFamily family(555);
 
     auto run = [&](bool migrate) {
         LaneRngs lanes = familyLanes(family);
         LaneRngs pool_lanes;
-        BernoulliWordSampler primary(p_primary);
-        BernoulliWordSampler shadow(p_shadow);
-        BernoulliWordSampler pool(p_shadow);
-        std::vector<bool> fires;
+        ClassDrawSampler trace(p);
+        ClassDrawSampler correction(p);
+        ClassDrawSampler pool(p);
+        std::vector<std::int64_t> fires;
         for (int round = 0; round < 120; ++round) {
-            for (int t = 0; t < 5; ++t)
-                fires.push_back(
-                    (primary.sample(~0ULL, lanes) >> lane) & 1);
-            // Shadow burst: two trials at home...
+            trace.walkLane(lane, 5, lanes[lane], [&](std::int64_t o) {
+                fires.push_back(round * 100 + o);
+            });
+            // Correction burst: two trials at home...
             for (int t = 0; t < 2; ++t)
-                fires.push_back(
-                    (shadow.sample(std::uint64_t{1} << lane, lanes)
+                if ((correction.trial(std::uint64_t{1} << lane, lanes)
                      >> lane)
-                    & 1);
+                    & 1)
+                    fires.push_back(round * 100 + 50 + t);
             if (migrate) {
                 // ...then the rest of the burst in the pool, clock
                 // carried over mid-series, and back afterwards.
                 pool_lanes[3] = lanes[lane];
-                shadow.moveLaneTo(pool, 3, lane);
-                for (int t = 0; t < 3; ++t)
-                    fires.push_back(
-                        (pool.sample(std::uint64_t{1} << 3, pool_lanes)
-                         >> 3)
-                        & 1);
+                correction.moveLaneTo(pool, 3, lane);
+                for (int t = 2; t < 5; ++t)
+                    if ((pool.trial(std::uint64_t{1} << 3, pool_lanes) >> 3)
+                        & 1)
+                        fires.push_back(round * 100 + 50 + t);
                 lanes[lane] = pool_lanes[3];
-                pool.moveLaneTo(shadow, lane, 3);
+                pool.moveLaneTo(correction, lane, 3);
             } else {
-                for (int t = 0; t < 3; ++t)
-                    fires.push_back(
-                        (shadow.sample(std::uint64_t{1} << lane, lanes)
+                for (int t = 2; t < 5; ++t)
+                    if ((correction.trial(std::uint64_t{1} << lane, lanes)
                          >> lane)
-                        & 1);
+                        & 1)
+                        fires.push_back(round * 100 + 50 + t);
             }
         }
         return fires;
     };
 
-    const std::vector<bool> stationary = run(false);
-    const std::vector<bool> migrated = run(true);
+    const std::vector<std::int64_t> stationary = run(false);
+    const std::vector<std::int64_t> migrated = run(true);
+    EXPECT_FALSE(stationary.empty());
     EXPECT_EQ(migrated, stationary);
 }
 
 TEST(SamplerTransplant, TransplantedDrawSequenceEqualsNeverMoved)
 {
     // Regression for the central contract: after any number of moves
-    // across sampler objects and lane positions, the subsequent draw
+    // across clock objects and lane positions, the subsequent draw
     // sequence equals the never-moved lane's, trial for trial.
     const double p = 0.03;
     RngFamily family(9001);
 
     LaneRngs ref_lanes = familyLanes(family);
-    BernoulliWordSampler reference(p);
+    ClassDrawSampler reference(p);
     std::vector<bool> want;
     for (int t = 0; t < 2400; ++t)
-        want.push_back((reference.sample(~0ULL, ref_lanes) >> 31) & 1);
+        want.push_back((reference.trial(~0ULL, ref_lanes) >> 31) & 1);
 
     LaneRngs lanes = familyLanes(family);
-    std::array<BernoulliWordSampler, 3> hops{
-        BernoulliWordSampler(p), BernoulliWordSampler(p),
-        BernoulliWordSampler(p)};
+    std::array<ClassDrawSampler, 3> hops{
+        ClassDrawSampler(p), ClassDrawSampler(p), ClassDrawSampler(p)};
     LaneRngs hop_lanes[3];
     hop_lanes[0] = lanes;
     int where = 0;
@@ -345,7 +343,7 @@ TEST(SamplerTransplant, TransplantedDrawSequenceEqualsNeverMoved)
     Rng shuffle(4242);
     for (int seg = 0; seg < 24; ++seg) {
         for (int t = 0; t < 100; ++t)
-            got.push_back((hops[where].sample(
+            got.push_back((hops[where].trial(
                                where == 0 ? ~0ULL
                                           : (std::uint64_t{1} << slot),
                                hop_lanes[where])
@@ -365,11 +363,11 @@ TEST(SamplerTransplant, TransplantedDrawSequenceEqualsNeverMoved)
 
 TEST(SamplerTransplant, MismatchedProbabilityDies)
 {
-    BernoulliWordSampler a(0.1);
-    BernoulliWordSampler b(0.2);
+    ClassDrawSampler a(0.1);
+    ClassDrawSampler b(0.2);
     RngFamily family(1);
     LaneRngs lanes = familyLanes(family);
-    a.sample(~0ULL, lanes);
+    a.trial(~0ULL, lanes);
     EXPECT_DEATH(a.moveLaneTo(b, 0, 0), "probabilities");
 }
 

@@ -127,7 +127,9 @@ TEST(SweepJobSpec, RejectsValuesTheEnginesWouldAbortOn)
 {
     // Each of these parsed before and then hit an engine assert, so a
     // served request file holding one crashed the daemon on every
-    // restart. They must fail to parse, naming the offending line.
+    // restart -- or, for the delivery threshold, ran a job equal to an
+    // in-range one under a config hash of its own. They must fail to
+    // parse, naming the offending line.
     const char *threshold = "kind threshold\n";
     const char *cosim = "kind cosim\nworkload qcla 8\n";
     const std::pair<const char *, const char *> bad[] = {
@@ -154,6 +156,10 @@ TEST(SweepJobSpec, RejectsValuesTheEnginesWouldAbortOn)
         {cosim, "compute-fractions inf"},
         {cosim, "compute-fractions -1e300"},
         {cosim, "compute-fractions 1.5"},
+        {cosim, "delivery-threshold nan"},
+        {cosim, "delivery-threshold inf"},
+        {cosim, "delivery-threshold -1e300"},
+        {cosim, "delivery-threshold 1.5"},
     };
     for (const auto &[head, line] : bad) {
         const std::string text = std::string(head) + line + "\n";
@@ -176,9 +182,14 @@ TEST(SweepJobSpec, RejectsValuesTheEnginesWouldAbortOn)
         "kind cosim\nworkload toffoli 3\nbandwidths 1\n"
         "fault-rates 0 1\nlink-fidelities 0 1\nmemory-levels 1 2\n"
         "compute-fractions 0 1\n"
-        "op-error 1\n",
+        "op-error 1\ndelivery-threshold 0\n",
         spec, error))
         << error;
+    EXPECT_TRUE(SweepJobSpec::parse(
+        "kind cosim\nworkload toffoli 3\ndelivery-threshold 1\n", spec,
+        error))
+        << error;
+    EXPECT_EQ(spec.cosim.deliveryThreshold, 1.0);
 }
 
 TEST(SweepPartition, IsDeterministicAndMirrorsThresholdSweepSeeds)
