@@ -134,6 +134,12 @@ class RegionMap
     int compute_columns_ = 0;
 };
 
+/** Extra EC windows a gate spends re-encoding fetched operands up to
+ *  the compute level when the memory code is below it (code
+ *  conversion); charged once per missing gate, on its dependency
+ *  chain. */
+inline constexpr int kConversionWindows = 1;
+
 /**
  * Knobs of the CQLA cache model as consumed by the co-simulator. A
  * default-constructed config (computeFraction = 1) is **disabled**:
@@ -148,10 +154,6 @@ struct MemoryHierarchyConfig
     /** Steane level of the memory-region code (1 or 2); selects the
      *  RegionCodeParams::memoryAtLevel profile. */
     int memoryCodeLevel = 1;
-    /** Extra EC windows a fetched qubit spends re-encoding up to the
-     *  compute level when the memory code is below it (code
-     *  conversion); charged on the missing gate's dependency chain. */
-    int conversionWindows = 1;
 
     /** True when the hierarchy is active (computeFraction < 1). */
     bool enabled() const { return computeFraction < 1.0; }

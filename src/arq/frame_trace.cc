@@ -20,8 +20,8 @@ q16(std::size_t q)
 /**
  * One step of the replay, flattened to the granularity the effect
  * compiler reasons at: fused FrameOps expand into their gate / site /
- * measure parts in exactly the interpreter's order, ranges expand per
- * qubit. `a`/`b` are local (touched-qubit) indices.
+ * measure parts in exactly the reference interpreter's order, ranges
+ * expand per qubit. `a`/`b` are local (touched-qubit) indices.
  */
 struct MicroOp
 {
@@ -293,13 +293,6 @@ compileTraceEffects(const FrameTrace &trace)
         in.z = makeRec(rz);
         fx.inputs.push_back(in);
     }
-    std::uint64_t total_len = 0;
-    for (const TraceEffects::Site &s : fx.sites)
-        total_len += s.xa.len + s.za.len + s.xb.len + s.zb.len;
-    fx.avgSiteCost = fx.sites.empty()
-                         ? 1
-                         : static_cast<std::uint32_t>(
-                               total_len / fx.sites.size() + 1);
     return fx;
 }
 
@@ -474,9 +467,10 @@ FrameTraceBuilder::take()
 void
 finalizeTraceClassSites(FrameTrace &trace, const NoiseClassTable &classes)
 {
-    // One entry per sampler call the replay switch makes, in class id
-    // space; verifyTracePlans cross-checks these rules against the
-    // actual replay, so the two cannot drift silently.
+    // One entry per sampler call the replay makes, in class id space;
+    // the effect compiler and the reference interpreter (replayTrace,
+    // via verifyTracePlans) cross-check these rules, so they cannot
+    // drift silently.
     const std::size_t num_classes = classes.probabilities().size();
     trace.classSites.assign(num_classes, 0);
     auto &sites = trace.classSites;
@@ -558,51 +552,6 @@ BatchedNoiseModel::rearm(const RngFamily &family, std::uint64_t first_shot)
 
 namespace {
 
-/** Per-site fires popped from the pre-walked per-trace plans. */
-struct PlannedSampling
-{
-    /** Scheduled-ordinal hit: pop the fired word. Outlined so the
-     *  inlined miss path below stays a compare and an increment. */
-    [[gnu::noinline]] static std::uint64_t
-    pop(ClassDrawPlan &plan, std::uint32_t ord, std::uint64_t active)
-    {
-        if (plan.degenerate) {
-            // Always-fires class: every ordinal is scheduled.
-            plan.nextFireOrd = ord + 1;
-            return plan.degenerate_fires & active;
-        }
-        // Fired lanes are a subset of active by construction (only
-        // active lanes were walked).
-        const std::uint64_t fired = plan.eventMask[plan.next];
-        ++plan.next;
-        plan.nextFireOrd = plan.next < plan.eventOrd.size()
-                               ? plan.eventOrd[plan.next]
-                               : ClassDrawPlan::kNoFire;
-        return fired;
-    }
-
-    [[gnu::always_inline]] static inline std::uint64_t
-    fire(BatchedNoiseModel &model, std::uint8_t cls, std::uint64_t active)
-    {
-        ClassDrawPlan &plan = model.plans[cls];
-        const std::uint32_t ord = plan.ordinal++;
-        if (plan.dense) {
-            // Dense plan: every ordinal is scheduled; serve straight
-            // from the walk scratch, zeroing it back for the next
-            // planning pass. Kept on the inline path: far above
-            // threshold every site of a dense class lands here.
-            const std::uint64_t fired = plan.fires[ord];
-            plan.fires[ord] = 0;
-            return fired;
-        }
-        // Sparse plans make almost every site a miss, priced at one
-        // compare against the next scheduled fire ordinal.
-        if (ord != plan.nextFireOrd) [[likely]]
-            return 0;
-        return pop(plan, ord, active);
-    }
-};
-
 /**
  * Drain the dense walk scratch into the plan's sparse event arrays,
  * zeroing it back to all-zero as it goes. Ordinals come out ascending
@@ -643,7 +592,6 @@ void
 packWalkedPlan(ClassDrawPlan &plan, std::uint32_t sites,
                std::int64_t scatters)
 {
-    plan.scatters = static_cast<std::uint32_t>(scatters);
     if (scatters == 0) {
         plan.dense = false;
         plan.nextFireOrd = ClassDrawPlan::kNoFire;
@@ -697,21 +645,6 @@ planTraceDraws(const FrameTrace &trace, BatchedNoiseModel &model,
 }
 
 /**
- * Every planned class must be exactly consumed by the replay it was
- * built for (classes outside the skeleton hold stale ordinals from
- * earlier traces and are never fired).
- */
-void
-verifyTracePlans(const FrameTrace &trace, const BatchedNoiseModel &model)
-{
-    for (const TraceClassWalk &entry : trace.walkPlan)
-        qla_assert(model.plans[entry.cls].ordinal == entry.sites,
-                   "replay visited ", model.plans[entry.cls].ordinal,
-                   " sites of class ", entry.cls, ", trace declares ",
-                   entry.sites);
-}
-
-/**
  * True when every plan the trace's walk just produced on this word is
  * sparse. The compiled replay then merges the per-class event lists and
  * skips unfired sites entirely; dense and always-fires plans take its
@@ -733,68 +666,23 @@ plansAreSparse(const FrameTrace &trace, const BatchedNoiseModel &model)
 }
 
 /**
- * Cost model choosing this word's replay engine after planning: the
- * compiled effect replay prices each fired event at the trace's mean
- * effect-list length and each live input coordinate at its list length,
- * while the op interpreter prices every op at ~4 word operations (W
- * words share one pass, so a wider tile amortizes them) plus a per-site
- * fire() probe. Far above threshold the fired volume makes the
- * interpreter cheaper; sparse masks and below-threshold words make the
- * compiled replay cheaper by an order of magnitude. Either engine
- * consumes the same plans and draws, so the choice never changes
- * results -- only which loop produces them.
- */
-bool
-compiledIsCheaper(const FrameTrace &trace, const BatchedNoiseModel &model,
-                  const std::uint64_t *x, const std::uint64_t *z,
-                  std::size_t stride, std::uint64_t m, std::size_t tile_w)
-{
-    const TraceEffects &fx = *trace.effects;
-    std::uint64_t events = 0;
-    for (const TraceClassWalk &e : trace.walkPlan) {
-        if (e.degenerate) {
-            if (e.degenerateFires)
-                events += e.sites;
-            continue;
-        }
-        const ClassDrawPlan &plan = model.plans[e.cls];
-        if (plan.nextFireOrd != ClassDrawPlan::kNoFire)
-            events += plan.scatters;
-    }
-    std::uint64_t compiled = events * fx.avgSiteCost + fx.sites.size();
-    const std::uint64_t interp
-        = trace.ops.size() * 4 / tile_w + fx.sites.size();
-    if (compiled >= interp)
-        return false;
-    for (const TraceEffects::Input &in : fx.inputs) {
-        if (x[in.q * stride] & m)
-            compiled += in.x.len;
-        if (z[in.q * stride] & m)
-            compiled += in.z.len;
-        if (compiled >= interp)
-            return false;
-    }
-    return true;
-}
-
-/**
- * Replay one word of @p trace through its compiled linear-effect model
- * instead of the op interpreter: accumulate, per target (measurement
- * flip or output-frame coordinate), the XOR of the input-frame words
- * and fired-site Pauli words whose effect lists name it. Cost scales
- * with the nonzero content (active input coordinates and fired events)
- * rather than the trace length, which is what makes narrow retry masks
- * and below-threshold words cheap. Draw-for-draw identical to the
- * interpreter: gap draws happened in planTraceDraws, and the fired
+ * Replay one word of @p trace through its compiled linear-effect model:
+ * accumulate, per target (measurement flip or output-frame coordinate),
+ * the XOR of the input-frame words and fired-site Pauli words whose
+ * effect lists name it. Cost scales with the nonzero content (active
+ * input coordinates and fired events) rather than the trace length,
+ * which is what makes narrow retry masks and below-threshold words
+ * cheap. Draw-for-draw identical to the reference interpreter
+ * (replayTrace): gap draws happened in planTraceDraws, and the fired
  * sites are visited in trace order, so drawPauli consumes each lane's
- * stream exactly as the tile would.
+ * stream exactly as an op-by-op replay would.
  *
  * When every plan came out sparse the fired events are produced by a
  * k-way merge of the per-class event lists, skipping unfired sites
  * entirely. Otherwise -- the far-above-threshold regime with dense or
  * always-fires plans -- a single pass over the site table reads each
  * site's fired word from its class plan directly (draining the dense
- * walk scratch back to zero as the fire() path would).
+ * walk scratch back to zero).
  */
 void
 replayCompiled(const FrameTrace &trace, std::uint64_t *x, std::uint64_t *z,
@@ -836,7 +724,7 @@ replayCompiled(const FrameTrace &trace, std::uint64_t *x, std::uint64_t *z,
     };
     if (plansAreSparse(trace, model)) {
         // Fired events of all classes, merged back into trace order so
-        // the drawPauli stream consumption matches the interpreter.
+        // the drawPauli stream consumption matches an op-by-op replay.
         struct Cur
         {
             const ClassDrawPlan *plan;
@@ -880,7 +768,8 @@ replayCompiled(const FrameTrace &trace, std::uint64_t *x, std::uint64_t *z,
         // order, reading each site's fired word straight from its
         // class plan. A sparse class's misses cost one compare against
         // its next scheduled ordinal; dense scratch words are zeroed
-        // back as they are consumed, exactly like the fire() path.
+        // back as they are consumed, so the scratch is all-zero again
+        // for the next planning pass.
         enum : std::uint8_t { kNever, kSparse, kDense, kAlways };
         struct ClsState
         {
@@ -960,218 +849,171 @@ replayCompiled(const FrameTrace &trace, std::uint64_t *x, std::uint64_t *z,
     }
 }
 
-/**
- * Replay @p trace on a W-word SIMD plane: word i of the tile replays
- * under masks[i] with models[i], its frame planes at x/z[q * stride + i]
- * and its flip words appended to flips[i].
- *
- * The gate cases are W-length word loops over adjacent memory -- the
- * auto-vectorizable kernels this file exists for. The noise and readout
- * cases go through fire1/fire2/readout, which loop sub-words and skip
- * inactive ones, because sampler state is per word: each word's lanes
- * consume randomness in exactly the order a per-word replay would, so
- * results are bit-identical for every tile width.
- *
- * StaticStride != 0 folds the row stride into the addressing at
- * compile time; the single-word fast paths instantiate StaticStride
- * = 1, which turns every q * stride + i access into a plain q index.
- */
-template <int W, int StaticStride = 0>
-void
-replayTraceTile(const FrameTrace &trace, std::uint64_t *x,
-                std::uint64_t *z, std::size_t dyn_stride,
-                BatchedNoiseModel *models, const std::uint64_t *masks,
-                std::vector<std::uint64_t> *flips)
+//
+// The one-word reference replay (replayTrace): an op interpreter that
+// shares nothing with the compiled effect model but the fire plans.
+//
+
+/** Per-site fires popped from the pre-walked per-trace plans. */
+struct PlannedSampling
 {
-    const std::size_t stride
-        = StaticStride ? std::size_t{StaticStride} : dyn_stride;
-    std::uint64_t m[W];
-    for (int i = 0; i < W; ++i)
-        m[i] = masks[i];
-
-    const auto fire1 = [&](std::uint8_t cls, std::size_t q) {
-        for (int i = 0; i < W; ++i) {
-            if (!m[i])
-                continue;
-            const std::uint64_t fired
-                = PlannedSampling::fire(models[i], cls, m[i]);
-            if (!fired)
-                continue;
-            const auto d = quantum::drawPauli1(fired, models[i].lanes);
-            x[q * stride + i] ^= d.fx;
-            z[q * stride + i] ^= d.fz;
+    static std::uint64_t
+    fire(BatchedNoiseModel &model, std::uint8_t cls, std::uint64_t active)
+    {
+        ClassDrawPlan &plan = model.plans[cls];
+        const std::uint32_t ord = plan.ordinal++;
+        if (plan.dense) {
+            // Every ordinal is scheduled; serve straight from the walk
+            // scratch, zeroing it back for the next planning pass.
+            const std::uint64_t fired = plan.fires[ord];
+            plan.fires[ord] = 0;
+            return fired;
         }
-    };
-    const auto fire2 = [&](std::uint8_t cls, std::size_t a,
-                           std::size_t b) {
-        for (int i = 0; i < W; ++i) {
-            if (!m[i])
-                continue;
-            const std::uint64_t fired
-                = PlannedSampling::fire(models[i], cls, m[i]);
-            if (!fired)
-                continue;
-            const auto d = quantum::drawPauli2(fired, models[i].lanes);
-            x[a * stride + i] ^= d.fxa;
-            z[a * stride + i] ^= d.fza;
-            x[b * stride + i] ^= d.fxb;
-            z[b * stride + i] ^= d.fzb;
+        if (ord != plan.nextFireOrd)
+            return 0;
+        if (plan.degenerate) {
+            // Always-fires class: every ordinal is scheduled.
+            plan.nextFireOrd = ord + 1;
+            return plan.degenerate_fires & active;
         }
-    };
-    // Inactive words still push a zero flip word so every word's flip
-    // buffer stays index-aligned with the trace's measurement order.
-    const auto readout = [&](std::size_t q, bool measure_x,
-                             std::uint8_t cls) {
-        for (int i = 0; i < W; ++i) {
-            std::uint64_t word = 0;
-            if (m[i]) {
-                std::uint64_t &xq = x[q * stride + i];
-                std::uint64_t &zq = z[q * stride + i];
-                word = (measure_x ? zq : xq) & m[i];
-                xq &= ~m[i];
-                zq &= ~m[i];
-                word ^= PlannedSampling::fire(models[i], cls, m[i]);
-            }
-            flips[i].push_back(word);
-        }
-    };
-
-    for (const FrameOp &op : trace.ops) {
-        switch (op.kind) {
-          case FrameOp::Kind::H:
-          case FrameOp::Kind::NoisyH:
-            for (int i = 0; i < W; ++i) {
-                std::uint64_t &xq = x[op.a * stride + i];
-                std::uint64_t &zq = z[op.a * stride + i];
-                const std::uint64_t d = (xq ^ zq) & m[i];
-                xq ^= d;
-                zq ^= d;
-            }
-            if (op.kind == FrameOp::Kind::NoisyH)
-                fire1(op.cls, op.a);
-            break;
-          case FrameOp::Kind::S:
-            for (int i = 0; i < W; ++i)
-                z[op.a * stride + i] ^= x[op.a * stride + i] & m[i];
-            break;
-          case FrameOp::Kind::Cnot:
-            for (int i = 0; i < W; ++i) {
-                x[op.b * stride + i] ^= x[op.a * stride + i] & m[i];
-                z[op.a * stride + i] ^= z[op.b * stride + i] & m[i];
-            }
-            break;
-          case FrameOp::Kind::Cz:
-            for (int i = 0; i < W; ++i) {
-                const std::uint64_t xa = x[op.a * stride + i];
-                z[op.a * stride + i] ^= x[op.b * stride + i] & m[i];
-                z[op.b * stride + i] ^= xa & m[i];
-            }
-            break;
-          case FrameOp::Kind::Swap:
-            for (int i = 0; i < W; ++i) {
-                std::uint64_t &xa = x[op.a * stride + i];
-                std::uint64_t &xb = x[op.b * stride + i];
-                std::uint64_t &za = z[op.a * stride + i];
-                std::uint64_t &zb = z[op.b * stride + i];
-                const std::uint64_t dx = (xa ^ xb) & m[i];
-                const std::uint64_t dz = (za ^ zb) & m[i];
-                xa ^= dx;
-                xb ^= dx;
-                za ^= dz;
-                zb ^= dz;
-            }
-            break;
-          case FrameOp::Kind::Reset:
-            for (int i = 0; i < W; ++i) {
-                x[op.a * stride + i] &= ~m[i];
-                z[op.a * stride + i] &= ~m[i];
-            }
-            break;
-          case FrameOp::Kind::Noise1:
-            fire1(op.cls, op.a);
-            break;
-          case FrameOp::Kind::Noise2:
-            fire2(op.cls, op.a, op.b);
-            break;
-          case FrameOp::Kind::NoisyCnotMT:
-          case FrameOp::Kind::NoisyCnotMTMeasZ:
-          case FrameOp::Kind::NoisyCnotMTMeasX:
-            // Shuttle fault on the target, CNOT, two-qubit fault
-            // (control, target), shuttle-back fault -- the scalar
-            // transversal step's exact order.
-            fire1(op.cls, op.b);
-            for (int i = 0; i < W; ++i) {
-                x[op.b * stride + i] ^= x[op.a * stride + i] & m[i];
-                z[op.a * stride + i] ^= z[op.b * stride + i] & m[i];
-            }
-            fire2(op.cls2, op.a, op.b);
-            fire1(op.cls, op.b);
-            if (op.kind == FrameOp::Kind::NoisyCnotMTMeasZ)
-                readout(op.b, false, op.cls3);
-            else if (op.kind == FrameOp::Kind::NoisyCnotMTMeasX)
-                readout(op.b, true, op.cls3);
-            break;
-          case FrameOp::Kind::NoisyCnotMC:
-          case FrameOp::Kind::NoisyCnotMCMeasZ:
-          case FrameOp::Kind::NoisyCnotMCMeasX:
-            fire1(op.cls, op.a);
-            for (int i = 0; i < W; ++i) {
-                x[op.b * stride + i] ^= x[op.a * stride + i] & m[i];
-                z[op.a * stride + i] ^= z[op.b * stride + i] & m[i];
-            }
-            fire2(op.cls2, op.b, op.a);
-            fire1(op.cls, op.a);
-            if (op.kind == FrameOp::Kind::NoisyCnotMCMeasZ)
-                readout(op.a, false, op.cls3);
-            else if (op.kind == FrameOp::Kind::NoisyCnotMCMeasX)
-                readout(op.a, true, op.cls3);
-            break;
-          case FrameOp::Kind::ResetRange:
-            for (std::size_t q = op.a; q < op.a + std::size_t{op.b}; ++q)
-                for (int i = 0; i < W; ++i) {
-                    x[q * stride + i] &= ~m[i];
-                    z[q * stride + i] &= ~m[i];
-                }
-            break;
-          case FrameOp::Kind::Noise1Range:
-            for (std::size_t q = op.a; q < op.a + std::size_t{op.b}; ++q)
-                fire1(op.cls, q);
-            break;
-          case FrameOp::Kind::MeasureZRange:
-            for (std::size_t q = op.a; q < op.a + std::size_t{op.b}; ++q)
-                readout(q, false, op.cls);
-            break;
-          case FrameOp::Kind::MeasureXRange:
-            for (std::size_t q = op.a; q < op.a + std::size_t{op.b}; ++q)
-                readout(q, true, op.cls);
-            break;
-          case FrameOp::Kind::MeasureZ:
-            readout(op.a, false, op.cls);
-            break;
-          case FrameOp::Kind::MeasureX:
-            readout(op.a, true, op.cls);
-            break;
-        }
+        // Fired lanes are a subset of active by construction (only
+        // active lanes were walked).
+        const std::uint64_t fired = plan.eventMask[plan.next];
+        ++plan.next;
+        plan.nextFireOrd = plan.next < plan.eventOrd.size()
+                               ? plan.eventOrd[plan.next]
+                               : ClassDrawPlan::kNoFire;
+        return fired;
     }
+};
+
+/**
+ * Every planned class must be exactly consumed by the replay it was
+ * built for (classes outside the skeleton hold stale ordinals from
+ * earlier traces and are never fired).
+ */
+void
+verifyTracePlans(const FrameTrace &trace, const BatchedNoiseModel &model)
+{
+    for (const TraceClassWalk &entry : trace.walkPlan)
+        qla_assert(model.plans[entry.cls].ordinal == entry.sites,
+                   "replay visited ", model.plans[entry.cls].ordinal,
+                   " sites of class ", entry.cls, ", trace declares ",
+                   entry.sites);
 }
 
 /**
- * Plan and replay one active word whose frame rows are packed (stride
- * 1): the replayTrace shape, and the whole batch of a one-word group.
+ * Interpret @p trace op by op on @p frame for the lanes in @p m: gates
+ * go through the frame's masked operations, and every sampling site
+ * pops its fired word from the plans in trace order, drawing the
+ * fired lanes' Paulis exactly as the scalar primitives would.
  */
 void
-replayWord(const FrameTrace &trace, std::uint64_t *x, std::uint64_t *z,
-           BatchedNoiseModel &model, std::uint64_t active,
-           std::vector<std::uint64_t> &flips)
+interpretTrace(const FrameTrace &trace, quantum::BatchedPauliFrame &frame,
+               BatchedNoiseModel &model, std::uint64_t m,
+               std::vector<std::uint64_t> &flips)
 {
-    planTraceDraws(trace, model, active);
-    if (trace.effects
-        && compiledIsCheaper(trace, model, x, z, 1, active, 1)) {
-        replayCompiled(trace, x, z, 1, model, active, flips);
-        return;
+    const auto fire1 = [&](std::uint8_t cls, std::size_t q) {
+        const std::uint64_t fired = PlannedSampling::fire(model, cls, m);
+        if (!fired)
+            return;
+        const auto d = quantum::drawPauli1(fired, model.lanes);
+        frame.injectX(q, d.fx);
+        frame.injectZ(q, d.fz);
+    };
+    const auto fire2 = [&](std::uint8_t cls, std::size_t a,
+                           std::size_t b) {
+        const std::uint64_t fired = PlannedSampling::fire(model, cls, m);
+        if (!fired)
+            return;
+        const auto d = quantum::drawPauli2(fired, model.lanes);
+        frame.injectX(a, d.fxa);
+        frame.injectZ(a, d.fza);
+        frame.injectX(b, d.fxb);
+        frame.injectZ(b, d.fzb);
+    };
+    const auto readout = [&](std::size_t q, bool measure_x,
+                             std::uint8_t cls) {
+        const std::uint64_t word = measure_x ? frame.measureXFlip(q, m)
+                                             : frame.measureZFlip(q, m);
+        flips.push_back(word ^ PlannedSampling::fire(model, cls, m));
+    };
+    // The scalar transversal step's exact order: shuttle fault on the
+    // moved ion, CNOT, two-qubit fault (unmoved, moved), shuttle back.
+    const auto noisyCnot = [&](const FrameOp &op, std::size_t moved,
+                               std::size_t unmoved) {
+        fire1(op.cls, moved);
+        frame.cnot(op.a, op.b, m);
+        fire2(op.cls2, unmoved, moved);
+        fire1(op.cls, moved);
+    };
+
+    using K = FrameOp::Kind;
+    for (const FrameOp &op : trace.ops) {
+        // Range ops cover qubits [a, a + b).
+        const std::size_t end = op.a + std::size_t{op.b};
+        switch (op.kind) {
+          case K::H:
+            frame.h(op.a, m);
+            break;
+          case K::NoisyH:
+            frame.h(op.a, m);
+            fire1(op.cls, op.a);
+            break;
+          case K::S:
+            frame.s(op.a, m);
+            break;
+          case K::Cnot:
+            frame.cnot(op.a, op.b, m);
+            break;
+          case K::Cz:
+            frame.cz(op.a, op.b, m);
+            break;
+          case K::Swap:
+            frame.swap(op.a, op.b, m);
+            break;
+          case K::Reset:
+            frame.resetQubit(op.a, m);
+            break;
+          case K::Noise1:
+            fire1(op.cls, op.a);
+            break;
+          case K::Noise2:
+            fire2(op.cls, op.a, op.b);
+            break;
+          case K::NoisyCnotMT:
+          case K::NoisyCnotMTMeasZ:
+          case K::NoisyCnotMTMeasX:
+            noisyCnot(op, op.b, op.a);
+            if (op.kind != K::NoisyCnotMT)
+                readout(op.b, op.kind == K::NoisyCnotMTMeasX, op.cls3);
+            break;
+          case K::NoisyCnotMC:
+          case K::NoisyCnotMCMeasZ:
+          case K::NoisyCnotMCMeasX:
+            noisyCnot(op, op.a, op.b);
+            if (op.kind != K::NoisyCnotMC)
+                readout(op.a, op.kind == K::NoisyCnotMCMeasX, op.cls3);
+            break;
+          case K::ResetRange:
+            for (std::size_t q = op.a; q < end; ++q)
+                frame.resetQubit(q, m);
+            break;
+          case K::Noise1Range:
+            for (std::size_t q = op.a; q < end; ++q)
+                fire1(op.cls, q);
+            break;
+          case K::MeasureZRange:
+          case K::MeasureXRange:
+            for (std::size_t q = op.a; q < end; ++q)
+                readout(q, op.kind == K::MeasureXRange, op.cls);
+            break;
+          case K::MeasureZ:
+          case K::MeasureX:
+            readout(op.a, op.kind == K::MeasureX, op.cls);
+            break;
+        }
     }
-    replayTraceTile<1, 1>(trace, x, z, 1, &model, &active, &flips);
-    verifyTracePlans(trace, model);
 }
 
 } // namespace
@@ -1187,8 +1029,9 @@ replayTrace(const FrameTrace &trace, quantum::BatchedPauliFrame &frame,
         flips.resize(flips.size() + trace.numMeasurements);
         return;
     }
-    flips.reserve(flips.size() + trace.numMeasurements);
-    replayWord(trace, frame.xData(), frame.zData(), noise, active, flips);
+    planTraceDraws(trace, noise, active);
+    interpretTrace(trace, frame, noise, active, flips);
+    verifyTracePlans(trace, noise);
 }
 
 void
@@ -1197,89 +1040,18 @@ replayTraceGroup(const FrameTrace &trace,
                  BatchedNoiseModel *models, const std::uint64_t *masks,
                  std::size_t num_words, std::vector<std::uint64_t> *flips)
 {
-    static_assert(kReplayTileWords == 4,
-                  "the tile dispatch below instantiates 4-, 2- and 1-word "
-                  "planes");
+    qla_assert(trace.effects, "trace not finalized");
     // The group's rows must be packed (or over-provisioned) for this
     // batch: reset(num_words) is the batch prologue that guarantees it.
     qla_assert(num_words <= frames.stride());
     const std::size_t stride = frames.stride();
-    std::uint64_t *x = frames.xData();
-    std::uint64_t *z = frames.zData();
-
     for (std::size_t w = 0; w < num_words; ++w) {
         flips[w].clear();
-        flips[w].reserve(trace.numMeasurements);
-    }
-
-    // Single-word fast path: a one-word group with packed rows is
-    // exactly the replayTrace shape, so skip the tile-carving loop and
-    // run the compile-time-stride-1 kernel directly -- this is the L2
-    // failureRate probe's whole batch.
-    if (num_words == 1 && stride == 1) {
-        if (masks[0])
-            replayWord(trace, x, z, models[0], masks[0], flips[0]);
-        return;
-    }
-
-    std::size_t w0 = 0;
-    while (w0 < num_words) {
-        const std::size_t tile
-            = std::min(kReplayTileWords, std::bit_floor(num_words - w0));
-        std::uint64_t any = 0;
-        for (std::size_t i = 0; i < tile; ++i)
-            any |= masks[w0 + i];
-        if (!any) {
-            w0 += tile;
+        if (!masks[w])
             continue;
-        }
-        bool compiled = trace.effects != nullptr;
-        for (std::size_t i = 0; i < tile; ++i)
-            if (masks[w0 + i]) {
-                planTraceDraws(trace, models[w0 + i], masks[w0 + i]);
-                compiled = compiled
-                           && compiledIsCheaper(trace, models[w0 + i],
-                                                x + w0 + i, z + w0 + i,
-                                                stride, masks[w0 + i],
-                                                tile);
-            }
-        // When every word of the tile prices cheaper through the
-        // compiled effect model, replay word by word through it;
-        // inactive words still append their zero flip words to stay
-        // index-aligned. Mixed tiles keep the interpreter for the whole
-        // tile (the plans serve either consumer).
-        if (compiled) {
-            for (std::size_t i = 0; i < tile; ++i) {
-                if (!masks[w0 + i]) {
-                    flips[w0 + i].resize(flips[w0 + i].size()
-                                         + trace.numMeasurements);
-                    continue;
-                }
-                replayCompiled(trace, x + w0 + i, z + w0 + i, stride,
-                               models[w0 + i], masks[w0 + i],
-                               flips[w0 + i]);
-            }
-            w0 += tile;
-            continue;
-        }
-        switch (tile) {
-          case 4:
-            replayTraceTile<4>(trace, x + w0, z + w0, stride, models + w0,
-                               masks + w0, flips + w0);
-            break;
-          case 2:
-            replayTraceTile<2>(trace, x + w0, z + w0, stride, models + w0,
-                               masks + w0, flips + w0);
-            break;
-          default:
-            replayTraceTile<1>(trace, x + w0, z + w0, stride, models + w0,
-                               masks + w0, flips + w0);
-            break;
-        }
-        for (std::size_t i = 0; i < tile; ++i)
-            if (masks[w0 + i])
-                verifyTracePlans(trace, models[w0 + i]);
-        w0 += tile;
+        planTraceDraws(trace, models[w], masks[w]);
+        replayCompiled(trace, frames.xData() + w, frames.zData() + w,
+                       stride, models[w], masks[w], flips[w]);
     }
 }
 

@@ -7,9 +7,9 @@
  * cannot be flattened into one straight-line program -- but every segment
  * *between* decisions can. A FrameTrace is such a segment: a flat list of
  * frame operations (gate, move/fault site, measure, reset) recorded once
- * and replayed word-parallel on a BatchedFrameBackend with a per-shot
- * lane mask. The driver (arq/batched_monte_carlo.*) makes the decisions
- * by narrowing masks between replays.
+ * and replayed 64 shots per word under a per-shot lane mask. The driver
+ * (arq/batched_monte_carlo.*) makes the decisions by narrowing masks
+ * between replays.
  *
  * Fault sites reference noise classes -- deduplicated probabilities
  * registered in a NoiseClassTable at record time -- and a
@@ -128,9 +128,9 @@ struct TraceClassWalk
  * every output-frame bit is the XOR of (a) input-frame bits and (b) the
  * Pauli components injected at fired noise sites. This precomputes, per
  * input coordinate and per site component, the list of downstream
- * targets it toggles -- which lets a replay whose fire plan came out
- * sparse apply just the nonzero terms instead of interpreting the whole
- * op stream. Pure function of the trace; shared by every word/replay.
+ * targets it toggles -- which lets the replay apply just the nonzero
+ * terms instead of interpreting the whole op stream. Pure function of
+ * the trace; shared by every word/replay.
  *
  * Target ids: measurement j (trace order) is target j; touched qubit
  * local index l maps to targets numMeas + 2l (x) and numMeas + 2l + 1
@@ -177,9 +177,6 @@ struct TraceEffects
     /** Per class: site ids in ordinal (= trace) order. */
     std::vector<std::vector<std::uint32_t>> classSiteIds;
     std::vector<Input> inputs;
-    /** Mean total effect-list length per site, rounded up (>= 1): the
-     *  replay cost model's price of applying one fired event. */
-    std::uint32_t avgSiteCost = 1;
 };
 
 /** A straight-line segment of the tile schedule. */
@@ -213,8 +210,8 @@ struct FrameTrace
      * finalizeTraceClassSites. The model is a pure function of the op
      * stream; the tile traces live in one recording per experiment
      * shape (arq/batched_monte_carlo.cc), so every noise point, worker
-     * and twin of that shape replays the same compiled instance. Null
-     * means the replay can only take the op interpreter.
+     * and twin of that shape replays the same compiled instance.
+     * replayTraceGroup requires it.
      */
     std::shared_ptr<const TraceEffects> effects;
 };
@@ -225,7 +222,8 @@ struct FrameTrace
  * trace.walkPlan, the fire-plan skeleton of the classes that actually
  * appear, and compile trace.effects. Must be called once after
  * recording, before the trace is replayed; the counting rules mirror
- * the replay switch exactly (asserted after every interpreted replay).
+ * the replay exactly (asserted by the effect compiler and after every
+ * reference replay).
  */
 void finalizeTraceClassSites(FrameTrace &trace,
                              const NoiseClassTable &classes);
@@ -282,8 +280,8 @@ class FrameTraceBuilder
 /**
  * One noise class's pre-walked fire schedule for the trace currently
  * being replayed on one word. Rebuilt by the per-trace planning pass;
- * consumed one site ordinal at a time as the replay switch reaches the
- * class's sampler calls.
+ * consumed in site-ordinal order by the compiled replay, or one site
+ * at a time by the reference interpreter (replayTrace).
  */
 struct ClassDrawPlan
 {
@@ -294,32 +292,31 @@ struct ClassDrawPlan
      * Walk scratch: fires[i] is the fired-lanes word of the class's
      * i-th sampling site (replay order). Planning scatters the walk's
      * fires here, then drains every nonzero entry into the sparse
-     * event arrays below (zeroing it again), so the buffer is all-zero
+     * event arrays below (zeroing it again), or the replay zeroes each
+     * entry as it consumes a dense plan, so the buffer is all-zero
      * between plans and never needs a wipe. Sized to the largest site
      * count any planned trace has declared for the class.
      */
     std::vector<std::uint64_t> fires;
     /**
      * The plan itself, sparse: eventOrd lists the site ordinals that
-     * fired, ascending, and eventMask the fired lanes of each. Replay
-     * consumes sites in ordinal order, so fire() is one compare
-     * against nextFireOrd on the (overwhelmingly common) no-fire site
-     * instead of a load and store through the dense buffer.
+     * fired, ascending, and eventMask the fired lanes of each.
      */
     std::vector<std::uint32_t> eventOrd;
     std::vector<std::uint64_t> eventMask;
-    /** Site ordinal the replay has reached for this class. */
+    /** Reference interpreter: site ordinal reached for this class. */
     std::uint32_t ordinal = 0;
-    /** Index into eventOrd/eventMask of the next unconsumed event. */
+    /** Reference interpreter: index into eventOrd/eventMask of the
+     *  next unconsumed event. */
     std::uint32_t next = 0;
-    /** eventOrd[next], or kNoFire once the events are exhausted --
-     *  kept unpacked so the no-fire path reads exactly one field. For
-     *  a dense or degenerate always-fires plan it runs 0, 1, 2, ... so
-     *  every site takes the fire path. */
+    /** After planning, kNoFire means this replay fires no site of the
+     *  class (eventOrd may hold stale events). The reference
+     *  interpreter keeps it at eventOrd[next] as it consumes events;
+     *  for a dense or always-fires plan it runs 0, 1, 2, ... */
     std::uint32_t nextFireOrd = kNoFire;
     /**
-     * Dense plan: fire() serves straight from the fires buffer (the
-     * replay zeroes each entry as it consumes it) instead of the event
+     * Dense plan: the replay serves straight from the fires buffer
+     * (zeroing each entry as it consumes it) instead of the event
      * arrays. Planning picks this representation when the walk fired
      * often enough that draining the scratch into events would cost
      * more than it saves -- the far-above-threshold regime, where a
@@ -327,14 +324,11 @@ struct ClassDrawPlan
      * storage format: fired words are identical either way.
      */
     bool dense = false;
-    /** Degenerate p >= 1 class: every site fires all active lanes,
-     *  nothing walked, no events stored. */
+    /** Degenerate p <= 0 or p >= 1 class: nothing walked, no events
+     *  stored. */
     bool degenerate = false;
     /** Fired lanes at every site when degenerate (~0 for p >= 1). */
     std::uint64_t degenerate_fires = 0;
-    /** Scatter count of the walk that produced this plan: an upper
-     *  bound on the fired-site count, kept for the replay cost model. */
-    std::uint32_t scatters = 0;
 };
 
 /** Per-class clocks plus per-lane streams for one 64-shot word. */
@@ -389,40 +383,30 @@ struct BatchedNoiseModel
 };
 
 /**
- * Replay @p trace on @p frame for the lanes in @p active. Measurement
- * flip words are appended to @p flips in op order (the caller clears the
- * buffer between replays). The batched Monte Carlo replays through
- * replayTraceGroup; this one-word form is the reference its tile
- * carvings are checked against lane by lane (tests/test_batched_frame.cc).
- * The trace must be finalized
- * (finalizeTraceClassSites): the active lanes' clocks are walked over
- * the whole trace first, then the word replays through the compiled
- * effect model or the op interpreter, whichever the cost model prices
- * cheaper -- both consume the same plans, so the choice never changes
- * results.
+ * Reference replay of @p trace on one word, @p frame, for the lanes in
+ * @p active: the active lanes' clocks are walked over the whole trace
+ * (the same planning replayTraceGroup does), then a plain op
+ * interpreter runs the trace op by op, and every planned class is
+ * checked to be consumed exactly. Measurement flip words are appended
+ * to @p flips in op order; an inactive word appends zero words. No
+ * production path calls this: it is the oracle the compiled replay is
+ * checked against lane by lane (tests/test_batched_frame.cc). The trace
+ * must be finalized (finalizeTraceClassSites).
  */
 void replayTrace(const FrameTrace &trace, quantum::BatchedPauliFrame &frame,
                  BatchedNoiseModel &noise, std::uint64_t active,
                  std::vector<std::uint64_t> &flips);
 
-/** Words per SIMD plane of the group replay (256-bit frame arithmetic;
- *  the remainder of a group is carved into 2- and 1-word planes). */
-inline constexpr std::size_t kReplayTileWords = 4;
-
 /**
- * Replay @p trace on all @p num_words words of a shot group at once,
- * tiled into SIMD planes of kReplayTileWords words (smaller power-of-two
- * tiles are carved greedily from the rest, so any group width works).
- * Word w replays under mask masks[w] with models[w]; its flip words are
- * cleared and then appended to flips[w] in op order. Words whose mask is
- * zero inside an active tile get zero flip words (length stays
- * aligned); all-inactive tiles are skipped entirely and their flip
- * buffers only cleared.
+ * Replay @p trace on the @p num_words words of a shot group, one word
+ * at a time through the trace's compiled effect model. Word w replays
+ * under mask masks[w] with models[w]; flips[w] is cleared and, if the
+ * word is active, filled with its flip words in op order. An inactive
+ * word's flip buffer stays empty, so callers skip inactive words.
  *
  * Each word's lane randomness is consumed exactly as a lone
  * replayTrace of that word would consume it, so results are
- * bit-identical for every group width -- the planes only restructure
- * the frame arithmetic.
+ * bit-identical for every group width.
  */
 void replayTraceGroup(const FrameTrace &trace,
                       quantum::GroupPauliFrames &frames,

@@ -530,8 +530,7 @@ class CoSimEngine
             // Re-encode the fetched operands up to the compute level;
             // transversal conversions of one gate's operands proceed
             // in parallel, so the charge is per gate, not per miss.
-            g.conversionWindows = std::max(
-                g.conversionWindows, config_.memory.conversionWindows);
+            g.conversionWindows = arch::kConversionWindows;
         return slot;
     }
 
@@ -747,9 +746,7 @@ class CoSimEngine
                 // Exponential backoff, capped at 8x the base.
                 const int shift = std::min(pd.attempts - 1, 3);
                 pd.backoffUntil = mesh_.windowsElapsed()
-                    + (static_cast<std::uint64_t>(
-                           std::max(1, config_.fidelity.backoffWindows))
-                       << shift);
+                    + (std::uint64_t{kBackoffWindows} << shift);
             }
         }
         return usable;

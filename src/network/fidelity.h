@@ -35,6 +35,10 @@ namespace qla::network {
  *  recompilation for the missing interaction). */
 inline constexpr int kAbandonPenaltyWindows = 4;
 
+/** Base backoff after a rejected delivery, in windows (doubles per
+ *  retry, capped at 8x). */
+inline constexpr int kBackoffWindows = 1;
+
 /**
  * Fidelity model for EPR delivery in the co-simulator.
  *
@@ -61,11 +65,9 @@ struct FidelityConfig
      * demand retries with backoff. 0 disables gating.
      */
     double deliveryThreshold = 0.0;
-    /** Rejection retries before a demand is abandoned. */
+    /** Rejection retries before a demand is abandoned (each after a
+     *  kBackoffWindows-based backoff). */
     int retryBudget = 3;
-    /** Base backoff after a rejection, in windows (doubles per retry,
-     *  capped at 8x). */
-    int backoffWindows = 1;
 
     /** True when the model can alter behavior vs the ideal engine. */
     bool enabled() const

@@ -158,15 +158,6 @@ class BatchedPauliFrame final : public BatchedFrameBackend
         return (zWord(q) >> lane) & 1ULL;
     }
 
-    //
-    // Raw plane access for the width-templated replay kernel
-    // (arq/frame_trace.cc): a single-word frame is the W = 1, stride-1
-    // case of the generic qubit-major layout.
-    //
-
-    std::uint64_t *xData() { return x_.data(); }
-    std::uint64_t *zData() { return z_.data(); }
-
   private:
     std::size_t n_;
     std::vector<std::uint64_t> x_;
@@ -176,11 +167,10 @@ class BatchedPauliFrame final : public BatchedFrameBackend
 /**
  * Error frames of a whole shot group: @p words adjacent 64-lane words
  * over n qubits in one contiguous qubit-major allocation
- * (x_[q * words + w], likewise z_). Keeping a group's words adjacent --
- * instead of one BatchedPauliFrame object per word -- lets the replay
- * kernel process W words of the same qubit as one W x 64-bit SIMD plane:
- * the per-qubit word rows are exactly the contiguous arrays the
- * width-templated kernels in arq/frame_trace.cc vectorize over.
+ * (x_[q * stride + w], likewise z_): one allocation and one bulk
+ * clear per batch instead of one BatchedPauliFrame object per word. The
+ * group replay (arq/frame_trace.cc) replays word w through the raw
+ * planes at x/z + w with the row stride.
  *
  * The per-word accessors mirror BatchedPauliFrame with the word index
  * first; all single-word semantics (lane masks, flip readout, masked

@@ -274,11 +274,11 @@ TEST(BatchedMonteCarlo, ShotsIndependentOfBatchGrouping)
 
 TEST(BatchedMonteCarlo, GroupingAndCompactionBitIdentical)
 {
-    // The shot-group width (and with it the SIMD tile carving) and lane
-    // compaction (including the dense twin used for "Start Over" rounds
-    // and repeated level-2 extractions) are pure execution-shape
-    // choices: every lane's draw sequence is preserved exactly, so
-    // failure counts must be bit-identical across all settings. Swept
+    // The shot-group width and lane compaction (including the dense
+    // twin used for "Start Over" rounds and repeated level-2
+    // extractions) are pure execution-shape choices: every lane's draw
+    // sequence is preserved exactly, so failure counts must be
+    // bit-identical across all settings. Swept
     // far above threshold so the compacted retry paths actually run.
     for (const double p : {8e-3, 2e-2}) {
         for (const int level : {1, 2}) {

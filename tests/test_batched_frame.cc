@@ -381,7 +381,7 @@ TEST(ClassDrawSampler, MatchesBernoulliStatistics)
 
 TEST(ClassDrawSampler, BlockBoundariesDoNotChangeFirePositions)
 {
-    // The SIMD tiling and shot grouping change how a trace's sites are
+    // Shot grouping and lane compaction change how a trace's sites are
     // blocked into walkLane calls, never which global trial ordinals
     // fire: walking one long block and walking the same trials in
     // ragged pieces must fire at identical global positions.
@@ -468,16 +468,15 @@ TEST(ClassDrawSampler, ExportImportEdgeCases)
     EXPECT_EQ(other.exportLane(9), remaining);
 }
 
-TEST(GroupReplay, TileCarvingBitIdenticalLaneByLane)
+TEST(GroupReplay, EveryWidthMatchesReferenceLaneByLane)
 {
-    // The contract of the SIMD shot planes: a shot group of any width
-    // is carved into kReplayTileWords-word planes and then 2- and
-    // 1-word planes, and every carving must leave every lane of every
-    // word -- frame bits and flip words -- exactly as the one-word
-    // replay does. Group widths 1..8 cover the one-word fast path,
-    // every remainder, all-inactive tiles (words 4-5) and inactive
-    // words inside active tiles; sparse and dense masks alternate so
-    // both replay engines run.
+    // The contract of the shot group: whatever the group width, the
+    // compiled group replay must leave every lane of every word --
+    // frame bits and flip words -- exactly as the one-word reference
+    // interpreter (replayTrace) does. Group widths 1..8 cover the
+    // packed one-word group, odd and even widths, a run of inactive
+    // words (3-5) and inactive words between active ones; sparse and
+    // dense masks alternate.
     using namespace qla::arq;
     const std::size_t n = 6;
     NoiseClassTable classes;
@@ -527,13 +526,12 @@ TEST(GroupReplay, TileCarvingBitIdenticalLaneByLane)
         replayTraceGroup(trace, frames, models.data(), masks.data(), words,
                          flips.data());
         for (std::size_t w = 0; w < words; ++w) {
-            // Inactive words get zero flips, or none in skipped tiles.
+            // An inactive word's flip buffer is only cleared.
             if (masks[w]) {
                 ASSERT_EQ(flips[w], ref_flips[w])
                     << "group " << words << " word " << w;
             } else {
-                ASSERT_EQ(std::count(flips[w].begin(), flips[w].end(), 0u),
-                          static_cast<std::ptrdiff_t>(flips[w].size()))
+                ASSERT_TRUE(flips[w].empty())
                     << "group " << words << " word " << w;
             }
             for (std::size_t q = 0; q < n; ++q) {
@@ -549,10 +547,12 @@ TEST(GroupReplay, TileCarvingBitIdenticalLaneByLane)
 namespace {
 
 /** A trace mixing plain gates, fused noisy steps, one- and two-qubit
- *  fault sites (one class degenerate) and readouts, which keeps some
+ *  fault sites (a never-firing p = 0 class and, with @p always_fires,
+ *  an always-firing p = 1 class) and readouts, which keeps some
  *  input-frame coordinates live to its end (no reset up front). */
 qla::arq::FrameTrace
-mixedTrace(qla::arq::NoiseClassTable &classes, std::size_t n, double p)
+mixedTrace(qla::arq::NoiseClassTable &classes, std::size_t n, double p,
+           bool always_fires)
 {
     qla::arq::FrameTraceBuilder b(classes);
     for (std::size_t round = 0; round < 6; ++round) {
@@ -561,6 +561,8 @@ mixedTrace(qla::arq::NoiseClassTable &classes, std::size_t n, double p)
         b.noisyH(round % n, p);
         b.noise2(p, 1, n - 2);
         b.noise1(0.0, 2); // degenerate class: never fires
+        if (always_fires)
+            b.noise1(1.0, 3); // degenerate class: fires every lane
         b.h(3);
         b.s(3);
         b.cnot(4, 1);
@@ -584,12 +586,13 @@ mixedTrace(qla::arq::NoiseClassTable &classes, std::size_t n, double p)
 
 TEST(TraceReplay, CompiledMatchesInterpreterLaneByLane)
 {
-    // The compiled effect-list replay and the op interpreter consume
-    // the same fire plans and must leave identical flips and frames. A
-    // copy of the trace without its compiled model can only take the
-    // interpreter; the original takes whichever engine the cost model
-    // prices cheaper. Three consecutive replays per word carry lane
-    // clocks and plan scratch across replays.
+    // The production replay (a one-word replayTraceGroup, through the
+    // trace's compiled effect model) and the reference op interpreter
+    // (replayTrace) consume the same fire plans and must leave
+    // identical flips and frames. Three consecutive replays per word
+    // carry lane clocks and plan scratch across replays, so a dense
+    // plan the compiled replay fails to drain back to zero shows up on
+    // the next replay.
     using namespace qla::arq;
     struct Case
     {
@@ -597,55 +600,62 @@ TEST(TraceReplay, CompiledMatchesInterpreterLaneByLane)
         double p;
         bool sparseMasks;
         bool randomFrame;
+        bool alwaysFires;
     };
     const Case cases[] = {
-        // Few fires on a clean frame: the compiled replay is cheaper
-        // and serves every word from merged sparse event lists.
-        {"sparse p=1e-3", 1e-3, true, false},
+        // Few fires on a clean frame: every word is served from merged
+        // sparse event lists.
+        {"sparse p=1e-3", 1e-3, true, false, false},
+        // The same words with an always-firing p = 1 class: the site
+        // table pass serves every word.
+        {"sparse p=1e-3 always", 1e-3, true, false, true},
         // Full masks far above threshold: dense plans.
-        {"full p=5e-2", 5e-2, false, true},
-        // Few lanes at a high rate: dense plans through the compiled
-        // replay, with live input-frame coordinates.
-        {"sparse p=5e-2", 5e-2, true, true},
+        {"full p=5e-2", 5e-2, false, true, true},
+        // Few lanes at a high rate: dense plans with live input-frame
+        // coordinates.
+        {"sparse p=5e-2", 5e-2, true, true, true},
     };
     const std::size_t n = 8;
     for (const Case &c : cases) {
         NoiseClassTable classes;
-        const FrameTrace trace = mixedTrace(classes, n, c.p);
-        ASSERT_TRUE(trace.effects);
-        FrameTrace interpreted = trace;
-        interpreted.effects = nullptr;
-        const FrameTrace *engines[2] = {&trace, &interpreted};
+        const FrameTrace trace = mixedTrace(classes, n, c.p, c.alwaysFires);
         RngFamily family(31337);
         Rng rng(4242);
         for (std::uint64_t word = 0; word < 24; ++word) {
-            const std::uint64_t mask = c.sparseMasks
+            std::uint64_t mask = c.sparseMasks
                 ? rng.next64() & rng.next64() & rng.next64()
                 : ~std::uint64_t{0};
-            std::vector<BatchedPauliFrame> frames(2, BatchedPauliFrame(n));
+            BatchedPauliFrame ref_frame(n);
+            GroupPauliFrames group(n, 1);
             if (c.randomFrame) {
                 for (std::size_t q = 0; q < n; ++q) {
                     const std::uint64_t xw = rng.next64();
                     const std::uint64_t zw = rng.next64();
-                    for (BatchedPauliFrame &f : frames) {
-                        f.injectX(q, xw);
-                        f.injectZ(q, zw);
-                    }
+                    ref_frame.injectX(q, xw);
+                    ref_frame.injectZ(q, zw);
+                    group.injectX(0, q, xw);
+                    group.injectZ(0, q, zw);
                 }
             }
-            std::vector<std::uint64_t> flips[2];
-            for (int e = 0; e < 2; ++e) {
-                BatchedNoiseModel model(classes, 0.0);
-                model.rearm(family, word * kBatchLanes);
-                for (int rep = 0; rep < 3; ++rep)
-                    replayTrace(*engines[e], frames[e], model, mask,
-                                flips[e]);
+            BatchedNoiseModel ref_model(classes, 0.0);
+            ref_model.rearm(family, word * kBatchLanes);
+            BatchedNoiseModel model(classes, 0.0);
+            model.rearm(family, word * kBatchLanes);
+            std::vector<std::uint64_t> ref_flips;
+            std::vector<std::uint64_t> flips;
+            std::vector<std::uint64_t> replay_flips;
+            for (int rep = 0; rep < 3; ++rep) {
+                replayTrace(trace, ref_frame, ref_model, mask, ref_flips);
+                replayTraceGroup(trace, group, &model, &mask, 1,
+                                 &replay_flips);
+                flips.insert(flips.end(), replay_flips.begin(),
+                             replay_flips.end());
             }
-            ASSERT_EQ(flips[0], flips[1]) << c.name << " word " << word;
+            ASSERT_EQ(flips, ref_flips) << c.name << " word " << word;
             for (std::size_t q = 0; q < n; ++q) {
-                ASSERT_EQ(frames[0].xWord(q), frames[1].xWord(q))
+                ASSERT_EQ(group.xWord(0, q), ref_frame.xWord(q))
                     << c.name << " word " << word << " q " << q;
-                ASSERT_EQ(frames[0].zWord(q), frames[1].zWord(q))
+                ASSERT_EQ(group.zWord(0, q), ref_frame.zWord(q))
                     << c.name << " word " << word << " q " << q;
             }
         }

@@ -1526,7 +1526,6 @@ TEST(NoisyCoSim, AbandonmentOnlyOnRetryBudgetExhaustion)
     impossible.fidelity.elementaryFidelity = 0.9;
     impossible.fidelity.deliveryThreshold = 0.97;
     impossible.fidelity.retryBudget = 1;
-    impossible.fidelity.backoffWindows = 1;
     const auto bad = ProgramCoSimulator(program, impossible).run();
     EXPECT_TRUE(bad.completed);
     EXPECT_GT(bad.demandsAbandoned, 0u);
@@ -1811,15 +1810,14 @@ TEST(MemoryHierarchy, RegionedPlacementPutsColdQubitsInMemory)
 TEST(MemoryHierarchy, UniformRegionReproducesCleanSchedule)
 {
     // Acceptance: computeFraction = 1 must reproduce the single-region
-    // engine field for field, even with the other hierarchy knobs set
-    // -- the cache machinery may only act through an actual split.
+    // engine field for field, even with the memory code level set --
+    // the cache machinery may only act through an actual split.
     const ProgramWorkload program(apps::qclaAdderCircuit(16));
     CoSimConfig clean;
     clean.bandwidth = 2;
     CoSimConfig uniform = clean;
     uniform.memory.computeFraction = 1.0;
     uniform.memory.memoryCodeLevel = 1;
-    uniform.memory.conversionWindows = 7;
     ASSERT_FALSE(uniform.memory.enabled());
     const auto a = ProgramCoSimulator(program, clean).run();
     const auto b = ProgramCoSimulator(program, uniform).run();
