@@ -326,8 +326,8 @@ class BatchedLogicalQubitExperiment
      */
     bool shadow_ = false;
     // The group's frames live in one contiguous qubit-major allocation
-    // that replaySeg replays word by word; one noise model per word
-    // over classes_.
+    // that replaySeg replays group-major, across all its words at once;
+    // one noise model per word over classes_.
     quantum::GroupPauliFrames frames_;
     std::vector<BatchedNoiseModel> models_;
     std::array<std::vector<std::uint64_t>, kMaxGroupWords> flips_;

@@ -1,6 +1,7 @@
 #include "arq/frame_trace.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 
 #include "common/logging.h"
@@ -469,8 +470,8 @@ finalizeTraceClassSites(FrameTrace &trace, const NoiseClassTable &classes)
 {
     // One entry per sampler call the replay makes, in class id space;
     // the effect compiler and the reference interpreter (replayTrace,
-    // via verifyTracePlans) cross-check these rules, so they cannot
-    // drift silently.
+    // via PlannedSampling::verifyConsumed) cross-check these rules, so
+    // they cannot drift silently.
     const std::size_t num_classes = classes.probabilities().size();
     trace.classSites.assign(num_classes, 0);
     auto &sites = trace.classSites;
@@ -575,9 +576,6 @@ drainFiresToEvents(ClassDrawPlan &plan, std::uint32_t sites,
         plan.eventMask.push_back(fires[i]);
         fires[i] = 0;
     }
-    plan.next = 0;
-    plan.nextFireOrd
-        = plan.eventOrd.empty() ? ClassDrawPlan::kNoFire : plan.eventOrd[0];
 }
 
 /**
@@ -592,18 +590,11 @@ void
 packWalkedPlan(ClassDrawPlan &plan, std::uint32_t sites,
                std::int64_t scatters)
 {
-    if (scatters == 0) {
-        plan.dense = false;
-        plan.nextFireOrd = ClassDrawPlan::kNoFire;
-        return;
-    }
-    if (scatters * 6 >= static_cast<std::int64_t>(sites)) {
-        plan.dense = true;
-        plan.nextFireOrd = 0;
-        return;
-    }
-    plan.dense = false;
-    drainFiresToEvents(plan, sites, scatters);
+    plan.noFire = scatters == 0;
+    plan.dense = !plan.noFire
+                 && scatters * 6 >= static_cast<std::int64_t>(sites);
+    if (!plan.noFire && !plan.dense)
+        drainFiresToEvents(plan, sites, scatters);
 }
 
 /**
@@ -611,10 +602,11 @@ packWalkedPlan(ClassDrawPlan &plan, std::uint32_t sites,
  * non-degenerate class with sites, and leave the sorted fire schedules
  * in model.plans. This is the planned replay's core saving: a no-fire
  * (class, lane) pair costs one counter update for the entire trace
- * instead of one per site. Only the classes in the
- * trace's skeleton are touched: plans of absent classes are stale but
- * unreachable, because the replay switch never fires a class without
- * sites.
+ * instead of one per site. Only the non-degenerate classes of the
+ * trace's skeleton are touched: degenerate classes draw nothing (like
+ * Rng::bernoulli) and are served from the skeleton itself, and plans of
+ * absent classes are stale but unreachable, because no replay fires a
+ * class without sites.
  */
 void
 planTraceDraws(const FrameTrace &trace, BatchedNoiseModel &model,
@@ -623,19 +615,9 @@ planTraceDraws(const FrameTrace &trace, BatchedNoiseModel &model,
     qla_assert(trace.classSites.size() == model.draws.size(),
                "trace not finalized against this class table");
     for (const TraceClassWalk &entry : trace.walkPlan) {
-        ClassDrawPlan &plan = model.plans[entry.cls];
-        plan.ordinal = 0;
-        if (entry.degenerate) {
-            // Degenerate probabilities consume no stream (like
-            // Rng::bernoulli); replay still advances the ordinal.
-            plan.degenerate = true;
-            plan.dense = false;
-            plan.degenerate_fires = entry.degenerateFires;
-            plan.nextFireOrd
-                = entry.degenerateFires ? 0 : ClassDrawPlan::kNoFire;
+        if (entry.degenerate)
             continue;
-        }
-        plan.degenerate = false;
+        ClassDrawPlan &plan = model.plans[entry.cls];
         if (plan.fires.size() < entry.sites)
             plan.fires.resize(entry.sites); // value-init to zero
         const std::int64_t scatters = model.draws[entry.cls].walkWord(
@@ -646,9 +628,10 @@ planTraceDraws(const FrameTrace &trace, BatchedNoiseModel &model,
 
 /**
  * True when every plan the trace's walk just produced on this word is
- * sparse. The compiled replay then merges the per-class event lists and
- * skips unfired sites entirely; dense and always-fires plans take its
- * ordinal-scan loop instead, which still prices a miss at one compare.
+ * sparse. The word's fired sites then come from a merge of the
+ * per-class event lists that skips unfired sites entirely; dense and
+ * always-fires plans take the ordinal scan of the site table instead,
+ * which still prices a miss at one compare.
  */
 bool
 plansAreSparse(const FrameTrace &trace, const BatchedNoiseModel &model)
@@ -666,16 +649,11 @@ plansAreSparse(const FrameTrace &trace, const BatchedNoiseModel &model)
 }
 
 /**
- * Replay one word of @p trace through its compiled linear-effect model:
- * accumulate, per target (measurement flip or output-frame coordinate),
- * the XOR of the input-frame words and fired-site Pauli words whose
- * effect lists name it. Cost scales with the nonzero content (active
- * input coordinates and fired events) rather than the trace length,
- * which is what makes narrow retry masks and below-threshold words
- * cheap. Draw-for-draw identical to the reference interpreter
- * (replayTrace): gap draws happened in planTraceDraws, and the fired
- * sites are visited in trace order, so drawPauli consumes each lane's
- * stream exactly as an op-by-op replay would.
+ * Plan one active word (mask @p m) of @p trace and apply its fired
+ * sites into its accumulator column @p col (target t at col[t * W]).
+ * Gap draws happen in planTraceDraws, and the fired sites are visited in
+ * trace order, so drawPauli consumes each lane's stream exactly as an
+ * op-by-op replay would.
  *
  * When every plan came out sparse the fired events are produced by a
  * k-way merge of the per-class event lists, skipping unfired sites
@@ -684,32 +662,24 @@ plansAreSparse(const FrameTrace &trace, const BatchedNoiseModel &model)
  * site's fired word from its class plan directly (draining the dense
  * walk scratch back to zero).
  */
+template <std::size_t kWords>
 void
-replayCompiled(const FrameTrace &trace, std::uint64_t *x, std::uint64_t *z,
-               std::size_t stride, BatchedNoiseModel &model,
-               std::uint64_t m, std::vector<std::uint64_t> &flips)
+applyWordSites(const FrameTrace &trace, BatchedNoiseModel &model,
+               std::uint64_t m, std::uint64_t *col, std::size_t W)
 {
+    if constexpr (kWords != 0)
+        W = kWords;
+    planTraceDraws(trace, model, m);
     const TraceEffects &fx = *trace.effects;
-    thread_local std::vector<std::uint64_t> acc_storage;
-    if (acc_storage.size() < fx.numTargets)
-        acc_storage.resize(fx.numTargets);
-    std::uint64_t *acc = acc_storage.data();
-    std::fill_n(acc, fx.numTargets, 0);
     const std::uint16_t *pool = fx.pool.data();
-    const auto apply = [&](TraceEffects::Rec r, std::uint64_t w) {
+    const auto apply = [&](TraceEffects::Rec r, std::uint64_t v) {
         for (std::uint16_t i = 0; i < r.len; ++i)
-            acc[pool[r.off + i]] ^= w;
+            col[std::size_t{pool[r.off + i]} * W] ^= v;
     };
-    for (const TraceEffects::Input &in : fx.inputs) {
-        if (const std::uint64_t wx = x[in.q * stride] & m)
-            apply(in.x, wx);
-        if (const std::uint64_t wz = z[in.q * stride] & m)
-            apply(in.z, wz);
-    }
     const auto applyFired = [&](const TraceEffects::Site &site,
                                 std::uint64_t fired) {
         if (site.kind == TraceEffects::kReadout) {
-            acc[site.meas] ^= fired;
+            col[std::size_t{site.meas} * W] ^= fired;
         } else if (site.kind == TraceEffects::kNoise1) {
             const auto d = quantum::drawPauli1(fired, model.lanes);
             apply(site.xa, d.fx);
@@ -737,10 +707,7 @@ replayCompiled(const FrameTrace &trace, std::uint64_t *x, std::uint64_t *z,
             if (e.degenerate)
                 continue;
             const ClassDrawPlan &plan = model.plans[e.cls];
-            // Pristine post-planning state: kNoFire here means no
-            // events were drained for this replay (eventOrd may hold
-            // stale ones).
-            if (plan.nextFireOrd == ClassDrawPlan::kNoFire)
+            if (plan.noFire)
                 continue;
             qla_assert(k < cur.size(), "trace samples too many classes");
             cur[k++] = {&plan, fx.classSiteIds[e.cls].data(), 0,
@@ -770,13 +737,14 @@ replayCompiled(const FrameTrace &trace, std::uint64_t *x, std::uint64_t *z,
         // its next scheduled ordinal; dense scratch words are zeroed
         // back as they are consumed, so the scratch is all-zero again
         // for the next planning pass.
+        static constexpr std::uint32_t kNoOrd = 0xffffffffu;
         enum : std::uint8_t { kNever, kSparse, kDense, kAlways };
         struct ClsState
         {
             ClassDrawPlan *plan = nullptr;
             std::uint32_t ord = 0;
             std::uint32_t next = 0;
-            std::uint32_t nextOrd = ClassDrawPlan::kNoFire;
+            std::uint32_t nextOrd = kNoOrd;
             std::uint32_t n = 0;
             std::uint64_t always = 0;
             std::uint8_t mode = kNever;
@@ -796,7 +764,7 @@ replayCompiled(const FrameTrace &trace, std::uint64_t *x, std::uint64_t *z,
                 continue;
             }
             ClassDrawPlan &plan = model.plans[e.cls];
-            if (plan.nextFireOrd == ClassDrawPlan::kNoFire)
+            if (plan.noFire)
                 continue;
             st.plan = &plan;
             if (plan.dense) {
@@ -823,7 +791,7 @@ replayCompiled(const FrameTrace &trace, std::uint64_t *x, std::uint64_t *z,
                 fired = st.plan->eventMask[st.next];
                 ++st.next;
                 st.nextOrd = st.next < st.n ? st.plan->eventOrd[st.next]
-                                            : ClassDrawPlan::kNoFire;
+                                            : kNoOrd;
                 break;
               case kDense:
                 fired = st.plan->fires[ord];
@@ -837,15 +805,95 @@ replayCompiled(const FrameTrace &trace, std::uint64_t *x, std::uint64_t *z,
                 applyFired(site, fired);
         }
     }
-    const std::size_t base = flips.size();
-    flips.resize(base + fx.numMeas);
-    std::copy_n(acc, fx.numMeas, flips.data() + base);
-    const std::uint64_t keep = ~m;
+}
+
+/**
+ * The group replay (see replayTraceGroup), over a [target][word]
+ * accumulator plane of width W: kWords when nonzero, else @p num_words.
+ * Every word loop then has a compile-time trip count in the one-word
+ * instantiation, which is what keeps the single-word groups of served
+ * requests as cheap as a dedicated one-word replay.
+ *
+ * Cost scales with the nonzero content (live input rows and fired
+ * events) rather than the trace length, and the fixed per-trace work --
+ * the accumulator fill, the input scan and the frame write-back -- is
+ * paid once per group in loops over its words instead of once per word.
+ */
+template <std::size_t kWords>
+void
+replayGroupMajor(const FrameTrace &trace, quantum::GroupPauliFrames &frames,
+                 BatchedNoiseModel *models, const std::uint64_t *masks,
+                 std::size_t num_words, std::vector<std::uint64_t> *flips)
+{
+    const std::size_t W = kWords ? kWords : num_words;
+    const TraceEffects &fx = *trace.effects;
+    const std::size_t stride = frames.stride();
+    std::uint64_t *x = frames.xData();
+    std::uint64_t *z = frames.zData();
+
+    // Accumulator plane, then one masked input row each for X and Z.
+    thread_local std::vector<std::uint64_t> scratch;
+    const std::size_t plane = std::size_t{fx.numTargets} * W;
+    if (scratch.size() < plane + 2 * W)
+        scratch.resize(plane + 2 * W);
+    std::uint64_t *acc = scratch.data();
+    std::uint64_t *mx = acc + plane;
+    std::uint64_t *mz = mx + W;
+    std::fill_n(acc, plane, 0);
+
+    // Input phase: each live input row, masked word by word, toggles
+    // its targets across the whole group; an all-zero masked row (clean
+    // or inactive frames) costs just its scan.
+    const std::uint16_t *pool = fx.pool.data();
+    const auto xorInto = [&](TraceEffects::Rec r, const std::uint64_t *src) {
+        for (std::uint16_t i = 0; i < r.len; ++i) {
+            std::uint64_t *dst = acc + std::size_t{pool[r.off + i]} * W;
+            for (std::size_t w = 0; w < W; ++w)
+                dst[w] ^= src[w];
+        }
+    };
+    for (const TraceEffects::Input &in : fx.inputs) {
+        const std::uint64_t *rx = x + std::size_t{in.q} * stride;
+        const std::uint64_t *rz = z + std::size_t{in.q} * stride;
+        std::uint64_t anyx = 0;
+        std::uint64_t anyz = 0;
+        for (std::size_t w = 0; w < W; ++w) {
+            mx[w] = rx[w] & masks[w];
+            mz[w] = rz[w] & masks[w];
+            anyx |= mx[w];
+            anyz |= mz[w];
+        }
+        if (anyx)
+            xorInto(in.x, mx);
+        if (anyz)
+            xorInto(in.z, mz);
+    }
+
+    // Fired sites, word by word: each word plans and applies back to
+    // back, so its model stays hot and its lanes draw in trace order;
+    // its column is then final and its flip row is copied out.
+    for (std::size_t w = 0; w < W; ++w) {
+        flips[w].clear();
+        if (!masks[w])
+            continue;
+        applyWordSites<kWords>(trace, models[w], masks[w], acc + w, W);
+        flips[w].resize(fx.numMeas);
+        std::uint64_t *out = flips[w].data();
+        for (std::size_t j = 0; j < fx.numMeas; ++j)
+            out[j] = acc[j * W + w];
+    }
+
+    // Write-back: every accumulator bit lies inside its word's mask, so
+    // inactive lanes -- and whole inactive words -- keep their bits.
     for (std::size_t l = 0; l < fx.qubitOf.size(); ++l) {
-        std::uint64_t &xq = x[fx.qubitOf[l] * stride];
-        std::uint64_t &zq = z[fx.qubitOf[l] * stride];
-        xq = (xq & keep) | acc[fx.numMeas + 2 * l];
-        zq = (zq & keep) | acc[fx.numMeas + 2 * l + 1];
+        std::uint64_t *rx = x + std::size_t{fx.qubitOf[l]} * stride;
+        std::uint64_t *rz = z + std::size_t{fx.qubitOf[l]} * stride;
+        const std::uint64_t *ax = acc + (fx.numMeas + 2 * l) * W;
+        const std::uint64_t *az = ax + W;
+        for (std::size_t w = 0; w < W; ++w) {
+            rx[w] = (rx[w] & ~masks[w]) | ax[w];
+            rz[w] = (rz[w] & ~masks[w]) | az[w];
+        }
     }
 }
 
@@ -854,53 +902,94 @@ replayCompiled(const FrameTrace &trace, std::uint64_t *x, std::uint64_t *z,
 // shares nothing with the compiled effect model but the fire plans.
 //
 
-/** Per-site fires popped from the pre-walked per-trace plans. */
-struct PlannedSampling
+/**
+ * The interpreter's per-class cursor over one planned replay: the site
+ * ordinal reached, the next unconsumed sparse event, and the ordinal of
+ * the next scheduled fire (kNoFire once the class is exhausted).
+ */
+class PlannedSampling
 {
-    static std::uint64_t
-    fire(BatchedNoiseModel &model, std::uint8_t cls, std::uint64_t active)
+  public:
+    static constexpr std::uint32_t kNoFire = 0xffffffffu;
+
+    struct Cursor
     {
-        ClassDrawPlan &plan = model.plans[cls];
-        const std::uint32_t ord = plan.ordinal++;
-        if (plan.dense) {
+        std::uint32_t ordinal = 0;
+        std::uint32_t next = 0;
+        std::uint32_t nextFireOrd = kNoFire;
+        bool dense = false;
+        /** Degenerate class: fired lanes at every site (~0 for p >= 1,
+         *  0 for p <= 0). */
+        bool degenerate = false;
+        std::uint64_t degenerateFires = 0;
+    };
+
+    /** Cursors at ordinal 0 for the classes of @p trace's skeleton,
+     *  over the plans just built on @p model. */
+    PlannedSampling(const FrameTrace &trace, BatchedNoiseModel &model)
+        : model_(model), cursors_(model.plans.size())
+    {
+        for (const TraceClassWalk &e : trace.walkPlan) {
+            Cursor &c = cursors_[e.cls];
+            if (e.degenerate) {
+                c.degenerate = true;
+                c.degenerateFires = e.degenerateFires;
+                c.nextFireOrd = e.degenerateFires ? 0 : kNoFire;
+                continue;
+            }
+            const ClassDrawPlan &plan = model.plans[e.cls];
+            c.dense = plan.dense;
+            if (!plan.noFire)
+                c.nextFireOrd = plan.dense ? 0 : plan.eventOrd[0];
+        }
+    }
+
+    std::uint64_t
+    fire(std::uint8_t cls, std::uint64_t active)
+    {
+        ClassDrawPlan &plan = model_.plans[cls];
+        Cursor &c = cursors_[cls];
+        const std::uint32_t ord = c.ordinal++;
+        if (c.dense) {
             // Every ordinal is scheduled; serve straight from the walk
             // scratch, zeroing it back for the next planning pass.
             const std::uint64_t fired = plan.fires[ord];
             plan.fires[ord] = 0;
             return fired;
         }
-        if (ord != plan.nextFireOrd)
+        if (ord != c.nextFireOrd)
             return 0;
-        if (plan.degenerate) {
+        if (c.degenerate) {
             // Always-fires class: every ordinal is scheduled.
-            plan.nextFireOrd = ord + 1;
-            return plan.degenerate_fires & active;
+            c.nextFireOrd = ord + 1;
+            return c.degenerateFires & active;
         }
         // Fired lanes are a subset of active by construction (only
         // active lanes were walked).
-        const std::uint64_t fired = plan.eventMask[plan.next];
-        ++plan.next;
-        plan.nextFireOrd = plan.next < plan.eventOrd.size()
-                               ? plan.eventOrd[plan.next]
-                               : ClassDrawPlan::kNoFire;
+        const std::uint64_t fired = plan.eventMask[c.next];
+        ++c.next;
+        c.nextFireOrd = c.next < plan.eventOrd.size()
+                            ? plan.eventOrd[c.next]
+                            : kNoFire;
         return fired;
     }
-};
 
-/**
- * Every planned class must be exactly consumed by the replay it was
- * built for (classes outside the skeleton hold stale ordinals from
- * earlier traces and are never fired).
- */
-void
-verifyTracePlans(const FrameTrace &trace, const BatchedNoiseModel &model)
-{
-    for (const TraceClassWalk &entry : trace.walkPlan)
-        qla_assert(model.plans[entry.cls].ordinal == entry.sites,
-                   "replay visited ", model.plans[entry.cls].ordinal,
-                   " sites of class ", entry.cls, ", trace declares ",
-                   entry.sites);
-}
+    /** Every planned class must be exactly consumed by the replay it
+     *  was built for. */
+    void
+    verifyConsumed(const FrameTrace &trace) const
+    {
+        for (const TraceClassWalk &entry : trace.walkPlan)
+            qla_assert(cursors_[entry.cls].ordinal == entry.sites,
+                       "replay visited ", cursors_[entry.cls].ordinal,
+                       " sites of class ", entry.cls, ", trace declares ",
+                       entry.sites);
+    }
+
+  private:
+    BatchedNoiseModel &model_;
+    std::vector<Cursor> cursors_;
+};
 
 /**
  * Interpret @p trace op by op on @p frame for the lanes in @p m: gates
@@ -910,11 +999,11 @@ verifyTracePlans(const FrameTrace &trace, const BatchedNoiseModel &model)
  */
 void
 interpretTrace(const FrameTrace &trace, quantum::BatchedPauliFrame &frame,
-               BatchedNoiseModel &model, std::uint64_t m,
-               std::vector<std::uint64_t> &flips)
+               BatchedNoiseModel &model, PlannedSampling &sampling,
+               std::uint64_t m, std::vector<std::uint64_t> &flips)
 {
     const auto fire1 = [&](std::uint8_t cls, std::size_t q) {
-        const std::uint64_t fired = PlannedSampling::fire(model, cls, m);
+        const std::uint64_t fired = sampling.fire(cls, m);
         if (!fired)
             return;
         const auto d = quantum::drawPauli1(fired, model.lanes);
@@ -923,7 +1012,7 @@ interpretTrace(const FrameTrace &trace, quantum::BatchedPauliFrame &frame,
     };
     const auto fire2 = [&](std::uint8_t cls, std::size_t a,
                            std::size_t b) {
-        const std::uint64_t fired = PlannedSampling::fire(model, cls, m);
+        const std::uint64_t fired = sampling.fire(cls, m);
         if (!fired)
             return;
         const auto d = quantum::drawPauli2(fired, model.lanes);
@@ -936,7 +1025,7 @@ interpretTrace(const FrameTrace &trace, quantum::BatchedPauliFrame &frame,
                              std::uint8_t cls) {
         const std::uint64_t word = measure_x ? frame.measureXFlip(q, m)
                                              : frame.measureZFlip(q, m);
-        flips.push_back(word ^ PlannedSampling::fire(model, cls, m));
+        flips.push_back(word ^ sampling.fire(cls, m));
     };
     // The scalar transversal step's exact order: shuttle fault on the
     // moved ion, CNOT, two-qubit fault (unmoved, moved), shuttle back.
@@ -1030,8 +1119,9 @@ replayTrace(const FrameTrace &trace, quantum::BatchedPauliFrame &frame,
         return;
     }
     planTraceDraws(trace, noise, active);
-    interpretTrace(trace, frame, noise, active, flips);
-    verifyTracePlans(trace, noise);
+    PlannedSampling sampling(trace, noise);
+    interpretTrace(trace, frame, noise, sampling, active, flips);
+    sampling.verifyConsumed(trace);
 }
 
 void
@@ -1044,15 +1134,11 @@ replayTraceGroup(const FrameTrace &trace,
     // The group's rows must be packed (or over-provisioned) for this
     // batch: reset(num_words) is the batch prologue that guarantees it.
     qla_assert(num_words <= frames.stride());
-    const std::size_t stride = frames.stride();
-    for (std::size_t w = 0; w < num_words; ++w) {
-        flips[w].clear();
-        if (!masks[w])
-            continue;
-        planTraceDraws(trace, models[w], masks[w]);
-        replayCompiled(trace, frames.xData() + w, frames.zData() + w,
-                       stride, models[w], masks[w], flips[w]);
-    }
+    if (num_words == 1)
+        replayGroupMajor<1>(trace, frames, models, masks, 1, flips);
+    else
+        replayGroupMajor<0>(trace, frames, models, masks, num_words,
+                            flips);
 }
 
 } // namespace qla::arq

@@ -211,7 +211,8 @@ struct FrameTrace
      * stream; the tile traces live in one recording per experiment
      * shape (arq/batched_monte_carlo.cc), so every noise point, worker
      * and twin of that shape replays the same compiled instance.
-     * replayTraceGroup requires it.
+     * replayTraceGroup runs its effect lists once per shot group, across
+     * the group's words, and requires it.
      */
     std::shared_ptr<const TraceEffects> effects;
 };
@@ -279,15 +280,14 @@ class FrameTraceBuilder
 
 /**
  * One noise class's pre-walked fire schedule for the trace currently
- * being replayed on one word. Rebuilt by the per-trace planning pass;
- * consumed in site-ordinal order by the compiled replay, or one site
- * at a time by the reference interpreter (replayTrace).
+ * being replayed on one word. Rebuilt by the per-trace planning pass for
+ * every non-degenerate class of the trace's skeleton (degenerate classes
+ * draw nothing and are served from TraceClassWalk); consumed in
+ * site-ordinal order by the group replay and by the reference
+ * interpreter (replayTrace), which keeps its own per-class cursors.
  */
 struct ClassDrawPlan
 {
-    /** nextFireOrd value meaning "no further fire in this trace". */
-    static constexpr std::uint32_t kNoFire = 0xffffffffu;
-
     /**
      * Walk scratch: fires[i] is the fired-lanes word of the class's
      * i-th sampling site (replay order). Planning scatters the walk's
@@ -304,16 +304,6 @@ struct ClassDrawPlan
      */
     std::vector<std::uint32_t> eventOrd;
     std::vector<std::uint64_t> eventMask;
-    /** Reference interpreter: site ordinal reached for this class. */
-    std::uint32_t ordinal = 0;
-    /** Reference interpreter: index into eventOrd/eventMask of the
-     *  next unconsumed event. */
-    std::uint32_t next = 0;
-    /** After planning, kNoFire means this replay fires no site of the
-     *  class (eventOrd may hold stale events). The reference
-     *  interpreter keeps it at eventOrd[next] as it consumes events;
-     *  for a dense or always-fires plan it runs 0, 1, 2, ... */
-    std::uint32_t nextFireOrd = kNoFire;
     /**
      * Dense plan: the replay serves straight from the fires buffer
      * (zeroing each entry as it consumes it) instead of the event
@@ -324,11 +314,9 @@ struct ClassDrawPlan
      * storage format: fired words are identical either way.
      */
     bool dense = false;
-    /** Degenerate p <= 0 or p >= 1 class: nothing walked, no events
-     *  stored. */
-    bool degenerate = false;
-    /** Fired lanes at every site when degenerate (~0 for p >= 1). */
-    std::uint64_t degenerate_fires = 0;
+    /** The walk fired no lane at any site of this trace; the event
+     *  arrays then hold stale events and must not be read. */
+    bool noFire = true;
 };
 
 /** Per-class clocks plus per-lane streams for one 64-shot word. */
@@ -389,7 +377,7 @@ struct BatchedNoiseModel
  * interpreter runs the trace op by op, and every planned class is
  * checked to be consumed exactly. Measurement flip words are appended
  * to @p flips in op order; an inactive word appends zero words. No
- * production path calls this: it is the oracle the compiled replay is
+ * production path calls this: it is the oracle the group replay is
  * checked against lane by lane (tests/test_batched_frame.cc). The trace
  * must be finalized (finalizeTraceClassSites).
  */
@@ -398,11 +386,19 @@ void replayTrace(const FrameTrace &trace, quantum::BatchedPauliFrame &frame,
                  std::vector<std::uint64_t> &flips);
 
 /**
- * Replay @p trace on the @p num_words words of a shot group, one word
- * at a time through the trace's compiled effect model. Word w replays
- * under mask masks[w] with models[w]; flips[w] is cleared and, if the
- * word is active, filled with its flip words in op order. An inactive
- * word's flip buffer stays empty, so callers skip inactive words.
+ * Replay @p trace on the @p num_words words of a shot group through the
+ * trace's compiled effect model, group-major: one pass of the effect
+ * lists over a [target][word] accumulator plane for the whole group.
+ * The input frame's live rows are XORed into their targets across all
+ * words at once (each row masked by masks[w]); then each active word
+ * plans its lane clocks, applies its fired sites into its own
+ * accumulator column and copies its flip row out; finally every
+ * touched qubit row is rewritten across the group as
+ * (row & ~masks[w]) | acc. Word w replays under mask masks[w] with
+ * models[w]; flips[w] is cleared and, if the word is active, filled
+ * with its flip words in op order. An inactive word's flip buffer stays
+ * empty and its frame words are untouched, so callers skip inactive
+ * words.
  *
  * Each word's lane randomness is consumed exactly as a lone
  * replayTrace of that word would consume it, so results are

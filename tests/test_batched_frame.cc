@@ -468,82 +468,6 @@ TEST(ClassDrawSampler, ExportImportEdgeCases)
     EXPECT_EQ(other.exportLane(9), remaining);
 }
 
-TEST(GroupReplay, EveryWidthMatchesReferenceLaneByLane)
-{
-    // The contract of the shot group: whatever the group width, the
-    // compiled group replay must leave every lane of every word --
-    // frame bits and flip words -- exactly as the one-word reference
-    // interpreter (replayTrace) does. Group widths 1..8 cover the
-    // packed one-word group, odd and even widths, a run of inactive
-    // words (3-5) and inactive words between active ones; sparse and
-    // dense masks alternate.
-    using namespace qla::arq;
-    const std::size_t n = 6;
-    NoiseClassTable classes;
-    FrameTraceBuilder builder(classes);
-    builder.resetRange(0, n);
-    builder.noisyH(0, 2e-2);
-    builder.noisyCnot(0, 1, 1, 1.5e-2, 2.5e-2);
-    builder.noisyCnot(2, 3, 2, 1.5e-2, 2.5e-2);
-    builder.noisyCnotMeas(4, 5, 4, 1.5e-2, 2.5e-2, false, 3e-3);
-    builder.noise1Range(0, n, 1e-2);
-    builder.s(4);
-    builder.cz(4, 5);
-    builder.swapGate(0, 5);
-    builder.measureRange(0, 3, true, 3e-3);
-    builder.measureZ(4, 3e-3);
-    FrameTrace trace = builder.take();
-    finalizeTraceClassSites(trace, classes);
-
-    const std::size_t max_words = 8;
-    RngFamily family(2026);
-    Rng mask_rng(55);
-    std::vector<std::uint64_t> masks(max_words);
-    for (std::size_t w = 0; w < max_words; ++w)
-        masks[w] = w % 2 ? mask_rng.next64() & mask_rng.next64()
-                               & mask_rng.next64()
-                         : mask_rng.next64() | mask_rng.next64();
-    masks[3] = masks[4] = masks[5] = 0;
-
-    // Reference: each word alone through the single-word replay.
-    std::vector<BatchedPauliFrame> ref_frames(max_words,
-                                              BatchedPauliFrame(n));
-    std::vector<std::vector<std::uint64_t>> ref_flips(max_words);
-    for (std::size_t w = 0; w < max_words; ++w) {
-        BatchedNoiseModel model(classes, 0.0);
-        model.rearm(family, w * kBatchLanes);
-        replayTrace(trace, ref_frames[w], model, masks[w], ref_flips[w]);
-    }
-
-    for (std::size_t words = 1; words <= max_words; ++words) {
-        GroupPauliFrames frames(n, words);
-        std::vector<BatchedNoiseModel> models;
-        for (std::size_t w = 0; w < words; ++w) {
-            models.emplace_back(classes, 0.0);
-            models.back().rearm(family, w * kBatchLanes);
-        }
-        std::vector<std::vector<std::uint64_t>> flips(words);
-        replayTraceGroup(trace, frames, models.data(), masks.data(), words,
-                         flips.data());
-        for (std::size_t w = 0; w < words; ++w) {
-            // An inactive word's flip buffer is only cleared.
-            if (masks[w]) {
-                ASSERT_EQ(flips[w], ref_flips[w])
-                    << "group " << words << " word " << w;
-            } else {
-                ASSERT_TRUE(flips[w].empty())
-                    << "group " << words << " word " << w;
-            }
-            for (std::size_t q = 0; q < n; ++q) {
-                ASSERT_EQ(frames.xWord(w, q), ref_frames[w].xWord(q))
-                    << "group " << words << " word " << w << " q " << q;
-                ASSERT_EQ(frames.zWord(w, q), ref_frames[w].zWord(q))
-                    << "group " << words << " word " << w << " q " << q;
-            }
-        }
-    }
-}
-
 namespace {
 
 /** A trace mixing plain gates, fused noisy steps, one- and two-qubit
@@ -583,6 +507,146 @@ mixedTrace(qla::arq::NoiseClassTable &classes, std::size_t n, double p,
 }
 
 } // namespace
+
+TEST(GroupReplay, EveryWidthMatchesReferenceLaneByLane)
+{
+    // The contract of the shot group: whatever the group width, the
+    // group replay must leave every lane of every word -- frame bits and
+    // flip words -- exactly as the one-word reference interpreter
+    // (replayTrace) does, and must leave inactive words' frames
+    // untouched with empty flip buffers. Every word starts from its own
+    // random frame, so the input phase and the masked write-back carry
+    // live bits on active and inactive lanes alike. Widths 1..8 cover
+    // the compile-time one-word kernel and odd and even runtime widths;
+    // 16, 31 and 32 cover wide groups up to the group cap. Inactive
+    // words run (3-5) and sit between active ones (every fifth word
+    // from 10); sparse and dense masks alternate. Two replays in a row
+    // carry lane clocks and plan scratch from the first to the second.
+    using namespace qla::arq;
+    const std::size_t n = 6;
+    struct Case
+    {
+        const char *name;
+        NoiseClassTable classes;
+        FrameTrace trace;
+    };
+    std::vector<Case> cases(3);
+    cases[0].name = "reset prologue";
+    {
+        FrameTraceBuilder builder(cases[0].classes);
+        builder.resetRange(0, n);
+        builder.noisyH(0, 2e-2);
+        builder.noisyCnot(0, 1, 1, 1.5e-2, 2.5e-2);
+        builder.noisyCnot(2, 3, 2, 1.5e-2, 2.5e-2);
+        builder.noisyCnotMeas(4, 5, 4, 1.5e-2, 2.5e-2, false, 3e-3);
+        builder.noise1Range(0, n, 1e-2);
+        builder.s(4);
+        builder.cz(4, 5);
+        builder.swapGate(0, 5);
+        builder.measureRange(0, 3, true, 3e-3);
+        builder.measureZ(4, 3e-3);
+        cases[0].trace = builder.take();
+        finalizeTraceClassSites(cases[0].trace, cases[0].classes);
+    }
+    // Live inputs, served from sparse event lists (mostly) and from the
+    // site-table scan (always-firing class, dense plans).
+    cases[1].name = "mixed p=2e-2";
+    cases[1].trace = mixedTrace(cases[1].classes, n, 2e-2, false);
+    cases[2].name = "mixed p=5e-2 always";
+    cases[2].trace = mixedTrace(cases[2].classes, n, 5e-2, true);
+
+    const std::size_t max_words = 32;
+    const std::size_t widths[] = {1, 2, 3, 4, 5, 6, 7, 8, 16, 31, 32};
+    const int reps = 2;
+    RngFamily family(2026);
+    Rng mask_rng(55);
+    Rng frame_rng(77);
+    std::vector<std::uint64_t> masks(max_words);
+    for (std::size_t w = 0; w < max_words; ++w)
+        masks[w] = w % 2 ? mask_rng.next64() & mask_rng.next64()
+                               & mask_rng.next64()
+                         : mask_rng.next64() | mask_rng.next64();
+    masks[3] = masks[4] = masks[5] = 0;
+    for (std::size_t w = 10; w < max_words; w += 5)
+        masks[w] = 0;
+    std::vector<std::array<std::uint64_t, n>> init_x(max_words);
+    std::vector<std::array<std::uint64_t, n>> init_z(max_words);
+    for (std::size_t w = 0; w < max_words; ++w) {
+        for (std::size_t q = 0; q < n; ++q) {
+            init_x[w][q] = frame_rng.next64();
+            init_z[w][q] = frame_rng.next64();
+        }
+    }
+
+    for (Case &c : cases) {
+        // Reference: each word alone through the single-word replay.
+        std::vector<BatchedPauliFrame> ref_frames(max_words,
+                                                  BatchedPauliFrame(n));
+        std::vector<std::vector<std::uint64_t>> ref_flips(max_words);
+        for (std::size_t w = 0; w < max_words; ++w) {
+            for (std::size_t q = 0; q < n; ++q) {
+                ref_frames[w].injectX(q, init_x[w][q]);
+                ref_frames[w].injectZ(q, init_z[w][q]);
+            }
+            BatchedNoiseModel model(c.classes, 0.0);
+            model.rearm(family, w * kBatchLanes);
+            for (int rep = 0; rep < reps; ++rep)
+                replayTrace(c.trace, ref_frames[w], model, masks[w],
+                            ref_flips[w]);
+        }
+
+        for (const std::size_t words : widths) {
+            GroupPauliFrames frames(n, words);
+            std::vector<BatchedNoiseModel> models;
+            for (std::size_t w = 0; w < words; ++w) {
+                models.emplace_back(c.classes, 0.0);
+                models.back().rearm(family, w * kBatchLanes);
+                for (std::size_t q = 0; q < n; ++q) {
+                    frames.injectX(w, q, init_x[w][q]);
+                    frames.injectZ(w, q, init_z[w][q]);
+                }
+            }
+            std::vector<std::vector<std::uint64_t>> flips(words);
+            std::vector<std::vector<std::uint64_t>> all_flips(words);
+            for (int rep = 0; rep < reps; ++rep) {
+                replayTraceGroup(c.trace, frames, models.data(),
+                                 masks.data(), words, flips.data());
+                for (std::size_t w = 0; w < words; ++w) {
+                    // An inactive word's flip buffer is only cleared.
+                    if (!masks[w]) {
+                        ASSERT_TRUE(flips[w].empty())
+                            << c.name << " group " << words << " word "
+                            << w;
+                    }
+                    all_flips[w].insert(all_flips[w].end(),
+                                        flips[w].begin(), flips[w].end());
+                }
+            }
+            for (std::size_t w = 0; w < words; ++w) {
+                if (masks[w]) {
+                    ASSERT_EQ(all_flips[w], ref_flips[w])
+                        << c.name << " group " << words << " word " << w;
+                }
+                for (std::size_t q = 0; q < n; ++q) {
+                    ASSERT_EQ(frames.xWord(w, q), ref_frames[w].xWord(q))
+                        << c.name << " group " << words << " word " << w
+                        << " q " << q;
+                    ASSERT_EQ(frames.zWord(w, q), ref_frames[w].zWord(q))
+                        << c.name << " group " << words << " word " << w
+                        << " q " << q;
+                    if (!masks[w]) {
+                        ASSERT_EQ(frames.xWord(w, q), init_x[w][q])
+                            << c.name << " group " << words << " word "
+                            << w << " q " << q;
+                        ASSERT_EQ(frames.zWord(w, q), init_z[w][q])
+                            << c.name << " group " << words << " word "
+                            << w << " q " << q;
+                    }
+                }
+            }
+        }
+    }
+}
 
 TEST(TraceReplay, CompiledMatchesInterpreterLaneByLane)
 {
