@@ -204,35 +204,9 @@ namespace {
 FrameTrace
 shadowTrace(FrameTrace trace, const std::vector<std::uint8_t> &shadow)
 {
-    for (FrameOp &op : trace.ops) {
-        switch (op.kind) {
-          case FrameOp::Kind::Noise1:
-          case FrameOp::Kind::Noise2:
-          case FrameOp::Kind::MeasureZ:
-          case FrameOp::Kind::MeasureX:
-          case FrameOp::Kind::NoisyH:
-          case FrameOp::Kind::Noise1Range:
-          case FrameOp::Kind::MeasureZRange:
-          case FrameOp::Kind::MeasureXRange:
+    for (FrameOp &op : trace.ops)
+        if (op.isSite())
             op.cls = shadow[op.cls];
-            break;
-          case FrameOp::Kind::NoisyCnotMT:
-          case FrameOp::Kind::NoisyCnotMC:
-            op.cls = shadow[op.cls];
-            op.cls2 = shadow[op.cls2];
-            break;
-          case FrameOp::Kind::NoisyCnotMTMeasZ:
-          case FrameOp::Kind::NoisyCnotMTMeasX:
-          case FrameOp::Kind::NoisyCnotMCMeasZ:
-          case FrameOp::Kind::NoisyCnotMCMeasX:
-            op.cls = shadow[op.cls];
-            op.cls2 = shadow[op.cls2];
-            op.cls3 = shadow[op.cls3];
-            break;
-          default:
-            break;
-        }
-    }
     return trace;
 }
 

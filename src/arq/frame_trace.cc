@@ -19,29 +19,10 @@ q16(std::size_t q)
 }
 
 /**
- * One step of the replay, flattened to the granularity the effect
- * compiler reasons at: fused FrameOps expand into their gate / site /
- * measure parts in exactly the reference interpreter's order, ranges
- * expand per qubit. `a`/`b` are local (touched-qubit) indices.
- */
-struct MicroOp
-{
-    enum class K : std::uint8_t { H, S, Cnot, Cz, Swap, Reset, Site, Meas };
-    K k;
-    std::uint16_t a = 0;
-    std::uint16_t b = 0;
-    /** Site/Meas: index into TraceEffects::sites. */
-    std::uint32_t site = 0;
-    /** Meas: measurement target id. */
-    std::uint32_t meas = 0;
-    bool measX = false;
-};
-
-/**
  * Compile the trace's linear-effect model (TraceEffects): a forward
- * pass flattens the op stream, numbers sampler sites in replay order
- * and assigns local indices to touched qubits; a backward influence
- * pass then computes, for each qubit's X and Z components, the set of
+ * pass over the op stream numbers sampler sites in replay order and
+ * assigns local indices to touched qubits; a backward influence pass
+ * then computes, for each qubit's X and Z components, the set of
  * downstream targets (measurement flips and output-frame coordinates)
  * an injection at the current point toggles. Passing a site records
  * the influence of its injected components; reaching the top records
@@ -51,132 +32,41 @@ struct MicroOp
 TraceEffects
 compileTraceEffects(const FrameTrace &trace)
 {
+    using K = FrameOp::Kind;
     TraceEffects fx;
     fx.classSiteIds.assign(trace.classSites.size(), {});
 
-    std::vector<MicroOp> prog;
-    prog.reserve(trace.ops.size() * 5);
     std::vector<std::int32_t> localOf;
-    const auto local = [&](std::uint16_t q) {
+    const auto touch = [&](std::uint16_t q) {
         if (localOf.size() <= q)
             localOf.resize(q + std::size_t{1}, -1);
         if (localOf[q] < 0) {
             localOf[q] = static_cast<std::int32_t>(fx.qubitOf.size());
             fx.qubitOf.push_back(q);
         }
-        return static_cast<std::uint16_t>(localOf[q]);
     };
     std::uint32_t nm = 0;
-    const auto gate1 = [&](MicroOp::K k, std::uint16_t q) {
-        prog.push_back({k, local(q), 0, 0, 0, false});
-    };
-    const auto gate2 = [&](MicroOp::K k, std::uint16_t a, std::uint16_t b) {
-        prog.push_back({k, local(a), local(b), 0, 0, false});
-    };
-    const auto newSite = [&](std::uint8_t cls, std::uint8_t kind) {
-        TraceEffects::Site s;
-        s.cls = cls;
-        s.kind = kind;
-        const auto id = static_cast<std::uint32_t>(fx.sites.size());
-        fx.sites.push_back(s);
-        fx.classSiteIds[cls].push_back(id);
-        return id;
-    };
-    const auto site1 = [&](std::uint8_t cls, std::uint16_t q) {
-        const std::uint32_t id = newSite(cls, TraceEffects::kNoise1);
-        prog.push_back({MicroOp::K::Site, local(q), 0, id, 0, false});
-    };
-    const auto site2 = [&](std::uint8_t cls, std::uint16_t a,
-                           std::uint16_t b) {
-        const std::uint32_t id = newSite(cls, TraceEffects::kNoise2);
-        prog.push_back({MicroOp::K::Site, local(a), local(b), id, 0,
-                        false});
-    };
-    const auto meas = [&](std::uint8_t cls, std::uint16_t q, bool mx) {
-        const std::uint32_t id = newSite(cls, TraceEffects::kReadout);
-        fx.sites[id].meas = static_cast<std::uint16_t>(nm);
-        prog.push_back({MicroOp::K::Meas, local(q), 0, id, nm, mx});
-        ++nm;
-    };
-
     for (const FrameOp &op : trace.ops) {
-        switch (op.kind) {
-          case FrameOp::Kind::H:
-            gate1(MicroOp::K::H, op.a);
-            break;
-          case FrameOp::Kind::NoisyH:
-            gate1(MicroOp::K::H, op.a);
-            site1(op.cls, op.a);
-            break;
-          case FrameOp::Kind::S:
-            gate1(MicroOp::K::S, op.a);
-            break;
-          case FrameOp::Kind::Cnot:
-            gate2(MicroOp::K::Cnot, op.a, op.b);
-            break;
-          case FrameOp::Kind::Cz:
-            gate2(MicroOp::K::Cz, op.a, op.b);
-            break;
-          case FrameOp::Kind::Swap:
-            gate2(MicroOp::K::Swap, op.a, op.b);
-            break;
-          case FrameOp::Kind::Reset:
-            gate1(MicroOp::K::Reset, op.a);
-            break;
-          case FrameOp::Kind::Noise1:
-            site1(op.cls, op.a);
-            break;
-          case FrameOp::Kind::Noise2:
-            site2(op.cls, op.a, op.b);
-            break;
-          case FrameOp::Kind::NoisyCnotMT:
-          case FrameOp::Kind::NoisyCnotMTMeasZ:
-          case FrameOp::Kind::NoisyCnotMTMeasX:
-            site1(op.cls, op.b);
-            gate2(MicroOp::K::Cnot, op.a, op.b);
-            site2(op.cls2, op.a, op.b);
-            site1(op.cls, op.b);
-            if (op.kind == FrameOp::Kind::NoisyCnotMTMeasZ)
-                meas(op.cls3, op.b, false);
-            else if (op.kind == FrameOp::Kind::NoisyCnotMTMeasX)
-                meas(op.cls3, op.b, true);
-            break;
-          case FrameOp::Kind::NoisyCnotMC:
-          case FrameOp::Kind::NoisyCnotMCMeasZ:
-          case FrameOp::Kind::NoisyCnotMCMeasX:
-            site1(op.cls, op.a);
-            gate2(MicroOp::K::Cnot, op.a, op.b);
-            site2(op.cls2, op.b, op.a);
-            site1(op.cls, op.a);
-            if (op.kind == FrameOp::Kind::NoisyCnotMCMeasZ)
-                meas(op.cls3, op.a, false);
-            else if (op.kind == FrameOp::Kind::NoisyCnotMCMeasX)
-                meas(op.cls3, op.a, true);
-            break;
-          case FrameOp::Kind::ResetRange:
-            for (std::uint32_t i = 0; i < op.b; ++i)
-                gate1(MicroOp::K::Reset,
-                      static_cast<std::uint16_t>(op.a + i));
-            break;
-          case FrameOp::Kind::Noise1Range:
-            for (std::uint32_t i = 0; i < op.b; ++i)
-                site1(op.cls, static_cast<std::uint16_t>(op.a + i));
-            break;
-          case FrameOp::Kind::MeasureZRange:
-            for (std::uint32_t i = 0; i < op.b; ++i)
-                meas(op.cls, static_cast<std::uint16_t>(op.a + i), false);
-            break;
-          case FrameOp::Kind::MeasureXRange:
-            for (std::uint32_t i = 0; i < op.b; ++i)
-                meas(op.cls, static_cast<std::uint16_t>(op.a + i), true);
-            break;
-          case FrameOp::Kind::MeasureZ:
-            meas(op.cls, op.a, false);
-            break;
-          case FrameOp::Kind::MeasureX:
-            meas(op.cls, op.a, true);
-            break;
+        touch(op.a);
+        const bool two = op.kind == K::Cnot || op.kind == K::Cz
+                         || op.kind == K::Swap || op.kind == K::Noise2;
+        if (two)
+            touch(op.b);
+        if (!op.isSite())
+            continue;
+        TraceEffects::Site site;
+        site.cls = op.cls;
+        if (op.kind == K::Noise1) {
+            site.kind = TraceEffects::kNoise1;
+        } else if (op.kind == K::Noise2) {
+            site.kind = TraceEffects::kNoise2;
+        } else {
+            site.kind = TraceEffects::kReadout;
+            site.meas = static_cast<std::uint16_t>(nm++);
         }
+        fx.classSiteIds[op.cls].push_back(
+            static_cast<std::uint32_t>(fx.sites.size()));
+        fx.sites.push_back(site);
     }
     qla_assert(nm == trace.numMeasurements,
                "effect compiler saw ", nm, " measurements, trace has ",
@@ -227,53 +117,60 @@ compileTraceEffects(const FrameTrace &trace)
         setBit(row(2 * std::size_t{l}), nm + 2 * l);
         setBit(row(2 * std::size_t{l} + 1), nm + 2 * l + 1);
     }
-    for (auto it = prog.rbegin(); it != prog.rend(); ++it) {
-        const MicroOp &mo = *it;
-        std::uint64_t *xa = row(2 * std::size_t{mo.a});
-        std::uint64_t *za = row(2 * std::size_t{mo.a} + 1);
-        switch (mo.k) {
-          case MicroOp::K::H:
+    // Walking backwards, sites are met in reverse numbering order.
+    std::size_t site = fx.sites.size();
+    const auto rows = [&](std::uint16_t q) {
+        return row(2 * static_cast<std::size_t>(localOf[q]));
+    };
+    for (auto it = trace.ops.rbegin(); it != trace.ops.rend(); ++it) {
+        const FrameOp &op = *it;
+        std::uint64_t *xa = rows(op.a);
+        std::uint64_t *za = xa + ew;
+        switch (op.kind) {
+          case K::H:
             // X before H acts as Z after it, and vice versa.
             swapRow(xa, za);
             break;
-          case MicroOp::K::S:
+          case K::S:
             // S X S^ = Y = X Z (phases are invisible to the frame).
             xorRow(xa, za);
             break;
-          case MicroOp::K::Cnot:
+          case K::Cnot:
             // X_a -> X_a X_b, Z_b -> Z_a Z_b.
-            xorRow(xa, row(2 * std::size_t{mo.b}));
-            xorRow(row(2 * std::size_t{mo.b} + 1), za);
+            xorRow(xa, rows(op.b));
+            xorRow(rows(op.b) + ew, za);
             break;
-          case MicroOp::K::Cz:
+          case K::Cz:
             // X_a -> X_a Z_b, X_b -> X_b Z_a.
-            xorRow(xa, row(2 * std::size_t{mo.b} + 1));
-            xorRow(row(2 * std::size_t{mo.b}), za);
+            xorRow(xa, rows(op.b) + ew);
+            xorRow(rows(op.b), za);
             break;
-          case MicroOp::K::Swap:
-            swapRow(xa, row(2 * std::size_t{mo.b}));
-            swapRow(za, row(2 * std::size_t{mo.b} + 1));
+          case K::Swap:
+            swapRow(xa, rows(op.b));
+            swapRow(za, rows(op.b) + ew);
             break;
-          case MicroOp::K::Reset:
+          case K::Reset:
             // Anything injected before a reset dies there.
             clearRow(xa);
             clearRow(za);
             break;
-          case MicroOp::K::Meas:
+          case K::MeasureZ:
+          case K::MeasureX:
             // The readout records the measured component and clears the
             // qubit's frame, so an injection before it reaches exactly
             // the one flip word (or nothing, for the other component).
             clearRow(xa);
             clearRow(za);
-            setBit(mo.measX ? za : xa, mo.meas);
+            setBit(op.kind == K::MeasureX ? za : xa, fx.sites[--site].meas);
             break;
-          case MicroOp::K::Site: {
-            TraceEffects::Site &s = fx.sites[mo.site];
+          case K::Noise1:
+          case K::Noise2: {
+            TraceEffects::Site &s = fx.sites[--site];
             s.xa = makeRec(xa);
             s.za = makeRec(za);
-            if (s.kind == TraceEffects::kNoise2) {
-                s.xb = makeRec(row(2 * std::size_t{mo.b}));
-                s.zb = makeRec(row(2 * std::size_t{mo.b} + 1));
+            if (op.kind == K::Noise2) {
+                s.xb = makeRec(rows(op.b));
+                s.zb = makeRec(rows(op.b) + ew);
             }
             break;
           }
@@ -321,56 +218,75 @@ NoiseClassTable::newClass(double p)
 void
 FrameTraceBuilder::h(std::size_t q)
 {
-    trace_.ops.push_back({FrameOp::Kind::H, 0, 0, 0, q16(q), 0});
+    trace_.ops.push_back({FrameOp::Kind::H, 0, q16(q), 0});
 }
 
 void
 FrameTraceBuilder::s(std::size_t q)
 {
-    trace_.ops.push_back({FrameOp::Kind::S, 0, 0, 0, q16(q), 0});
+    trace_.ops.push_back({FrameOp::Kind::S, 0, q16(q), 0});
 }
 
 void
 FrameTraceBuilder::cnot(std::size_t control, std::size_t target)
 {
-    trace_.ops.push_back({FrameOp::Kind::Cnot, 0, 0, 0, q16(control), q16(target)});
+    trace_.ops.push_back(
+        {FrameOp::Kind::Cnot, 0, q16(control), q16(target)});
 }
 
 void
 FrameTraceBuilder::cz(std::size_t a, std::size_t b)
 {
-    trace_.ops.push_back({FrameOp::Kind::Cz, 0, 0, 0, q16(a), q16(b)});
+    trace_.ops.push_back({FrameOp::Kind::Cz, 0, q16(a), q16(b)});
 }
 
 void
 FrameTraceBuilder::swapGate(std::size_t a, std::size_t b)
 {
-    trace_.ops.push_back({FrameOp::Kind::Swap, 0, 0, 0, q16(a), q16(b)});
+    trace_.ops.push_back({FrameOp::Kind::Swap, 0, q16(a), q16(b)});
 }
 
 void
 FrameTraceBuilder::reset(std::size_t q)
 {
-    trace_.ops.push_back({FrameOp::Kind::Reset, 0, 0, 0, q16(q), 0});
+    trace_.ops.push_back({FrameOp::Kind::Reset, 0, q16(q), 0});
 }
 
 void
 FrameTraceBuilder::noise1(double p, std::size_t q)
 {
-    trace_.ops.push_back({FrameOp::Kind::Noise1, classes_.classOf(p), 0, 0, q16(q), 0});
+    trace_.ops.push_back(
+        {FrameOp::Kind::Noise1, classes_.classOf(p), q16(q), 0});
 }
 
 void
 FrameTraceBuilder::noise2(double p, std::size_t a, std::size_t b)
 {
-    trace_.ops.push_back({FrameOp::Kind::Noise2, classes_.classOf(p), 0, 0, q16(a), q16(b)});
+    trace_.ops.push_back(
+        {FrameOp::Kind::Noise2, classes_.classOf(p), q16(a), q16(b)});
+}
+
+void
+FrameTraceBuilder::measureZ(std::size_t q, double readout_error)
+{
+    trace_.ops.push_back({FrameOp::Kind::MeasureZ,
+                          classes_.classOf(readout_error), q16(q), 0});
+    ++trace_.numMeasurements;
+}
+
+void
+FrameTraceBuilder::measureX(std::size_t q, double readout_error)
+{
+    trace_.ops.push_back({FrameOp::Kind::MeasureX,
+                          classes_.classOf(readout_error), q16(q), 0});
+    ++trace_.numMeasurements;
 }
 
 void
 FrameTraceBuilder::noisyH(std::size_t q, double p1)
 {
-    trace_.ops.push_back({FrameOp::Kind::NoisyH, classes_.classOf(p1), 0,
-                          0, q16(q), 0});
+    h(q);
+    noise1(p1, q);
 }
 
 void
@@ -378,11 +294,11 @@ FrameTraceBuilder::noisyCnot(std::size_t control, std::size_t target,
                              std::size_t moved, double p_move, double p2)
 {
     qla_assert(moved == control || moved == target);
-    const auto kind = moved == target ? FrameOp::Kind::NoisyCnotMT
-                                      : FrameOp::Kind::NoisyCnotMC;
-    trace_.ops.push_back({kind, classes_.classOf(p_move),
-                          classes_.classOf(p2), 0, q16(control),
-                          q16(target)});
+    const std::size_t unmoved = moved == target ? control : target;
+    noise1(p_move, moved);
+    cnot(control, target);
+    noise2(p2, unmoved, moved);
+    noise1(p_move, moved);
 }
 
 void
@@ -391,19 +307,19 @@ FrameTraceBuilder::noisyCnotMeas(std::size_t control, std::size_t target,
                                  double p2, bool measure_x,
                                  double readout_error)
 {
-    qla_assert(moved == control || moved == target);
-    FrameOp::Kind kind;
-    if (moved == target)
-        kind = measure_x ? FrameOp::Kind::NoisyCnotMTMeasX
-                         : FrameOp::Kind::NoisyCnotMTMeasZ;
+    noisyCnot(control, target, moved, p_move, p2);
+    if (measure_x)
+        measureX(moved, readout_error);
     else
-        kind = measure_x ? FrameOp::Kind::NoisyCnotMCMeasX
-                         : FrameOp::Kind::NoisyCnotMCMeasZ;
-    trace_.ops.push_back({kind, classes_.classOf(p_move),
-                          classes_.classOf(p2),
-                          classes_.classOf(readout_error), q16(control),
-                          q16(target)});
-    ++trace_.numMeasurements;
+        measureZ(moved, readout_error);
+}
+
+void
+FrameTraceBuilder::resetRange(std::size_t first, std::size_t count)
+{
+    qla_assert(count > 0);
+    for (std::size_t q = first; q < first + count; ++q)
+        reset(q);
 }
 
 void
@@ -411,10 +327,8 @@ FrameTraceBuilder::noise1Range(std::size_t first, std::size_t count,
                                double p)
 {
     qla_assert(count > 0);
-    q16(first + count - 1);
-    trace_.ops.push_back({FrameOp::Kind::Noise1Range, classes_.classOf(p),
-                          0, 0, q16(first),
-                          static_cast<std::uint16_t>(count)});
+    for (std::size_t q = first; q < first + count; ++q)
+        noise1(p, q);
 }
 
 void
@@ -422,39 +336,12 @@ FrameTraceBuilder::measureRange(std::size_t first, std::size_t count,
                                 bool measure_x, double readout_error)
 {
     qla_assert(count > 0);
-    q16(first + count - 1);
-    trace_.ops.push_back({measure_x ? FrameOp::Kind::MeasureXRange
-                                    : FrameOp::Kind::MeasureZRange,
-                          classes_.classOf(readout_error), 0, 0, q16(first),
-                          static_cast<std::uint16_t>(count)});
-    trace_.numMeasurements += count;
-}
-
-void
-FrameTraceBuilder::resetRange(std::size_t first, std::size_t count)
-{
-    qla_assert(count > 0);
-    q16(first + count - 1);
-    trace_.ops.push_back({FrameOp::Kind::ResetRange, 0, 0, 0, q16(first),
-                          static_cast<std::uint16_t>(count)});
-}
-
-void
-FrameTraceBuilder::measureZ(std::size_t q, double readout_error)
-{
-    trace_.ops.push_back({FrameOp::Kind::MeasureZ,
-                          classes_.classOf(readout_error), 0, 0, q16(q),
-                          0});
-    ++trace_.numMeasurements;
-}
-
-void
-FrameTraceBuilder::measureX(std::size_t q, double readout_error)
-{
-    trace_.ops.push_back({FrameOp::Kind::MeasureX,
-                          classes_.classOf(readout_error), 0, 0, q16(q),
-                          0});
-    ++trace_.numMeasurements;
+    for (std::size_t q = first; q < first + count; ++q) {
+        if (measure_x)
+            measureX(q, readout_error);
+        else
+            measureZ(q, readout_error);
+    }
 }
 
 FrameTrace
@@ -475,39 +362,9 @@ finalizeTraceClassSites(FrameTrace &trace, const NoiseClassTable &classes)
     const std::size_t num_classes = classes.probabilities().size();
     trace.classSites.assign(num_classes, 0);
     auto &sites = trace.classSites;
-    for (const FrameOp &op : trace.ops) {
-        switch (op.kind) {
-          case FrameOp::Kind::Noise1:
-          case FrameOp::Kind::Noise2:
-          case FrameOp::Kind::NoisyH:
-            sites[op.cls] += 1;
-            break;
-          case FrameOp::Kind::NoisyCnotMT:
-          case FrameOp::Kind::NoisyCnotMC:
-            sites[op.cls] += 2; // shuttle in + shuttle back
-            sites[op.cls2] += 1;
-            break;
-          case FrameOp::Kind::NoisyCnotMTMeasZ:
-          case FrameOp::Kind::NoisyCnotMTMeasX:
-          case FrameOp::Kind::NoisyCnotMCMeasZ:
-          case FrameOp::Kind::NoisyCnotMCMeasX:
-            sites[op.cls] += 2;
-            sites[op.cls2] += 1;
-            sites[op.cls3] += 1; // readout flip
-            break;
-          case FrameOp::Kind::Noise1Range:
-          case FrameOp::Kind::MeasureZRange:
-          case FrameOp::Kind::MeasureXRange:
-            sites[op.cls] += op.b;
-            break;
-          case FrameOp::Kind::MeasureZ:
-          case FrameOp::Kind::MeasureX:
-            sites[op.cls] += 1;
-            break;
-          default:
-            break;
-        }
-    }
+    for (const FrameOp &op : trace.ops)
+        if (op.isSite())
+            ++sites[op.cls];
 
     // Fire-plan skeleton: record once, per trace, which classes the
     // replay samples and whether their probability is degenerate --
@@ -1027,27 +884,12 @@ interpretTrace(const FrameTrace &trace, quantum::BatchedPauliFrame &frame,
                                              : frame.measureZFlip(q, m);
         flips.push_back(word ^ sampling.fire(cls, m));
     };
-    // The scalar transversal step's exact order: shuttle fault on the
-    // moved ion, CNOT, two-qubit fault (unmoved, moved), shuttle back.
-    const auto noisyCnot = [&](const FrameOp &op, std::size_t moved,
-                               std::size_t unmoved) {
-        fire1(op.cls, moved);
-        frame.cnot(op.a, op.b, m);
-        fire2(op.cls2, unmoved, moved);
-        fire1(op.cls, moved);
-    };
 
     using K = FrameOp::Kind;
     for (const FrameOp &op : trace.ops) {
-        // Range ops cover qubits [a, a + b).
-        const std::size_t end = op.a + std::size_t{op.b};
         switch (op.kind) {
           case K::H:
             frame.h(op.a, m);
-            break;
-          case K::NoisyH:
-            frame.h(op.a, m);
-            fire1(op.cls, op.a);
             break;
           case K::S:
             frame.s(op.a, m);
@@ -1069,33 +911,6 @@ interpretTrace(const FrameTrace &trace, quantum::BatchedPauliFrame &frame,
             break;
           case K::Noise2:
             fire2(op.cls, op.a, op.b);
-            break;
-          case K::NoisyCnotMT:
-          case K::NoisyCnotMTMeasZ:
-          case K::NoisyCnotMTMeasX:
-            noisyCnot(op, op.b, op.a);
-            if (op.kind != K::NoisyCnotMT)
-                readout(op.b, op.kind == K::NoisyCnotMTMeasX, op.cls3);
-            break;
-          case K::NoisyCnotMC:
-          case K::NoisyCnotMCMeasZ:
-          case K::NoisyCnotMCMeasX:
-            noisyCnot(op, op.a, op.b);
-            if (op.kind != K::NoisyCnotMC)
-                readout(op.a, op.kind == K::NoisyCnotMCMeasX, op.cls3);
-            break;
-          case K::ResetRange:
-            for (std::size_t q = op.a; q < end; ++q)
-                frame.resetQubit(q, m);
-            break;
-          case K::Noise1Range:
-            for (std::size_t q = op.a; q < end; ++q)
-                fire1(op.cls, q);
-            break;
-          case K::MeasureZRange:
-          case K::MeasureXRange:
-            for (std::size_t q = op.a; q < end; ++q)
-                readout(q, op.kind == K::MeasureXRange, op.cls);
             break;
           case K::MeasureZ:
           case K::MeasureX:

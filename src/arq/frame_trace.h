@@ -53,7 +53,13 @@ class NoiseClassTable
     std::vector<double> probs_;
 };
 
-/** One recorded frame operation (packed: replay is op-dispatch-bound). */
+/**
+ * One recorded frame operation: a primitive of the scalar frame
+ * picture. Schedule patterns (the transversal move-CNOT-move step,
+ * ranges) are FrameTraceBuilder helpers that expand into these, never
+ * op kinds of their own; replay reads only the compiled TraceEffects,
+ * so nothing gains from fusing ops.
+ */
 struct FrameOp
 {
     enum class Kind : std::uint8_t {
@@ -63,44 +69,22 @@ struct FrameOp
         Cz,
         Swap,
         Reset,    ///< fresh preparation: clear the qubit's frame
+        // The kinds from here on carry a class (isSite relies on it).
         Noise1,   ///< single-qubit depolarizing fault site (class cls)
         Noise2,   ///< two-qubit depolarizing fault site (class cls)
         MeasureZ, ///< flip readout; cls is the readout-error class
         MeasureX,
-        //
-        // Fused ops for the dominant schedule patterns -- one dispatch
-        // instead of three or four, identical semantics:
-        //
-        NoisyH,       ///< H on a, then fault site cls on a
-        NoisyCnotMT,  ///< move fault cls on b; CNOT a->b; fault cls2 on
-                      ///< (a, b); move fault cls on b (the transversal
-                      ///< move-gate-move step, target ion shuttling)
-        NoisyCnotMC,  ///< the same step with the control ion shuttling:
-                      ///< move fault cls on a; CNOT a->b; fault cls2 on
-                      ///< (b, a); move fault cls on a
-        //
-        // Round steps: the NoisyCnot variants immediately followed by a
-        // flip readout of the shuttled ion (cls3 = readout-error class).
-        //
-        NoisyCnotMTMeasZ,
-        NoisyCnotMTMeasX,
-        NoisyCnotMCMeasZ,
-        NoisyCnotMCMeasX,
-        ResetRange,   ///< reset qubits [a, a + b)
-        Noise1Range,  ///< fault site cls on each qubit of [a, a + b)
-        MeasureZRange, ///< flip readout of qubits [a, a + b)
-        MeasureXRange,
     };
 
     Kind kind;
     std::uint8_t cls = 0;
-    std::uint8_t cls2 = 0;
-    std::uint8_t cls3 = 0;
     std::uint16_t a = 0;
     std::uint16_t b = 0;
-};
 
-static_assert(sizeof(FrameOp) <= 8, "replay walks traces; keep ops small");
+    /** The op has a noise class: it is exactly one sampler call of
+     *  class cls per replay. */
+    bool isSite() const { return kind >= Kind::Noise1; }
+};
 
 /**
  * One entry of a trace's fire-plan skeleton: a noise class the replay
@@ -246,13 +230,20 @@ class FrameTraceBuilder
     void reset(std::size_t q);
     void noise1(double p, std::size_t q);
     void noise2(double p, std::size_t a, std::size_t b);
-    /** H on @p q followed by a fault site of probability @p p1. */
+    void measureZ(std::size_t q, double readout_error);
+    void measureX(std::size_t q, double readout_error);
+    //
+    // Pattern helpers: each expands to primitive ops in the scalar
+    // transversal order, exactly as if its parts were emitted one by one.
+    //
+    /** H on @p q, then a fault site of probability @p p1 on @p q. */
     void noisyH(std::size_t q, double p1);
     /**
-     * The transversal step of the tile: a fault of probability @p p_move
-     * on @p moved (the ion shuttling in; must be the control or the
-     * target), CNOT, a two-qubit fault of probability @p p2 ordered
-     * (unmoved, moved) as in the scalar schedule, and the shuttle back.
+     * The transversal step of the tile, in the scalar order: a fault of
+     * probability @p p_move on @p moved (the ion shuttling in; must be
+     * the control or the target), CNOT, a two-qubit fault of
+     * probability @p p2 on (unmoved, moved), and the shuttle-back fault
+     * on @p moved.
      */
     void noisyCnot(std::size_t control, std::size_t target,
                    std::size_t moved, double p_move, double p2);
@@ -260,15 +251,15 @@ class FrameTraceBuilder
     void noisyCnotMeas(std::size_t control, std::size_t target,
                        std::size_t moved, double p_move, double p2,
                        bool measure_x, double readout_error);
-    /** Fresh preparation of @p count consecutive qubits from @p first. */
+    /** Reset of each of @p count consecutive qubits from @p first. */
     void resetRange(std::size_t first, std::size_t count);
-    /** Fault site of probability @p p on each of @p count qubits. */
+    /** Fault site of probability @p p on each of @p count consecutive
+     *  qubits from @p first, in qubit order. */
     void noise1Range(std::size_t first, std::size_t count, double p);
-    /** Flip readout of @p count consecutive qubits from @p first. */
+    /** Flip readout of each of @p count consecutive qubits from
+     *  @p first, in qubit order. */
     void measureRange(std::size_t first, std::size_t count, bool measure_x,
                       double readout_error);
-    void measureZ(std::size_t q, double readout_error);
-    void measureX(std::size_t q, double readout_error);
 
     /** Move the recorded trace out of the builder. */
     FrameTrace take();

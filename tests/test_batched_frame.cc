@@ -470,7 +470,8 @@ TEST(ClassDrawSampler, ExportImportEdgeCases)
 
 namespace {
 
-/** A trace mixing plain gates, fused noisy steps, one- and two-qubit
+/** A trace through every builder helper: plain gates, the noisy
+ *  pattern helpers and ranges (reset included), one- and two-qubit
  *  fault sites (a never-firing p = 0 class and, with @p always_fires,
  *  an always-firing p = 1 class) and readouts, which keeps some
  *  input-frame coordinates live to its end (no reset up front). */
@@ -493,6 +494,8 @@ mixedTrace(qla::arq::NoiseClassTable &classes, std::size_t n, double p,
         b.cz(2, 5);
         b.swapGate(0, n - 1);
         b.noise1Range(0, n, p);
+        if (round % 3 == 2)
+            b.resetRange(n / 2, n / 2 - 1);
         const std::size_t target = (round + 3) % n;
         b.noisyCnotMeas(round % n, target, target, p, 2 * p,
                         round % 2 == 1, p);
