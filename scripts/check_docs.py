@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency gate for docs/ and README.md.
 
-Two checks, both hard failures:
+Three checks, all hard failures:
 
 1. Intra-repo markdown links must resolve. Every [text](target) in
    README.md and docs/*.md whose target is not an external URL or a
@@ -16,10 +16,22 @@ Two checks, both hard failures:
    CI, and so does a row of the flag table for a flag the gate no
    longer parses.
 
+3. Code names in README.md and docs/*.md must still exist. Every
+   identifier inside an inline `code span` (fenced blocks are skipped)
+   that is qualified (A::b), camelCase (a lowercase start with an
+   uppercase letter later), or ends in an underscore (a member) must
+   appear as a whole word somewhere under src/, tools/, bench/,
+   tests/, perfbench/, scripts/ or .github/; a qualified name needs
+   each of its parts to. This catches a doc that still names a
+   deleted or renamed function, member or option. It cannot tell a
+   member that moved to another class, since each part is looked up
+   on its own.
+
 Usage: check_docs.py [--root REPO_ROOT]
 
-Exit status: 0 when both checks pass, 1 on any broken link or
-undocumented flag, 2 for usage errors (missing files to check).
+Exit status: 0 when all checks pass, 1 on any broken link,
+undocumented flag or stale code name, 2 for usage errors (missing
+files to check).
 """
 
 import argparse
@@ -33,6 +45,16 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 FLAG_RE = re.compile(r"arg\s*==\s*\"(--[a-z-]+)\"")
 # A documented flag is a row of the determinism.md flag table.
 DOC_FLAG_RE = re.compile(r"^\|\s*`(--[a-z-]+)", re.MULTILINE)
+CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+# An identifier, possibly qualified, not part of a longer word or of a
+# glob such as test_*.
+CODE_NAME_RE = re.compile(
+    r"(?<![\w*])[A-Za-z_]\w*(?:::~?[A-Za-z_]\w*)*(?![\w*])")
+CAMEL_RE = re.compile(r"[a-z][a-z0-9]*[A-Z]")
+WORD_RE = re.compile(r"[A-Za-z_]\w*")
+# Where a documented code name may live.
+CODE_DIRS = ("src", "tools", "bench", "tests", "perfbench", "scripts",
+             ".github")
 
 
 def markdown_files(root):
@@ -97,6 +119,38 @@ def check_gate_flags(root):
     return problems
 
 
+def code_words(root):
+    """Every identifier-like word in the code directories' text files."""
+    words = set()
+    for top in CODE_DIRS:
+        for path in (root / top).rglob("*"):
+            if not path.is_file():
+                continue
+            try:
+                text = path.read_text(encoding="utf-8")
+            except UnicodeDecodeError:
+                continue  # binary fixture
+            words.update(WORD_RE.findall(text))
+    return words
+
+
+def check_code_names(root, files):
+    words = code_words(root)
+    stale = set()
+    for md in files:
+        text = strip_code_blocks(md.read_text(encoding="utf-8"))
+        for span in CODE_SPAN_RE.findall(text):
+            for name in CODE_NAME_RE.findall(span):
+                if not ("::" in name or CAMEL_RE.match(name)
+                        or name.endswith("_")):
+                    continue
+                parts = [part.lstrip("~") for part in name.split("::")]
+                if any(part not in words for part in parts):
+                    stale.add(f"{md.relative_to(root)}: `{name}` names "
+                              "nothing in the code")
+    return sorted(stale)
+
+
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -111,7 +165,8 @@ def main(argv):
         print("check_docs: no markdown files found", file=sys.stderr)
         return 2
 
-    problems = check_links(root, files) + check_gate_flags(root)
+    problems = (check_links(root, files) + check_gate_flags(root)
+                + check_code_names(root, files))
     for problem in problems:
         print(f"check_docs: {problem}", file=sys.stderr)
     if problems:

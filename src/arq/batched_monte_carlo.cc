@@ -37,17 +37,15 @@ LaneSet::activeWords() const
  */
 struct BatchedLogicalQubitExperiment::Recording
 {
-    /** Record the schedule against @p classes: the five fixed rates
-     *  and their shadow classes, already registered. */
+    /** Record the schedule against @p classes: the five fixed rates,
+     *  already registered. */
     Recording(const ecc::CssCode &code, const NoiseParameters &noise,
               const LayoutDistances &layout,
               const NoiseClassTable &classes);
 
-    // Trace variants: [0] full-width primary classes, [1] shadow-class
-    // twins for narrowed-mask replays.
-    std::array<std::vector<FrameTrace>, 2> traces;
-    /** Shadow class of each primary class (index = primary id). */
-    std::vector<std::uint8_t> shadowOfPrimary;
+    /** One trace per segment, indexed by traceIndex; straight-line and
+     *  retry replays of a segment differ only in the clock bank. */
+    std::vector<FrameTrace> traces;
 };
 
 namespace {
@@ -55,8 +53,8 @@ namespace {
 /**
  * Everything a recording depends on, compared by value: the code's
  * content, the layout, the attempt cap, the class id of each of the
- * five fixed rates (which rates coincide), and each primary class's
- * degeneracy (0 normal, 1 for p <= 0, 2 for p >= 1).
+ * five fixed rates (which rates coincide), and each class's degeneracy
+ * (0 normal, 1 for p <= 0, 2 for p >= 1).
  */
 struct RecordingKey
 {
@@ -88,9 +86,9 @@ BatchedLogicalQubitExperiment::bind(const ecc::CssCode &code,
                "bit-sliced decode supports <= 8 check rows");
 
     // The fixed fault classes, registered in recording order so the
-    // class ids are those the recording's ops carry; then a shadow
-    // class space over the same probabilities: retry / conditional-path
-    // replays get clocks of their own (see NoiseClassTable::newClass).
+    // class ids are those the recording's ops carry. Retry and
+    // conditional-path replays draw from the second clock bank over the
+    // same classes (see BatchedNoiseModel::draws).
     const TileRowRecorder rows(code, noise, layout);
     const std::array<double, 5> rates = {
         noise.gate1Error, noise.gate2Error, noise.measureError,
@@ -103,11 +101,8 @@ BatchedLogicalQubitExperiment::bind(const ecc::CssCode &code,
                      max_prep_attempts, {}, {}};
     for (std::size_t r = 0; r < rates.size(); ++r)
         key.slots[r] = binding.classes.classOf(rates[r]);
-    const std::vector<double> primary = binding.classes.probabilities();
-    for (const double p : primary) {
-        binding.classes.newClass(p);
+    for (const double p : binding.classes.probabilities())
         key.degeneracy.push_back(p <= 0.0 ? 1 : p >= 1.0 ? 2 : 0);
-    }
 
     // The process-wide recording cache: one entry per distinct key,
     // never evicted (a process sees few shapes; a Figure-7 sweep has
@@ -198,50 +193,22 @@ BatchedLogicalQubitExperiment::traceIndex(std::size_t n, Seg seg,
         | static_cast<std::size_t>(flag);
 }
 
-namespace {
-
-/** Shadow-class twin of a primary-class trace (ops only). */
-FrameTrace
-shadowTrace(FrameTrace trace, const std::vector<std::uint8_t> &shadow)
-{
-    for (FrameOp &op : trace.ops)
-        if (op.isSite())
-            op.cls = shadow[op.cls];
-    return trace;
-}
-
-/** Shadow class of each primary class of a table registered as
- *  bind() does: primaries first, then one shadow each, in order. */
-std::vector<std::uint8_t>
-shadowMap(const NoiseClassTable &classes)
-{
-    const std::size_t primary = classes.probabilities().size() / 2;
-    std::vector<std::uint8_t> shadow(primary);
-    for (std::size_t k = 0; k < primary; ++k)
-        shadow[k] = static_cast<std::uint8_t>(primary + k);
-    return shadow;
-}
-
-} // namespace
-
 BatchedLogicalQubitExperiment::Recording::Recording(
     const ecc::CssCode &code, const NoiseParameters &noise,
     const LayoutDistances &layout, const NoiseClassTable &classes)
-    : shadowOfPrimary(shadowMap(classes))
 {
     const std::size_t n = code.blockLength();
     const TileRowRecorder rows(code, noise, layout);
     // The builders register into a copy, so a class the recorders add
-    // beyond bind()'s fixed ones is caught below instead of shifting
-    // the shadow ids.
+    // beyond bind()'s fixed ones is caught below: every noise point
+    // bound to this recording must carry the same class ids.
     NoiseClassTable table = classes;
     const auto at = [&](Seg seg, std::size_t c, std::size_t g,
                         std::size_t role, bool flag) -> FrameTrace & {
-        return traces[0][traceIndex(n, seg, c, g, role, flag)];
+        return traces[traceIndex(n, seg, c, g, role, flag)];
     };
 
-    traces[0].resize(traceIndex(n, Seg::LogicalGate, 2, n - 1, 2, true)
-                     + 1);
+    traces.resize(traceIndex(n, Seg::LogicalGate, 2, n - 1, 2, true) + 1);
     for (std::size_t c = 0; c < 3; ++c) {
         for (std::size_t g = 0; g < n; ++g) {
             for (const Role role : {Role::Data, Role::Ancilla}) {
@@ -307,19 +274,13 @@ BatchedLogicalQubitExperiment::Recording::Recording(
                "tile recording registered a class beyond the five fixed "
                "rates");
 
-    traces[1].resize(traces[0].size());
-    for (std::size_t t = 0; t < traces[0].size(); ++t)
-        traces[1][t] = shadowTrace(traces[0][t], shadowOfPrimary);
-
     // Per-class site counts, fire-plan skeletons and compiled effect
-    // models power the planned replay; finalize after the shadow
-    // classes so every class id is covered. Unrecorded slots of the
-    // sparse trace index space are never replayed (replaySeg asserts)
-    // and stay unfinalized.
-    for (auto &variant : traces)
-        for (FrameTrace &t : variant)
-            if (!t.ops.empty())
-                finalizeTraceClassSites(t, classes);
+    // models power the planned replay. Unrecorded slots of the sparse
+    // trace index space are never replayed (replaySeg asserts) and stay
+    // unfinalized.
+    for (FrameTrace &t : traces)
+        if (!t.ops.empty())
+            finalizeTraceClassSites(t, classes);
 }
 
 void
@@ -327,18 +288,17 @@ BatchedLogicalQubitExperiment::replaySeg(Seg seg, std::size_t c,
                                          std::size_t g, std::size_t role,
                                          bool flag, const LaneSet &active)
 {
-    // Primary classes on the straight-line schedule, the shadow twins
-    // inside retry / conditional subtrees. The choice follows the
-    // structural position (shadow_), never the mask value: which
-    // sampler a lane draws from at a given site must be a function of
-    // that lane's own control-flow path, or a shot's randomness would
-    // depend on which word it shares with whom.
-    const FrameTrace &t = recording_->traces[shadow_ ? 1 : 0]
-                                            [traceIndex(n_, seg, c, g, role,
-                                                        flag)];
+    // The straight-line clock bank on the straight-line schedule, the
+    // retry bank inside retry / conditional subtrees. The choice
+    // follows the structural position (retry_), never the mask value:
+    // which clock a lane draws from at a given site must be a function
+    // of that lane's own control-flow path, or a shot's randomness
+    // would depend on which word it shares with whom.
+    const FrameTrace &t
+        = recording_->traces[traceIndex(n_, seg, c, g, role, flag)];
     qla_assert(!t.ops.empty(), "trace not recorded");
     replayTraceGroup(t, frames_, models_.data(), active.w.data(),
-                     active.n, flips_.data());
+                     active.n, flips_.data(), retry_);
 }
 
 //
@@ -372,7 +332,7 @@ BatchedLogicalQubitExperiment::prepVerified(std::size_t c, std::size_t g,
                                             const LaneSet &active,
                                             ExperimentStats *stats)
 {
-    const bool caller_shadow = shadow_;
+    const bool caller_retry = retry_;
     const std::size_t num_checks = plus ? x_check_bits_.size()
                                         : z_check_bits_.size();
     const BitList &logical = plus ? logical_x_bits_ : logical_z_bits_;
@@ -380,7 +340,7 @@ BatchedLogicalQubitExperiment::prepVerified(std::size_t c, std::size_t g,
     int attempts = 0;
     while (mask.any() && attempts < max_prep_attempts_) {
         ++attempts;
-        shadow_ = caller_shadow || attempts > 1;
+        retry_ = caller_retry || attempts > 1;
         replaySeg(Seg::PrepRound, c, g, static_cast<std::size_t>(role),
                   plus, mask);
         for (std::uint32_t w = 0; w < mask.n; ++w) {
@@ -398,7 +358,7 @@ BatchedLogicalQubitExperiment::prepVerified(std::size_t c, std::size_t g,
             mask.w[w] = bad;
         }
     }
-    shadow_ = caller_shadow;
+    retry_ = caller_retry;
 }
 
 void
@@ -495,11 +455,11 @@ BatchedLogicalQubitExperiment::ecCycleL1(std::size_t c, std::size_t g,
         // repeat (paper Section 4.1.1 assumption (b)). The second
         // extraction's flips are masked to the repeat lanes, so its
         // planes already select only repeat-lane corrections.
-        const bool caller_shadow = shadow_;
-        shadow_ = true;
+        const bool caller_retry = retry_;
+        retry_ = true;
         GroupSyndrome second;
         extractSyndrome(c, g, detect_x, repeat, second, stats);
-        shadow_ = caller_shadow;
+        retry_ = caller_retry;
         for (std::uint32_t w = 0; w < repeat.n; ++w) {
             if (!repeat.w[w])
                 continue;
@@ -563,12 +523,12 @@ BatchedLogicalQubitExperiment::prepL2Ancilla(std::size_t c, bool plus,
                                              const LaneSet &active,
                                              ExperimentStats *stats)
 {
-    const bool caller_shadow = shadow_;
+    const bool caller_retry = retry_;
     LaneSet mask = active;
     for (int attempt = 0; attempt < max_prep_attempts_ && mask.any();
          ++attempt) {
-        shadow_ = caller_shadow || attempt > 0;
-        if (shadow_ && subtree_enabled_ && subtreeWorthwhile(mask)) {
+        retry_ = caller_retry || attempt > 0;
+        if (retry_ && subtree_enabled_ && subtreeWorthwhile(mask)) {
             // "Start Over" rounds on a sparse mask: migrate the
             // surviving lanes into the dense twin and run every
             // remaining attempt there. The round re-prepares everything
@@ -579,7 +539,7 @@ BatchedLogicalQubitExperiment::prepL2Ancilla(std::size_t c, bool plus,
         }
         prepL2AttemptRound(c, plus, mask, stats);
     }
-    shadow_ = caller_shadow;
+    retry_ = caller_retry;
 }
 
 void
@@ -644,13 +604,13 @@ BatchedLogicalQubitExperiment::ecCycleL2(const LaneSet &active,
                 ? (orPlanes(first[w], num_checks) & active.w[w]) : 0;
         if (!repeat.any())
             continue;
-        shadow_ = true;
+        retry_ = true;
         GroupSyndrome second;
         if (subtree_enabled_ && subtreeWorthwhile(repeat))
             compactExtractL2(detect_x, repeat, second, stats);
         else
             extractSyndromeL2(detect_x, repeat, second, stats);
-        shadow_ = false;
+        retry_ = false;
         for (std::uint32_t w = 0; w < repeat.n; ++w) {
             if (!repeat.w[w])
                 continue;
@@ -720,17 +680,6 @@ BatchedLogicalQubitExperiment::twinPool()
     return *twin_pool_;
 }
 
-SamplerClassMap
-BatchedLogicalQubitExperiment::twinClassMap() const
-{
-    // The subtree replays shadow sites only, so the lanes'
-    // primary-class clocks stay home untouched: only the shadow
-    // classes migrate, index-for-index (identity map -- the twin
-    // shares this experiment's recording and class table).
-    const std::vector<std::uint8_t> &shadow = recording_->shadowOfPrimary;
-    return {shadow.data(), shadow.data(), shadow.size()};
-}
-
 void
 BatchedLogicalQubitExperiment::compactL2PrepRetries(std::size_t c,
                                                     bool plus,
@@ -741,18 +690,17 @@ BatchedLogicalQubitExperiment::compactL2PrepRetries(std::size_t c,
     BatchedLogicalQubitExperiment &tw = twin();
     SegmentPool &pool = twinPool();
     pool.plan(mask);
-    const SamplerClassMap twin_map = twinClassMap();
     // The attempt round re-prepares every row it reads, so nothing
     // needs gathering in; only lane identity migrates.
     for (std::size_t k = 0; k < pool.chunkCount(); ++k)
-        pool.transplantIn(k, models_, tw.models_[k], twin_map);
+        pool.transplantIn(k, models_, tw.models_[k]);
     LaneSet dense = pool.denseSet();
-    const bool twin_shadow = tw.shadow_;
-    tw.shadow_ = true;
+    const bool twin_retry = tw.retry_;
+    tw.retry_ = true;
     for (int attempt = first_attempt;
          attempt < max_prep_attempts_ && dense.any(); ++attempt)
         tw.prepL2AttemptRound(c, plus, dense, stats);
-    tw.shadow_ = twin_shadow;
+    tw.retry_ = twin_retry;
     // Only the prepared conglomeration's data rows survive the round
     // (ancilla and verify rows are re-encoded before every later use).
     for (std::size_t k = 0; k < pool.chunkCount(); ++k) {
@@ -761,7 +709,7 @@ BatchedLogicalQubitExperiment::compactL2PrepRetries(std::size_t c,
                 const std::size_t q = ion(c, g, Role::Data, i);
                 pool.scatterRow(k, frames_, q, tw.frames_, k, q);
             }
-        pool.transplantOut(k, models_, tw.models_[k], twin_map);
+        pool.transplantOut(k, models_, tw.models_[k]);
     }
 }
 
@@ -777,9 +725,8 @@ BatchedLogicalQubitExperiment::compactExtractL2(bool detect_x,
     // The repeated extraction reads and rewrites the data
     // conglomeration; everything else it touches is freshly prepared
     // inside the subtree.
-    const SamplerClassMap twin_map = twinClassMap();
     for (std::size_t k = 0; k < pool.chunkCount(); ++k) {
-        pool.transplantIn(k, models_, tw.models_[k], twin_map);
+        pool.transplantIn(k, models_, tw.models_[k]);
         for (std::size_t g = 0; g < n_; ++g)
             for (std::size_t i = 0; i < n_; ++i) {
                 const std::size_t q = ion(0, g, Role::Data, i);
@@ -788,11 +735,11 @@ BatchedLogicalQubitExperiment::compactExtractL2(bool detect_x,
     }
 
     const LaneSet dense = pool.denseSet();
-    const bool twin_shadow = tw.shadow_;
-    tw.shadow_ = true;
+    const bool twin_retry = tw.retry_;
+    tw.retry_ = true;
     GroupSyndrome twin_outer;
     tw.extractSyndromeL2(detect_x, dense, twin_outer, stats);
-    tw.shadow_ = twin_shadow;
+    tw.retry_ = twin_retry;
 
     // Scatter the outer syndrome planes back to home lane positions.
     const std::size_t num_checks = detect_x ? z_check_bits_.size()
@@ -809,7 +756,7 @@ BatchedLogicalQubitExperiment::compactExtractL2(bool detect_x,
                 const std::size_t q = ion(0, g, Role::Data, i);
                 pool.scatterRow(k, frames_, q, tw.frames_, k, q);
             }
-        pool.transplantOut(k, models_, tw.models_[k], twin_map);
+        pool.transplantOut(k, models_, tw.models_[k]);
     }
 }
 
@@ -842,7 +789,7 @@ BatchedLogicalQubitExperiment::runShots(int level, const LaneSet &active,
 {
     qla_assert(level == 1 || level == 2, "levels 1 and 2 are supported");
     qla_assert(active.n <= options_.groupWords);
-    shadow_ = false;
+    retry_ = false;
     // Perfectly encoded |0>_L input on every lane of the words this
     // batch occupies (stale words beyond active.n are never read).
     frames_.reset(active.n);

@@ -85,7 +85,6 @@ struct LaneSet
 };
 
 class SegmentPool;
-struct SamplerClassMap;
 
 /** All-ones mask over the low @p count lanes (count in [0, 64]). */
 inline std::uint64_t
@@ -162,9 +161,8 @@ class BatchedLogicalQubitExperiment
     };
 
     /**
-     * Register this point's classes -- the five fixed rates, then one
-     * shadow class per primary -- and look up the recording of its
-     * shape, recording it on first use.
+     * Register this point's classes -- the five fixed rates -- and look
+     * up the recording of its shape, recording it on first use.
      */
     static Binding bind(const ecc::CssCode &code, const NoiseParameters &noise,
                         const LayoutDistances &layout,
@@ -210,9 +208,9 @@ class BatchedLogicalQubitExperiment
 
     /**
      * Replay a recorded segment on every active word of the group. The
-     * straight-line schedule uses the primary noise classes; retry /
-     * conditional subtrees (tracked by shadow_) use the shadow-class
-     * variant of the same trace (see NoiseClassTable::newClass). Words
+     * straight-line schedule draws from the straight-line clock bank;
+     * retry / conditional subtrees (tracked by retry_) replay the same
+     * trace on the retry bank (see BatchedNoiseModel::draws). Words
      * with an empty mask are skipped entirely -- their clocks never see
      * the segment's sites, exactly as when the group is run word by
      * word.
@@ -252,7 +250,7 @@ class BatchedLogicalQubitExperiment
     // over the whole subtree (thousands of ops). The twin is bound to
     // the parent's recording and class table, so its traces and class
     // ids are the parent's own; migration transplants each lane's rng
-    // stream, shadow-class clocks and correction clock, keeping results
+    // stream, retry-bank clocks and correction clock, keeping results
     // bit-identical with the in-place replay.
     //
 
@@ -265,14 +263,11 @@ class BatchedLogicalQubitExperiment
     bool subtreeWorthwhile(const LaneSet &mask) const;
     BatchedLogicalQubitExperiment &twin();
     /**
-     * The twin's migration engine (shared SegmentPool, identity class
-     * map over the shadow classes: the twin shares the parent's
-     * recording and class table, so class ids coincide and clocks
-     * transplant index-for-index).
+     * The twin's migration engine. The twin shares the parent's
+     * recording and class table, so class ids coincide and the retry
+     * bank transplants index-for-index.
      */
     SegmentPool &twinPool();
-    /** Class map of a twin migration (shadow classes, identity). */
-    SamplerClassMap twinClassMap() const;
     void compactL2PrepRetries(std::size_t c, bool plus,
                               const LaneSet &mask, int first_attempt,
                               ExperimentStats *stats);
@@ -315,16 +310,16 @@ class BatchedLogicalQubitExperiment
     std::size_t n_; // block length (7)
     /** This point's fault probabilities, in the recording's class ids. */
     NoiseClassTable classes_;
-    /** The tile schedule: traces and shadow map. */
+    /** The tile schedule: one trace per segment. */
     std::shared_ptr<const Recording> recording_;
     /**
      * True while replaying a retry / conditional subtree. Decides the
-     * trace variant structurally -- a lane's sampler assignment at a
-     * site is then a function of its own control-flow path, so shot
-     * results stay independent of the word's other lanes (and of the
-     * batch grouping), as the determinism contract requires.
+     * clock bank structurally -- a lane's clock at a site is then a
+     * function of its own control-flow path, so shot results stay
+     * independent of the word's other lanes (and of the batch
+     * grouping), as the determinism contract requires.
      */
-    bool shadow_ = false;
+    bool retry_ = false;
     // The group's frames live in one contiguous qubit-major allocation
     // that replaySeg replays group-major, across all its words at once;
     // one noise model per word over classes_.

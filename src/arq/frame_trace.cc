@@ -207,14 +207,6 @@ NoiseClassTable::classOf(double p)
     return static_cast<std::uint8_t>(probs_.size() - 1);
 }
 
-std::uint8_t
-NoiseClassTable::newClass(double p)
-{
-    qla_assert(probs_.size() < 0xff, "noise class table overflow");
-    probs_.push_back(p);
-    return static_cast<std::uint8_t>(probs_.size() - 1);
-}
-
 void
 FrameTraceBuilder::h(std::size_t q)
 {
@@ -391,11 +383,12 @@ finalizeTraceClassSites(FrameTrace &trace, const NoiseClassTable &classes)
 
 BatchedNoiseModel::BatchedNoiseModel(const NoiseClassTable &classes,
                                      double correction_p)
-    : draws(classes.probabilities().begin(),
-            classes.probabilities().end()),
-      correction(correction_p)
+    : correction(correction_p), plans(classes.probabilities().size())
 {
-    plans.resize(classes.probabilities().size());
+    // The straight-line bank, then the retry bank, each in class order.
+    for (int bank = 0; bank < 2; ++bank)
+        for (const double p : classes.probabilities())
+            draws.emplace_back(p);
 }
 
 void
@@ -463,21 +456,24 @@ packWalkedPlan(ClassDrawPlan &plan, std::uint32_t sites,
  * trace's skeleton are touched: degenerate classes draw nothing (like
  * Rng::bernoulli) and are served from the skeleton itself, and plans of
  * absent classes are stale but unreachable, because no replay fires a
- * class without sites.
+ * class without sites. @p retry selects the clock bank walked; no other
+ * replay step reads it.
  */
 void
 planTraceDraws(const FrameTrace &trace, BatchedNoiseModel &model,
-               std::uint64_t active)
+               std::uint64_t active, bool retry)
 {
-    qla_assert(trace.classSites.size() == model.draws.size(),
+    qla_assert(trace.classSites.size() == model.numClasses(),
                "trace not finalized against this class table");
+    ClassDrawSampler *bank
+        = model.draws.data() + (retry ? model.numClasses() : 0);
     for (const TraceClassWalk &entry : trace.walkPlan) {
         if (entry.degenerate)
             continue;
         ClassDrawPlan &plan = model.plans[entry.cls];
         if (plan.fires.size() < entry.sites)
             plan.fires.resize(entry.sites); // value-init to zero
-        const std::int64_t scatters = model.draws[entry.cls].walkWord(
+        const std::int64_t scatters = bank[entry.cls].walkWord(
             active, entry.sites, model.lanes, plan.fires.data());
         packWalkedPlan(plan, entry.sites, scatters);
     }
@@ -522,11 +518,12 @@ plansAreSparse(const FrameTrace &trace, const BatchedNoiseModel &model)
 template <std::size_t kWords>
 void
 applyWordSites(const FrameTrace &trace, BatchedNoiseModel &model,
-               std::uint64_t m, std::uint64_t *col, std::size_t W)
+               std::uint64_t m, std::uint64_t *col, std::size_t W,
+               bool retry)
 {
     if constexpr (kWords != 0)
         W = kWords;
-    planTraceDraws(trace, model, m);
+    planTraceDraws(trace, model, m, retry);
     const TraceEffects &fx = *trace.effects;
     const std::uint16_t *pool = fx.pool.data();
     const auto apply = [&](TraceEffects::Rec r, std::uint64_t v) {
@@ -680,7 +677,8 @@ template <std::size_t kWords>
 void
 replayGroupMajor(const FrameTrace &trace, quantum::GroupPauliFrames &frames,
                  BatchedNoiseModel *models, const std::uint64_t *masks,
-                 std::size_t num_words, std::vector<std::uint64_t> *flips)
+                 std::size_t num_words, std::vector<std::uint64_t> *flips,
+                 bool retry)
 {
     const std::size_t W = kWords ? kWords : num_words;
     const TraceEffects &fx = *trace.effects;
@@ -733,7 +731,8 @@ replayGroupMajor(const FrameTrace &trace, quantum::GroupPauliFrames &frames,
         flips[w].clear();
         if (!masks[w])
             continue;
-        applyWordSites<kWords>(trace, models[w], masks[w], acc + w, W);
+        applyWordSites<kWords>(trace, models[w], masks[w], acc + w, W,
+                               retry);
         flips[w].resize(fx.numMeas);
         std::uint64_t *out = flips[w].data();
         for (std::size_t j = 0; j < fx.numMeas; ++j)
@@ -925,7 +924,7 @@ interpretTrace(const FrameTrace &trace, quantum::BatchedPauliFrame &frame,
 void
 replayTrace(const FrameTrace &trace, quantum::BatchedPauliFrame &frame,
             BatchedNoiseModel &noise, std::uint64_t active,
-            std::vector<std::uint64_t> &flips)
+            std::vector<std::uint64_t> &flips, bool retry)
 {
     // An inactive word consumes no randomness and changes no frame bit;
     // it only appends its zero flip words.
@@ -933,7 +932,7 @@ replayTrace(const FrameTrace &trace, quantum::BatchedPauliFrame &frame,
         flips.resize(flips.size() + trace.numMeasurements);
         return;
     }
-    planTraceDraws(trace, noise, active);
+    planTraceDraws(trace, noise, active, retry);
     PlannedSampling sampling(trace, noise);
     interpretTrace(trace, frame, noise, sampling, active, flips);
     sampling.verifyConsumed(trace);
@@ -943,17 +942,18 @@ void
 replayTraceGroup(const FrameTrace &trace,
                  quantum::GroupPauliFrames &frames,
                  BatchedNoiseModel *models, const std::uint64_t *masks,
-                 std::size_t num_words, std::vector<std::uint64_t> *flips)
+                 std::size_t num_words, std::vector<std::uint64_t> *flips,
+                 bool retry)
 {
     qla_assert(trace.effects, "trace not finalized");
     // The group's rows must be packed (or over-provisioned) for this
     // batch: reset(num_words) is the batch prologue that guarantees it.
     qla_assert(num_words <= frames.stride());
     if (num_words == 1)
-        replayGroupMajor<1>(trace, frames, models, masks, 1, flips);
+        replayGroupMajor<1>(trace, frames, models, masks, 1, flips, retry);
     else
         replayGroupMajor<0>(trace, frames, models, masks, num_words,
-                            flips);
+                            flips, retry);
 }
 
 } // namespace qla::arq

@@ -13,10 +13,10 @@
  *
  * Fault sites reference noise classes -- deduplicated probabilities
  * registered in a NoiseClassTable at record time -- and a
- * BatchedNoiseModel binds one geometric-gap lane clock per class (plus
- * one for the unrecorded correction sites) and the 64 per-lane Rng
- * streams, so every lane draws i.i.d. Bernoulli faults from its own
- * stream, exactly as the scalar engine's shots do.
+ * BatchedNoiseModel binds geometric-gap lane clocks (two banks of one
+ * per class, plus one for the unrecorded correction sites) and the 64
+ * per-lane Rng streams, so every lane draws i.i.d. Bernoulli faults
+ * from its own stream, exactly as the scalar engine's shots do.
  */
 
 #ifndef QLA_ARQ_FRAME_TRACE_H
@@ -38,14 +38,6 @@ class NoiseClassTable
   public:
     /** Class id for probability @p p (registering it if new). */
     std::uint8_t classOf(double p);
-
-    /**
-     * Register a fresh class even when the probability already exists.
-     * Used to give sparse-mask paths (retry and conditional subtrees)
-     * clocks of their own, so a subtree migrated into the dense twin
-     * carries only those clocks and the full-width clocks stay home.
-     */
-    std::uint8_t newClass(double p);
 
     const std::vector<double> &probabilities() const { return probs_; }
 
@@ -184,8 +176,8 @@ struct FrameTrace
      * class-id order, pre-classified against the class table (filled by
      * finalizeTraceClassSites alongside classSites). Per-word planning
      * iterates these few entries and only draws gaps, instead of
-     * scanning the whole class table -- shadow retry classes included
-     * -- for every word of every replay.
+     * scanning the whole class table for every word of every replay,
+     * on either clock bank.
      */
     std::vector<TraceClassWalk> walkPlan;
 
@@ -313,8 +305,8 @@ struct ClassDrawPlan
 /** Per-class clocks plus per-lane streams for one 64-shot word. */
 struct BatchedNoiseModel
 {
-    /** One clock per class of @p classes, and the correction clock at
-     *  probability @p correction_p. */
+    /** Two banks of one clock per class of @p classes, and the
+     *  correction clock at probability @p correction_p. */
     BatchedNoiseModel(const NoiseClassTable &classes, double correction_p);
 
     /**
@@ -324,34 +316,14 @@ struct BatchedNoiseModel
      */
     void rearm(const RngFamily &family, std::uint64_t first_shot);
 
-    /**
-     * Move one lane's migratable identity into @p dst: the rng stream
-     * by value, the correction clock, and -- for each of the
-     * @p num_classes class pairs -- the lane's trace clock, exported
-     * from this model's clock src_cls[c] and imported at @p dst_lane of
-     * @p dst's clock dst_cls[c]. This is the per-lane reference
-     * semantics of lane compaction; arq::SegmentPool's bulk transplants
-     * perform exactly these moves but loop class-outer across a whole
-     * chunk of lanes for cache locality (clock moves between distinct
-     * (clock, lane) slots commute). The class pairing must cover every
-     * class the migrated segment can sample (clocks of unlisted classes
-     * stay put, which is exactly right for classes the segment never
-     * replays), and each pair must carry the same probability
-     * (asserted).
-     */
-    void moveLaneTo(BatchedNoiseModel &dst, std::size_t dst_lane,
-                    std::size_t src_lane, const std::uint8_t *src_cls,
-                    const std::uint8_t *dst_cls, std::size_t num_classes)
-    {
-        dst.lanes[dst_lane] = lanes[src_lane];
-        correction.moveLaneTo(dst.correction, dst_lane, src_lane);
-        for (std::size_t c = 0; c < num_classes; ++c)
-            draws[src_cls[c]].moveLaneTo(dst.draws[dst_cls[c]], dst_lane,
-                                         src_lane);
-    }
+    /** Classes per clock bank (n). */
+    std::size_t numClasses() const { return plans.size(); }
 
     LaneRngs lanes;
-    /** Trace-level clocks, one per class: every replayed fault site. */
+    /** Trace-level clocks in two banks of one per class (n classes):
+     *  draws[c] on the straight-line schedule, draws[n + c] inside
+     *  retry and conditional subtrees, the only bank lane compaction
+     *  moves. */
     std::vector<ClassDrawSampler> draws;
     /** The syndrome-conditioned corrections' clock, one trial per
      *  correction gate (ClassDrawSampler::trial): their sites are
@@ -367,14 +339,15 @@ struct BatchedNoiseModel
  * (the same planning replayTraceGroup does), then a plain op
  * interpreter runs the trace op by op, and every planned class is
  * checked to be consumed exactly. Measurement flip words are appended
- * to @p flips in op order; an inactive word appends zero words. No
- * production path calls this: it is the oracle the group replay is
- * checked against lane by lane (tests/test_batched_frame.cc). The trace
- * must be finalized (finalizeTraceClassSites).
+ * to @p flips in op order; an inactive word appends zero words; @p retry
+ * selects the clock bank. No production path calls this: it is the
+ * oracle the group replay is checked against lane by lane
+ * (tests/test_batched_frame.cc). The trace must be finalized
+ * (finalizeTraceClassSites).
  */
 void replayTrace(const FrameTrace &trace, quantum::BatchedPauliFrame &frame,
                  BatchedNoiseModel &noise, std::uint64_t active,
-                 std::vector<std::uint64_t> &flips);
+                 std::vector<std::uint64_t> &flips, bool retry);
 
 /**
  * Replay @p trace on the @p num_words words of a shot group through the
@@ -389,7 +362,8 @@ void replayTrace(const FrameTrace &trace, quantum::BatchedPauliFrame &frame,
  * models[w]; flips[w] is cleared and, if the word is active, filled
  * with its flip words in op order. An inactive word's flip buffer stays
  * empty and its frame words are untouched, so callers skip inactive
- * words.
+ * words. Every word's sites draw from the clock bank @p retry selects
+ * (see BatchedNoiseModel::draws).
  *
  * Each word's lane randomness is consumed exactly as a lone
  * replayTrace of that word would consume it, so results are
@@ -399,7 +373,7 @@ void replayTraceGroup(const FrameTrace &trace,
                       quantum::GroupPauliFrames &frames,
                       BatchedNoiseModel *models,
                       const std::uint64_t *masks, std::size_t num_words,
-                      std::vector<std::uint64_t> *flips);
+                      std::vector<std::uint64_t> *flips, bool retry);
 
 } // namespace qla::arq
 

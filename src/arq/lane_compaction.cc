@@ -54,18 +54,16 @@ SegmentPool::denseSet() const
 void
 SegmentPool::transplantIn(std::size_t k,
                           std::vector<BatchedNoiseModel> &home,
-                          BatchedNoiseModel &dense,
-                          const SamplerClassMap &classes) const
+                          BatchedNoiseModel &dense) const
 {
     // Each migrated lane carries its identity: rng stream by value,
-    // correction clock, and trace clocks exported from the home word's
-    // clocks and imported into the dense word's clocks of the mapped
-    // class (the same per-lane transplant BatchedNoiseModel::moveLaneTo
-    // performs). The loops run class-outer rather than lane-outer
-    // purely for locality: clock moves between distinct (clock, lane)
-    // slots commute, and with the refs (word, lane)-sorted each home
-    // word's clock -- and the dense word's -- stays cache-hot across its
-    // whole run of lanes.
+    // correction clock, and its clock in every class of the retry bank
+    // (draws[n, 2n)), the only bank a migrated subtree replays on. The
+    // loops run class-outer rather than lane-outer purely for
+    // locality: clock moves between distinct (clock, lane) slots
+    // commute, and with the refs (word, lane)-sorted each home word's
+    // clock -- and the dense word's -- stays cache-hot across its whole
+    // run of lanes.
     const LaneRef *refs = refs_.data() + k * kBatchLanes;
     const std::size_t lanes = chunkLanes(k);
     for (std::size_t j = 0; j < lanes; ++j) {
@@ -73,20 +71,17 @@ SegmentPool::transplantIn(std::size_t k,
         dense.lanes[j] = src.lanes[refs[j].lane];
         src.correction.moveLaneTo(dense.correction, j, refs[j].lane);
     }
-    for (std::size_t c = 0; c < classes.count; ++c) {
-        const std::uint8_t hc = classes.home[c];
-        const std::uint8_t dc = classes.dense[c];
+    const std::size_t n = dense.numClasses();
+    for (std::size_t c = n; c < 2 * n; ++c)
         for (std::size_t j = 0; j < lanes; ++j)
-            home[refs[j].word].draws[hc].moveLaneTo(dense.draws[dc], j,
-                                                    refs[j].lane);
-    }
+            home[refs[j].word].draws[c].moveLaneTo(dense.draws[c], j,
+                                                   refs[j].lane);
 }
 
 void
 SegmentPool::transplantOut(std::size_t k,
                            std::vector<BatchedNoiseModel> &home,
-                           BatchedNoiseModel &dense,
-                           const SamplerClassMap &classes) const
+                           BatchedNoiseModel &dense) const
 {
     const LaneRef *refs = refs_.data() + k * kBatchLanes;
     const std::size_t lanes = chunkLanes(k);
@@ -95,13 +90,11 @@ SegmentPool::transplantOut(std::size_t k,
         dst.lanes[refs[j].lane] = dense.lanes[j];
         dense.correction.moveLaneTo(dst.correction, refs[j].lane, j);
     }
-    for (std::size_t c = 0; c < classes.count; ++c) {
-        const std::uint8_t hc = classes.home[c];
-        const std::uint8_t dc = classes.dense[c];
+    const std::size_t n = dense.numClasses();
+    for (std::size_t c = n; c < 2 * n; ++c)
         for (std::size_t j = 0; j < lanes; ++j)
-            dense.draws[dc].moveLaneTo(home[refs[j].word].draws[hc],
-                                       refs[j].lane, j);
-    }
+            dense.draws[c].moveLaneTo(home[refs[j].word].draws[c],
+                                      refs[j].lane, j);
 }
 
 void

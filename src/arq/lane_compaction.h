@@ -14,20 +14,21 @@
  *
  * Regrouping is one path. SegmentPool plans the (word, lane) ->
  * dense-slot assignment, transplants each migrated lane's identity (its
- * per-shot rng stream by value, and its correction clock and trace
- * clock in every relevant class exported/imported through
- * ClassDrawSampler::exportLane/importLane), and moves frame rows and
- * result bit-planes between home lane positions and dense slots. Its
- * one user is the dense twin experiment (arq/batched_monte_carlo.cc):
- * the level-2 "Start Over" rounds and the repeated level-2 extraction
+ * per-shot rng stream by value, its correction clock and its clock in
+ * every class of the retry bank, moved through
+ * ClassDrawSampler::moveLaneTo), and moves frame rows and result
+ * bit-planes between home lane positions and dense slots. Its one user
+ * is the dense twin experiment (arq/batched_monte_carlo.cc): the
+ * level-2 "Start Over" rounds and the repeated level-2 extraction
  * migrate their surviving lanes into the twin and run there in full,
- * one migration amortized over the whole subtree. The twin is bound to
- * the parent's recording and class table, so the class map is the
- * identity over the shadow classes and no trace is relocated. Sparse
- * verified-preparation retries replay in place: one prep round
- * amortizes a migration over too few ops, and regrouping them (on
- * relocated traces, behind a cost gate of their own) bought only about
- * 4-5% of tail throughput.
+ * one migration amortized over the whole subtree. A migrated subtree
+ * replays on the retry bank only (BatchedNoiseModel::draws), so the
+ * straight-line clocks stay home. The twin is bound to the parent's
+ * recording and class table, so the retry bank moves index for index
+ * and no trace is relocated. Sparse verified-preparation retries
+ * replay in place: one prep round amortizes a migration over too few
+ * ops, and regrouping them (on relocated traces, behind a cost gate of
+ * their own) bought only about 4-5% of tail throughput.
  *
  * The determinism contract survives because a migrated lane consumes
  * draws at exactly the sites, and in exactly the order, it would have
@@ -87,28 +88,11 @@ struct LaneChunkPlan
 static_assert(kMaxGroupWords <= 32, "LaneChunkPlan::words is 32 bits");
 
 /**
- * The noise classes whose trace clocks migrate with each lane of one
- * pooled segment: class home[i] in a home model pairs with class
- * dense[i] in the dense model (same probability, asserted in the transplant). The map must
- * cover every class the migrated segment can sample -- and, for the
- * transplant cost's sake, nothing more: clocks of unlisted classes
- * stay home untouched, which is exactly right both for primary-class
- * clocks (pooled segments replay shadow sites only) and for shadow
- * classes the segment's traces never reference.
- */
-struct SamplerClassMap
-{
-    const std::uint8_t *home = nullptr;
-    const std::uint8_t *dense = nullptr;
-    std::size_t count = 0;
-};
-
-/**
  * The shared lane-migration engine: plans a migration of a sparse
  * LaneSet into dense 64-lane chunks and moves lane identity (rng
- * stream, correction clock and the trace clocks of the segment's
- * SamplerClassMap), frame rows, and result bit-planes between the home
- * words and the dense destination.
+ * stream, correction clock and the retry bank's clocks), frame rows,
+ * and result bit-planes between the home words and the dense
+ * destination.
  *
  * The destination of chunk k is word k of a dense twin experiment's
  * group frame and noise models.
@@ -147,18 +131,18 @@ class SegmentPool
     LaneSet denseSet() const;
 
     /**
-     * Move the identity (rng stream, correction clock and the clocks of
-     * @p classes) of chunk @p k's lanes from their home words into
-     * dense slots of @p dense.
+     * Move the identity (rng stream, correction clock and every
+     * retry-bank clock) of chunk @p k's lanes from their home words
+     * into dense slots of @p dense. Home and dense models must share
+     * one class table: each clock moves to the same index, and the
+     * probabilities are asserted equal.
      */
     void transplantIn(std::size_t k, std::vector<BatchedNoiseModel> &home,
-                      BatchedNoiseModel &dense,
-                      const SamplerClassMap &classes) const;
+                      BatchedNoiseModel &dense) const;
 
     /** Inverse of transplantIn. */
     void transplantOut(std::size_t k, std::vector<BatchedNoiseModel> &home,
-                       BatchedNoiseModel &dense,
-                       const SamplerClassMap &classes) const;
+                       BatchedNoiseModel &dense) const;
 
     /**
      * Gather the frame bits of qubit @p home_q from chunk @p k's home

@@ -509,6 +509,25 @@ mixedTrace(qla::arq::NoiseClassTable &classes, std::size_t n, double p,
     return trace;
 }
 
+/**
+ * True when no lane has drawn from any clock of the bank a replay with
+ * @p retry must not touch. Fresh banks carry equal probabilities, so
+ * fired words alone cannot tell the banks apart; the clocks' lane state
+ * can. Reads a copy: exportLane removes the lane it reports.
+ */
+bool
+otherBankUnseen(qla::arq::BatchedNoiseModel model, bool retry)
+{
+    const std::size_t n = model.numClasses();
+    const std::size_t first = retry ? 0 : n;
+    for (std::size_t c = first; c < first + n; ++c)
+        for (std::size_t l = 0; l < kBatchLanes; ++l)
+            if (model.draws[c].exportLane(l)
+                != ClassDrawSampler::kLaneUnseen)
+                return false;
+    return true;
+}
+
 } // namespace
 
 TEST(GroupReplay, EveryWidthMatchesReferenceLaneByLane)
@@ -525,6 +544,8 @@ TEST(GroupReplay, EveryWidthMatchesReferenceLaneByLane)
     // words run (3-5) and sit between active ones (every fifth word
     // from 10); sparse and dense masks alternate. Two replays in a row
     // carry lane clocks and plan scratch from the first to the second.
+    // Every case runs on the straight-line and on the retry clock bank,
+    // and the other bank must stay untouched.
     using namespace qla::arq;
     const std::size_t n = 6;
     struct Case
@@ -581,7 +602,10 @@ TEST(GroupReplay, EveryWidthMatchesReferenceLaneByLane)
         }
     }
 
-    for (Case &c : cases) {
+    for (std::size_t run = 0; run < 2 * cases.size(); ++run) {
+        Case &c = cases[run / 2];
+        const bool retry = run % 2 == 1;
+        SCOPED_TRACE(retry ? "retry bank" : "straight-line bank");
         // Reference: each word alone through the single-word replay.
         std::vector<BatchedPauliFrame> ref_frames(max_words,
                                                   BatchedPauliFrame(n));
@@ -593,9 +617,12 @@ TEST(GroupReplay, EveryWidthMatchesReferenceLaneByLane)
             }
             BatchedNoiseModel model(c.classes, 0.0);
             model.rearm(family, w * kBatchLanes);
-            for (int rep = 0; rep < reps; ++rep)
+            for (int rep = 0; rep < reps; ++rep) {
                 replayTrace(c.trace, ref_frames[w], model, masks[w],
-                            ref_flips[w]);
+                            ref_flips[w], retry);
+                ASSERT_TRUE(otherBankUnseen(model, retry))
+                    << c.name << " reference word " << w;
+            }
         }
 
         for (const std::size_t words : widths) {
@@ -613,7 +640,7 @@ TEST(GroupReplay, EveryWidthMatchesReferenceLaneByLane)
             std::vector<std::vector<std::uint64_t>> all_flips(words);
             for (int rep = 0; rep < reps; ++rep) {
                 replayTraceGroup(c.trace, frames, models.data(),
-                                 masks.data(), words, flips.data());
+                                 masks.data(), words, flips.data(), retry);
                 for (std::size_t w = 0; w < words; ++w) {
                     // An inactive word's flip buffer is only cleared.
                     if (!masks[w]) {
@@ -621,6 +648,8 @@ TEST(GroupReplay, EveryWidthMatchesReferenceLaneByLane)
                             << c.name << " group " << words << " word "
                             << w;
                     }
+                    ASSERT_TRUE(otherBankUnseen(models[w], retry))
+                        << c.name << " group " << words << " word " << w;
                     all_flips[w].insert(all_flips[w].end(),
                                         flips[w].begin(), flips[w].end());
                 }
@@ -659,7 +688,8 @@ TEST(TraceReplay, CompiledMatchesInterpreterLaneByLane)
     // identical flips and frames. Three consecutive replays per word
     // carry lane clocks and plan scratch across replays, so a dense
     // plan the compiled replay fails to drain back to zero shows up on
-    // the next replay.
+    // the next replay. Every case runs on the straight-line and on the
+    // retry clock bank, and the other bank must stay untouched.
     using namespace qla::arq;
     struct Case
     {
@@ -683,7 +713,10 @@ TEST(TraceReplay, CompiledMatchesInterpreterLaneByLane)
         {"sparse p=5e-2", 5e-2, true, true, true},
     };
     const std::size_t n = 8;
-    for (const Case &c : cases) {
+    for (std::size_t run = 0; run < 2 * std::size(cases); ++run) {
+        const Case &c = cases[run / 2];
+        const bool retry = run % 2 == 1;
+        SCOPED_TRACE(retry ? "retry bank" : "straight-line bank");
         NoiseClassTable classes;
         const FrameTrace trace = mixedTrace(classes, n, c.p, c.alwaysFires);
         RngFamily family(31337);
@@ -712,11 +745,16 @@ TEST(TraceReplay, CompiledMatchesInterpreterLaneByLane)
             std::vector<std::uint64_t> flips;
             std::vector<std::uint64_t> replay_flips;
             for (int rep = 0; rep < 3; ++rep) {
-                replayTrace(trace, ref_frame, ref_model, mask, ref_flips);
+                replayTrace(trace, ref_frame, ref_model, mask, ref_flips,
+                            retry);
                 replayTraceGroup(trace, group, &model, &mask, 1,
-                                 &replay_flips);
+                                 &replay_flips, retry);
                 flips.insert(flips.end(), replay_flips.begin(),
                              replay_flips.end());
+                ASSERT_TRUE(otherBankUnseen(ref_model, retry))
+                    << c.name << " reference word " << word;
+                ASSERT_TRUE(otherBankUnseen(model, retry))
+                    << c.name << " word " << word;
             }
             ASSERT_EQ(flips, ref_flips) << c.name << " word " << word;
             for (std::size_t q = 0; q < n; ++q) {

@@ -16,7 +16,8 @@
  * The second half unit-tests the migration primitives themselves:
  * ClassDrawSampler::exportLane/importLane round trips under adversarial
  * clock states (parked lanes, zero-gap fires, a correction clock moved
- * mid-series) and the SegmentPool gather/scatter planning.
+ * mid-series), the SegmentPool transplant of the retry clock bank, and
+ * the SegmentPool gather/scatter planning.
  */
 
 #include <gtest/gtest.h>
@@ -424,6 +425,96 @@ TEST(SegmentPool, RowGatherScatterRoundTrip)
             EXPECT_EQ(frames.zWord(w, q),
                       z_orig[w * num_qubits + q] & mask.w[w])
                 << "w=" << w << " q=" << q;
+        }
+}
+
+namespace {
+
+/** Lane @p lane's exported clock state, read from a copy so the clock
+ *  itself keeps the lane. */
+std::int64_t
+laneState(ClassDrawSampler clock, std::size_t lane)
+{
+    return clock.exportLane(lane);
+}
+
+} // namespace
+
+TEST(SegmentPool, TransplantMovesTheRetryBankOnly)
+{
+    // A migrated subtree replays on the retry clock bank alone, so a
+    // transplant must carry each lane's retry-bank clocks (and its rng
+    // stream and correction clock) into its dense slot and back, and
+    // must leave the straight-line bank at home untouched. Every clock
+    // of both banks starts with its own random set of armed lanes, so
+    // moving the wrong bank cannot look right by accident.
+    NoiseClassTable classes;
+    classes.classOf(1e-2);
+    classes.classOf(3e-2);
+    classes.classOf(0.2);
+    const std::size_t n = classes.probabilities().size();
+    const double correction_p = 1e-2;
+    const RngFamily family(2718);
+    Rng rng(99);
+    std::vector<BatchedNoiseModel> home;
+    for (std::size_t w = 0; w < 2; ++w) {
+        home.emplace_back(classes, correction_p);
+        home[w].rearm(family, w * kBatchLanes);
+        for (ClassDrawSampler &clock : home[w].draws)
+            for (int rep = 0; rep < 3; ++rep)
+                clock.trial(rng.next64() & rng.next64(), home[w].lanes);
+        home[w].correction.trial(rng.next64(), home[w].lanes);
+    }
+    const std::vector<BatchedNoiseModel> before = home;
+
+    LaneSet mask;
+    mask.n = 2;
+    mask.w[0] = rng.next64() & rng.next64();
+    mask.w[1] = rng.next64() & rng.next64() & rng.next64();
+    SegmentPool pool;
+    ASSERT_LE(pool.plan(mask), kBatchLanes);
+    BatchedNoiseModel dense(classes, correction_p);
+    pool.transplantIn(0, home, dense);
+
+    std::size_t slot = 0;
+    for (std::uint32_t w = 0; w < mask.n; ++w) {
+        for (std::size_t l = 0; l < kBatchLanes; ++l) {
+            const bool moved = (mask.w[w] >> l) & 1;
+            for (std::size_t c = 0; c < 2 * n; ++c) {
+                const std::int64_t was = laneState(before[w].draws[c], l);
+                const bool retry_bank = c >= n;
+                EXPECT_EQ(laneState(home[w].draws[c], l),
+                          moved && retry_bank
+                              ? ClassDrawSampler::kLaneUnseen
+                              : was)
+                    << "home word " << w << " lane " << l << " clock " << c;
+                if (moved) {
+                    EXPECT_EQ(laneState(dense.draws[c], slot),
+                              retry_bank ? was
+                                         : ClassDrawSampler::kLaneUnseen)
+                        << "slot " << slot << " clock " << c;
+                }
+            }
+            if (moved) {
+                EXPECT_EQ(laneState(dense.correction, slot),
+                          laneState(before[w].correction, l));
+                EXPECT_EQ(Rng(dense.lanes[slot]).next64(),
+                          Rng(before[w].lanes[l]).next64());
+                ++slot;
+            }
+        }
+    }
+
+    // And back: every clock of both banks is where it started.
+    pool.transplantOut(0, home, dense);
+    for (std::size_t w = 0; w < 2; ++w)
+        for (std::size_t l = 0; l < kBatchLanes; ++l) {
+            for (std::size_t c = 0; c < 2 * n; ++c)
+                EXPECT_EQ(laneState(home[w].draws[c], l),
+                          laneState(before[w].draws[c], l))
+                    << "word " << w << " lane " << l << " clock " << c;
+            EXPECT_EQ(laneState(home[w].correction, l),
+                      laneState(before[w].correction, l));
         }
 }
 
