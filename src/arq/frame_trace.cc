@@ -1,7 +1,6 @@
 #include "arq/frame_trace.h"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 
 #include "common/logging.h"
@@ -68,6 +67,9 @@ compileTraceEffects(const FrameTrace &trace)
             static_cast<std::uint32_t>(fx.sites.size()));
         fx.sites.push_back(site);
     }
+    // A fire key packs the site id above the six lane bits.
+    qla_assert(fx.sites.size() < (std::size_t{1} << 26),
+               "trace has too many sites to key fires");
     qla_assert(nm == trace.numMeasurements,
                "effect compiler saw ", nm, " measurements, trace has ",
                trace.numMeasurements);
@@ -383,7 +385,7 @@ finalizeTraceClassSites(FrameTrace &trace, const NoiseClassTable &classes)
 
 BatchedNoiseModel::BatchedNoiseModel(const NoiseClassTable &classes,
                                      double correction_p)
-    : correction(correction_p), plans(classes.probabilities().size())
+    : correction(correction_p)
 {
     // The straight-line bank, then the retry bank, each in class order.
     for (int bank = 0; bank < 2; ++bank)
@@ -404,60 +406,14 @@ BatchedNoiseModel::rearm(const RngFamily &family, std::uint64_t first_shot)
 namespace {
 
 /**
- * Drain the dense walk scratch into the plan's sparse event arrays,
- * zeroing it back to all-zero as it goes. Ordinals come out ascending
- * because the scratch is indexed by site ordinal.
- */
-void
-drainFiresToEvents(ClassDrawPlan &plan, std::uint32_t sites,
-                   std::int64_t scatters)
-{
-    plan.eventOrd.clear();
-    plan.eventMask.clear();
-    std::uint64_t *fires = plan.fires.data();
-    // Each scatter set exactly one lane bit, so the popcounts of the
-    // touched entries sum to the scatter count: stop scanning as soon
-    // as every scattered bit is accounted for.
-    for (std::uint32_t i = 0; scatters > 0 && i < sites; ++i) {
-        if (!fires[i])
-            continue;
-        scatters -= std::popcount(fires[i]);
-        plan.eventOrd.push_back(i);
-        plan.eventMask.push_back(fires[i]);
-        fires[i] = 0;
-    }
-}
-
-/**
- * Pick a freshly walked plan's representation from the walk's scatter
- * count: no fires collapses to a never-fires plan, rare fires re-pack
- * as sparse events (replay misses cost one compare), and frequent
- * fires -- the far-above-threshold regime -- keep the dense scratch,
- * which the replay then drains site by site. The threshold only trades
- * replay cost against drain cost; the fired words are identical.
- */
-void
-packWalkedPlan(ClassDrawPlan &plan, std::uint32_t sites,
-               std::int64_t scatters)
-{
-    plan.noFire = scatters == 0;
-    plan.dense = !plan.noFire
-                 && scatters * 6 >= static_cast<std::int64_t>(sites);
-    if (!plan.noFire && !plan.dense)
-        drainFiresToEvents(plan, sites, scatters);
-}
-
-/**
  * Walk every active lane's clock over the whole trace, one walk per
- * non-degenerate class with sites, and leave the sorted fire schedules
- * in model.plans. This is the planned replay's core saving: a no-fire
- * (class, lane) pair costs one counter update for the entire trace
- * instead of one per site. Only the non-degenerate classes of the
- * trace's skeleton are touched: degenerate classes draw nothing (like
- * Rng::bernoulli) and are served from the skeleton itself, and plans of
- * absent classes are stale but unreachable, because no replay fires a
- * class without sites. @p retry selects the clock bank walked; no other
- * replay step reads it.
+ * non-degenerate class with sites, and leave the word's fires in
+ * model.fireKeys, sorted into site (= trace) order. This is the planned
+ * replay's core saving: a no-fire (class, lane) pair costs one counter
+ * update for the entire trace instead of one per site. Degenerate
+ * classes draw nothing (like Rng::bernoulli): a p >= 1 class keys every
+ * active lane at each of its sites, a p <= 0 class nothing. @p retry
+ * selects the clock bank walked; no other replay step reads it.
  */
 void
 planTraceDraws(const FrameTrace &trace, BatchedNoiseModel &model,
@@ -465,55 +421,47 @@ planTraceDraws(const FrameTrace &trace, BatchedNoiseModel &model,
 {
     qla_assert(trace.classSites.size() == model.numClasses(),
                "trace not finalized against this class table");
+    const TraceEffects &fx = *trace.effects;
     ClassDrawSampler *bank
         = model.draws.data() + (retry ? model.numClasses() : 0);
+    std::vector<std::uint32_t> &keys = model.fireKeys;
+    keys.clear();
     for (const TraceClassWalk &entry : trace.walkPlan) {
-        if (entry.degenerate)
-            continue;
-        ClassDrawPlan &plan = model.plans[entry.cls];
-        if (plan.fires.size() < entry.sites)
-            plan.fires.resize(entry.sites); // value-init to zero
-        const std::int64_t scatters = bank[entry.cls].walkWord(
-            active, entry.sites, model.lanes, plan.fires.data());
-        packWalkedPlan(plan, entry.sites, scatters);
-    }
-}
-
-/**
- * True when every plan the trace's walk just produced on this word is
- * sparse. The word's fired sites then come from a merge of the
- * per-class event lists that skips unfired sites entirely; dense and
- * always-fires plans take the ordinal scan of the site table instead,
- * which still prices a miss at one compare.
- */
-bool
-plansAreSparse(const FrameTrace &trace, const BatchedNoiseModel &model)
-{
-    for (const TraceClassWalk &e : trace.walkPlan) {
-        if (e.degenerate) {
-            if (e.degenerateFires)
-                return false;
+        const std::uint32_t *ids = fx.classSiteIds[entry.cls].data();
+        if (entry.degenerate) {
+            const std::uint64_t fires = entry.degenerateFires & active;
+            for (std::uint32_t k = 0; fires && k < entry.sites; ++k)
+                for (std::uint64_t f = fires; f; f &= f - 1)
+                    keys.push_back(ids[k] << 6
+                                   | static_cast<std::uint32_t>(
+                                       std::countr_zero(f)));
             continue;
         }
-        if (model.plans[e.cls].dense)
-            return false;
+        bank[entry.cls].walkWord(
+            active, entry.sites, model.lanes,
+            [&](std::int64_t ord, int lane) {
+                keys.push_back(ids[ord] << 6
+                               | static_cast<std::uint32_t>(lane));
+            });
     }
-    return true;
+    std::sort(keys.begin(), keys.end());
+#ifndef NDEBUG
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        qla_assert(i == 0 || keys[i - 1] < keys[i],
+                   "fire keys not strictly ascending at ", i);
+        qla_assert((keys[i] >> 6) < fx.sites.size(),
+                   "fire key past the trace's sites at ", i);
+    }
+#endif
 }
 
 /**
  * Plan one active word (mask @p m) of @p trace and apply its fired
  * sites into its accumulator column @p col (target t at col[t * W]).
- * Gap draws happen in planTraceDraws, and the fired sites are visited in
- * trace order, so drawPauli consumes each lane's stream exactly as an
- * op-by-op replay would.
- *
- * When every plan came out sparse the fired events are produced by a
- * k-way merge of the per-class event lists, skipping unfired sites
- * entirely. Otherwise -- the far-above-threshold regime with dense or
- * always-fires plans -- a single pass over the site table reads each
- * site's fired word from its class plan directly (draining the dense
- * walk scratch back to zero).
+ * Gap draws happen in planTraceDraws; each run of sorted fire keys with
+ * one site ORs into that site's fired word, and the sites are visited
+ * in trace order, so drawPauli consumes each lane's stream exactly as
+ * an op-by-op replay would.
  */
 template <std::size_t kWords>
 void
@@ -530,8 +478,15 @@ applyWordSites(const FrameTrace &trace, BatchedNoiseModel &model,
         for (std::uint16_t i = 0; i < r.len; ++i)
             col[std::size_t{pool[r.off + i]} * W] ^= v;
     };
-    const auto applyFired = [&](const TraceEffects::Site &site,
-                                std::uint64_t fired) {
+    const std::uint32_t *key = model.fireKeys.data();
+    const std::uint32_t *end = key + model.fireKeys.size();
+    while (key != end) {
+        const std::uint32_t s = *key >> 6;
+        std::uint64_t fired = 0;
+        do
+            fired |= std::uint64_t{1} << (*key & 63);
+        while (++key != end && *key >> 6 == s);
+        const TraceEffects::Site &site = fx.sites[s];
         if (site.kind == TraceEffects::kReadout) {
             col[std::size_t{site.meas} * W] ^= fired;
         } else if (site.kind == TraceEffects::kNoise1) {
@@ -544,119 +499,6 @@ applyWordSites(const FrameTrace &trace, BatchedNoiseModel &model,
             apply(site.za, d.fza);
             apply(site.xb, d.fxb);
             apply(site.zb, d.fzb);
-        }
-    };
-    if (plansAreSparse(trace, model)) {
-        // Fired events of all classes, merged back into trace order so
-        // the drawPauli stream consumption matches an op-by-op replay.
-        struct Cur
-        {
-            const ClassDrawPlan *plan;
-            const std::uint32_t *ids;
-            std::uint32_t i, n;
-        };
-        std::array<Cur, 64> cur;
-        std::size_t k = 0;
-        for (const TraceClassWalk &e : trace.walkPlan) {
-            if (e.degenerate)
-                continue;
-            const ClassDrawPlan &plan = model.plans[e.cls];
-            if (plan.noFire)
-                continue;
-            qla_assert(k < cur.size(), "trace samples too many classes");
-            cur[k++] = {&plan, fx.classSiteIds[e.cls].data(), 0,
-                        static_cast<std::uint32_t>(plan.eventOrd.size())};
-        }
-        while (k) {
-            std::size_t best = 0;
-            std::uint32_t bestSite
-                = cur[0].ids[cur[0].plan->eventOrd[cur[0].i]];
-            for (std::size_t j = 1; j < k; ++j) {
-                const std::uint32_t s
-                    = cur[j].ids[cur[j].plan->eventOrd[cur[j].i]];
-                if (s < bestSite) {
-                    best = j;
-                    bestSite = s;
-                }
-            }
-            applyFired(fx.sites[bestSite],
-                       cur[best].plan->eventMask[cur[best].i]);
-            if (++cur[best].i == cur[best].n)
-                cur[best] = cur[--k];
-        }
-    } else {
-        // Dense / always-fires plans: scan the site table in trace
-        // order, reading each site's fired word straight from its
-        // class plan. A sparse class's misses cost one compare against
-        // its next scheduled ordinal; dense scratch words are zeroed
-        // back as they are consumed, so the scratch is all-zero again
-        // for the next planning pass.
-        static constexpr std::uint32_t kNoOrd = 0xffffffffu;
-        enum : std::uint8_t { kNever, kSparse, kDense, kAlways };
-        struct ClsState
-        {
-            ClassDrawPlan *plan = nullptr;
-            std::uint32_t ord = 0;
-            std::uint32_t next = 0;
-            std::uint32_t nextOrd = kNoOrd;
-            std::uint32_t n = 0;
-            std::uint64_t always = 0;
-            std::uint8_t mode = kNever;
-        };
-        thread_local std::vector<ClsState> state_storage;
-        if (state_storage.size() < model.plans.size())
-            state_storage.resize(model.plans.size());
-        ClsState *state = state_storage.data();
-        for (const TraceClassWalk &e : trace.walkPlan) {
-            ClsState &st = state[e.cls];
-            st = ClsState{};
-            if (e.degenerate) {
-                if (e.degenerateFires) {
-                    st.mode = kAlways;
-                    st.always = e.degenerateFires & m;
-                }
-                continue;
-            }
-            ClassDrawPlan &plan = model.plans[e.cls];
-            if (plan.noFire)
-                continue;
-            st.plan = &plan;
-            if (plan.dense) {
-                st.mode = kDense;
-            } else {
-                st.mode = kSparse;
-                st.nextOrd = plan.eventOrd[0];
-                st.n = static_cast<std::uint32_t>(plan.eventOrd.size());
-            }
-        }
-        const std::uint32_t numSites
-            = static_cast<std::uint32_t>(fx.sites.size());
-        for (std::uint32_t s = 0; s < numSites; ++s) {
-            const TraceEffects::Site &site = fx.sites[s];
-            ClsState &st = state[site.cls];
-            const std::uint32_t ord = st.ord++;
-            std::uint64_t fired = 0;
-            switch (st.mode) {
-              case kNever:
-                continue;
-              case kSparse:
-                if (ord != st.nextOrd)
-                    continue;
-                fired = st.plan->eventMask[st.next];
-                ++st.next;
-                st.nextOrd = st.next < st.n ? st.plan->eventOrd[st.next]
-                                            : kNoOrd;
-                break;
-              case kDense:
-                fired = st.plan->fires[ord];
-                st.plan->fires[ord] = 0;
-                break;
-              case kAlways:
-                fired = st.always;
-                break;
-            }
-            if (fired)
-                applyFired(site, fired);
         }
     }
 }
@@ -755,102 +597,74 @@ replayGroupMajor(const FrameTrace &trace, quantum::GroupPauliFrames &frames,
 
 //
 // The one-word reference replay (replayTrace): an op interpreter that
-// shares nothing with the compiled effect model but the fire plans.
+// shares nothing with the compiled effect model but the fire keys, and
+// checks the compiler's site numbering against its own op stream.
 //
 
 /**
- * The interpreter's per-class cursor over one planned replay: the site
- * ordinal reached, the next unconsumed sparse event, and the ordinal of
- * the next scheduled fire (kNoFire once the class is exhausted).
+ * The interpreter's cursor over one planned replay: its own count of
+ * the sites the op stream has reached, its own ordinal per class, and
+ * the next unconsumed fire key.
  */
 class PlannedSampling
 {
   public:
-    static constexpr std::uint32_t kNoFire = 0xffffffffu;
-
-    struct Cursor
+    /** A cursor at the first site of @p trace over the fire keys just
+     *  planned on @p model. */
+    PlannedSampling(const FrameTrace &trace, const BatchedNoiseModel &model)
+        : fx_(*trace.effects), keys_(model.fireKeys),
+          ordinals_(model.numClasses(), 0)
     {
-        std::uint32_t ordinal = 0;
-        std::uint32_t next = 0;
-        std::uint32_t nextFireOrd = kNoFire;
-        bool dense = false;
-        /** Degenerate class: fired lanes at every site (~0 for p >= 1,
-         *  0 for p <= 0). */
-        bool degenerate = false;
-        std::uint64_t degenerateFires = 0;
-    };
-
-    /** Cursors at ordinal 0 for the classes of @p trace's skeleton,
-     *  over the plans just built on @p model. */
-    PlannedSampling(const FrameTrace &trace, BatchedNoiseModel &model)
-        : model_(model), cursors_(model.plans.size())
-    {
-        for (const TraceClassWalk &e : trace.walkPlan) {
-            Cursor &c = cursors_[e.cls];
-            if (e.degenerate) {
-                c.degenerate = true;
-                c.degenerateFires = e.degenerateFires;
-                c.nextFireOrd = e.degenerateFires ? 0 : kNoFire;
-                continue;
-            }
-            const ClassDrawPlan &plan = model.plans[e.cls];
-            c.dense = plan.dense;
-            if (!plan.noFire)
-                c.nextFireOrd = plan.dense ? 0 : plan.eventOrd[0];
-        }
     }
 
+    /** The fired lanes of the next site, which the op stream says has
+     *  class @p cls. */
     std::uint64_t
-    fire(std::uint8_t cls, std::uint64_t active)
+    fire(std::uint8_t cls)
     {
-        ClassDrawPlan &plan = model_.plans[cls];
-        Cursor &c = cursors_[cls];
-        const std::uint32_t ord = c.ordinal++;
-        if (c.dense) {
-            // Every ordinal is scheduled; serve straight from the walk
-            // scratch, zeroing it back for the next planning pass.
-            const std::uint64_t fired = plan.fires[ord];
-            plan.fires[ord] = 0;
-            return fired;
-        }
-        if (ord != c.nextFireOrd)
-            return 0;
-        if (c.degenerate) {
-            // Always-fires class: every ordinal is scheduled.
-            c.nextFireOrd = ord + 1;
-            return c.degenerateFires & active;
-        }
-        // Fired lanes are a subset of active by construction (only
-        // active lanes were walked).
-        const std::uint64_t fired = plan.eventMask[c.next];
-        ++c.next;
-        c.nextFireOrd = c.next < plan.eventOrd.size()
-                            ? plan.eventOrd[c.next]
-                            : kNoFire;
+        const std::uint32_t s = site_++;
+        const std::uint32_t ord = ordinals_[cls]++;
+        qla_assert(s < fx_.sites.size() && fx_.sites[s].cls == cls,
+                   "op stream site ", s, " has class ", int{cls},
+                   ", the compiled site does not");
+        qla_assert(ord < fx_.classSiteIds[cls].size()
+                       && fx_.classSiteIds[cls][ord] == s,
+                   "class ", int{cls}, " ordinal ", ord,
+                   " is not compiled site ", s);
+        std::uint64_t fired = 0;
+        for (; next_ < keys_.size() && keys_[next_] >> 6 == s; ++next_)
+            fired |= std::uint64_t{1} << (keys_[next_] & 63);
         return fired;
     }
 
-    /** Every planned class must be exactly consumed by the replay it
-     *  was built for. */
+    /** The replay must visit every site, each class exactly as often
+     *  as the trace declares, and consume every fire key. */
     void
     verifyConsumed(const FrameTrace &trace) const
     {
+        qla_assert(site_ == fx_.sites.size(), "replay visited ", site_,
+                   " sites, trace compiles ", fx_.sites.size());
         for (const TraceClassWalk &entry : trace.walkPlan)
-            qla_assert(cursors_[entry.cls].ordinal == entry.sites,
-                       "replay visited ", cursors_[entry.cls].ordinal,
-                       " sites of class ", entry.cls, ", trace declares ",
-                       entry.sites);
+            qla_assert(ordinals_[entry.cls] == entry.sites,
+                       "replay visited ", ordinals_[entry.cls],
+                       " sites of class ", int{entry.cls},
+                       ", trace declares ", entry.sites);
+        qla_assert(next_ == keys_.size(), "replay consumed ", next_,
+                   " of ", keys_.size(), " fire keys");
     }
 
   private:
-    BatchedNoiseModel &model_;
-    std::vector<Cursor> cursors_;
+    const TraceEffects &fx_;
+    const std::vector<std::uint32_t> &keys_;
+    std::vector<std::uint32_t> ordinals_;
+    std::uint32_t site_ = 0;
+    std::size_t next_ = 0;
 };
 
 /**
  * Interpret @p trace op by op on @p frame for the lanes in @p m: gates
  * go through the frame's masked operations, and every sampling site
- * pops its fired word from the plans in trace order, drawing the
+ * takes its fired word from the fire keys in trace order, drawing the
  * fired lanes' Paulis exactly as the scalar primitives would.
  */
 void
@@ -859,7 +673,7 @@ interpretTrace(const FrameTrace &trace, quantum::BatchedPauliFrame &frame,
                std::uint64_t m, std::vector<std::uint64_t> &flips)
 {
     const auto fire1 = [&](std::uint8_t cls, std::size_t q) {
-        const std::uint64_t fired = sampling.fire(cls, m);
+        const std::uint64_t fired = sampling.fire(cls);
         if (!fired)
             return;
         const auto d = quantum::drawPauli1(fired, model.lanes);
@@ -868,7 +682,7 @@ interpretTrace(const FrameTrace &trace, quantum::BatchedPauliFrame &frame,
     };
     const auto fire2 = [&](std::uint8_t cls, std::size_t a,
                            std::size_t b) {
-        const std::uint64_t fired = sampling.fire(cls, m);
+        const std::uint64_t fired = sampling.fire(cls);
         if (!fired)
             return;
         const auto d = quantum::drawPauli2(fired, model.lanes);
@@ -881,7 +695,7 @@ interpretTrace(const FrameTrace &trace, quantum::BatchedPauliFrame &frame,
                              std::uint8_t cls) {
         const std::uint64_t word = measure_x ? frame.measureXFlip(q, m)
                                              : frame.measureZFlip(q, m);
-        flips.push_back(word ^ sampling.fire(cls, m));
+        flips.push_back(word ^ sampling.fire(cls));
     };
 
     using K = FrameOp::Kind;

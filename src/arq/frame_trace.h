@@ -80,8 +80,8 @@ struct FrameOp
 
 /**
  * One entry of a trace's fire-plan skeleton: a noise class the replay
- * actually samples, with everything about its ClassDrawPlan that is a
- * pure function of the trace and the class table -- which classes have
+ * actually samples, with everything about its fires that is a pure
+ * function of the trace and the class table -- which classes have
  * sites, how many, and whether the probability is degenerate --
  * resolved once at finalize time instead of per (word, replay) pair.
  */
@@ -150,7 +150,8 @@ struct TraceEffects
     std::vector<std::uint16_t> qubitOf;
     std::vector<std::uint16_t> pool;
     std::vector<Site> sites;
-    /** Per class: site ids in ordinal (= trace) order. */
+    /** Per class: site ids in ordinal (= trace) order. Planning keys
+     *  a fire of class c at ordinal k by classSiteIds[c][k]. */
     std::vector<std::vector<std::uint32_t>> classSiteIds;
     std::vector<Input> inputs;
 };
@@ -261,47 +262,6 @@ class FrameTraceBuilder
     FrameTrace trace_;
 };
 
-/**
- * One noise class's pre-walked fire schedule for the trace currently
- * being replayed on one word. Rebuilt by the per-trace planning pass for
- * every non-degenerate class of the trace's skeleton (degenerate classes
- * draw nothing and are served from TraceClassWalk); consumed in
- * site-ordinal order by the group replay and by the reference
- * interpreter (replayTrace), which keeps its own per-class cursors.
- */
-struct ClassDrawPlan
-{
-    /**
-     * Walk scratch: fires[i] is the fired-lanes word of the class's
-     * i-th sampling site (replay order). Planning scatters the walk's
-     * fires here, then drains every nonzero entry into the sparse
-     * event arrays below (zeroing it again), or the replay zeroes each
-     * entry as it consumes a dense plan, so the buffer is all-zero
-     * between plans and never needs a wipe. Sized to the largest site
-     * count any planned trace has declared for the class.
-     */
-    std::vector<std::uint64_t> fires;
-    /**
-     * The plan itself, sparse: eventOrd lists the site ordinals that
-     * fired, ascending, and eventMask the fired lanes of each.
-     */
-    std::vector<std::uint32_t> eventOrd;
-    std::vector<std::uint64_t> eventMask;
-    /**
-     * Dense plan: the replay serves straight from the fires buffer
-     * (zeroing each entry as it consumes it) instead of the event
-     * arrays. Planning picks this representation when the walk fired
-     * often enough that draining the scratch into events would cost
-     * more than it saves -- the far-above-threshold regime, where a
-     * large fraction of sites fire some lane. The choice is purely a
-     * storage format: fired words are identical either way.
-     */
-    bool dense = false;
-    /** The walk fired no lane at any site of this trace; the event
-     *  arrays then hold stale events and must not be read. */
-    bool noFire = true;
-};
-
 /** Per-class clocks plus per-lane streams for one 64-shot word. */
 struct BatchedNoiseModel
 {
@@ -317,7 +277,7 @@ struct BatchedNoiseModel
     void rearm(const RngFamily &family, std::uint64_t first_shot);
 
     /** Classes per clock bank (n). */
-    std::size_t numClasses() const { return plans.size(); }
+    std::size_t numClasses() const { return draws.size() / 2; }
 
     LaneRngs lanes;
     /** Trace-level clocks in two banks of one per class (n classes):
@@ -329,18 +289,25 @@ struct BatchedNoiseModel
      *  correction gate (ClassDrawSampler::trial): their sites are
      *  data-dependent, so no trace plans them. */
     ClassDrawSampler correction;
-    /** Scratch fire schedules for the trace being replayed. */
-    std::vector<ClassDrawPlan> plans;
+    /**
+     * The fires of the word last planned, one key site << 6 | lane per
+     * fired (site, lane) pair, where site indexes the trace's
+     * TraceEffects::sites; sorted ascending, so the keys of one site
+     * form a run and sites come in trace order.
+     */
+    std::vector<std::uint32_t> fireKeys;
 };
 
 /**
  * Reference replay of @p trace on one word, @p frame, for the lanes in
  * @p active: the active lanes' clocks are walked over the whole trace
  * (the same planning replayTraceGroup does), then a plain op
- * interpreter runs the trace op by op, and every planned class is
- * checked to be consumed exactly. Measurement flip words are appended
- * to @p flips in op order; an inactive word appends zero words; @p retry
- * selects the clock bank. No production path calls this: it is the
+ * interpreter runs the trace op by op. It numbers the sites itself,
+ * asserts that the compiled site table and per-class site ids agree
+ * with the op stream, and checks that every site was visited and every
+ * fire key consumed. Measurement flip words are appended to @p flips
+ * in op order; an inactive word appends zero words; @p retry selects
+ * the clock bank. No production path calls this: it is the
  * oracle the group replay is checked against lane by lane
  * (tests/test_batched_frame.cc). The trace must be finalized
  * (finalizeTraceClassSites).

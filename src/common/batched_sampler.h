@@ -253,16 +253,10 @@ class ClassDrawSampler
 
     /**
      * walkLane every lane of @p active over the same block of @p sites
-     * trials at once, OR-ing each fired trial's lane bit into
-     * fires[ordinal] (0-based ordinal within the block; the buffer must
-     * hold @p sites words and is only written at fired ordinals).
-     * Returns the number of scatter writes -- an upper bound on the
-     * fired ordinals (lanes can fire the same ordinal). Zero means the
-     * buffer was not touched, which is what lets planning serve the
-     * whole block as a degenerate no-fire plan (the sparse-mask replays
-     * of retry subtrees almost always land here); the count also tells
-     * planning whether the fire schedule is sparse enough to be worth
-     * re-packing as an event list.
+     * trials at once, calling emit(ordinal, lane) once per fired trial
+     * (0-based ordinal within the block). A lane's fires are emitted in
+     * ascending ordinal order; fires of different lanes interleave in an
+     * unspecified order, so a caller that needs site order sorts them.
      *
      * Equivalent draw-for-draw to calling walkLane on each active lane
      * in turn -- a lane only ever consumes its own stream, so the lane
@@ -274,8 +268,9 @@ class ClassDrawSampler
      * lane the stream order is unchanged (one gap per fire, in fire
      * order); only the arithmetic is batched across lanes.
      */
-    std::int64_t walkWord(std::uint64_t active, std::int64_t sites,
-                          LaneRngs &lanes, std::uint64_t *fires)
+    template <class Emit>
+    void walkWord(std::uint64_t active, std::int64_t sites,
+                  LaneRngs &lanes, Emit &&emit)
     {
         const std::uint64_t fresh = active & ~seen_;
         if (fresh)
@@ -301,9 +296,8 @@ class ClassDrawSampler
                 cnt_[l] -= sites;
             }
         }
-        if (!firing)
-            return 0;
-        return walkFiring(firing, sites, lanes, fires);
+        if (firing)
+            walkFiring(firing, sites, lanes, emit);
     }
 
     /**
@@ -320,7 +314,9 @@ class ClassDrawSampler
         if (p_ >= 1.0)
             return active;
         std::uint64_t fired = 0;
-        walkWord(active, 1, lanes, &fired);
+        walkWord(active, 1, lanes, [&](std::int64_t, int lane) {
+            fired |= std::uint64_t{1} << lane;
+        });
         return fired;
     }
 
@@ -346,34 +342,32 @@ class ClassDrawSampler
     }
 
     /**
-     * Rewind the lanes the clock sweep flagged and scatter their fire
-     * positions, drawing follow-up gaps round by round: each round
-     * records one fire per still-walking lane, converts all their next
-     * gaps in one geometricGapBlock pass, and retires the lanes whose
-     * clocks left the block. A lane's fires and draws happen in exactly
-     * the order the serial per-lane walk would produce -- and because
-     * every gap inversion is the same correctly-rounded expression tree
-     * (see fastLog2), the serial one-lane walk below is bit-identical
-     * to the batched rounds, so dispatching on the fire count cannot
-     * leak word composition into any lane's draws. Returns the scatter
-     * count (see walkWord).
+     * Rewind the lanes the clock sweep flagged and emit their fires,
+     * drawing follow-up gaps round by round: each round emits one fire
+     * per still-walking lane, converts all their next gaps in one
+     * geometricGapBlock pass, and retires the lanes whose clocks left
+     * the block. A lane's fires and draws happen in exactly the order
+     * the serial per-lane walk would produce -- and because every gap
+     * inversion is the same correctly-rounded expression tree (see
+     * fastLog2), the serial one-lane walk below is bit-identical to the
+     * batched rounds, so dispatching on the firing-lane count cannot
+     * leak word composition into any lane's draws.
      */
-    std::int64_t walkFiring(std::uint64_t firing, std::int64_t sites,
-                            LaneRngs &lanes, std::uint64_t *fires)
+    template <class Emit>
+    void walkFiring(std::uint64_t firing, std::int64_t sites,
+                    LaneRngs &lanes, Emit &emit)
     {
-        std::int64_t scatters = 0;
         if (!(firing & (firing - 1))) {
             // One firing lane (the common case anywhere near or below
             // threshold): the round machinery would only add traffic.
             const int l = std::countr_zero(firing);
             std::int64_t pos = cnt_[l] + sites;
             do {
-                fires[pos - 1] |= firing;
-                ++scatters;
+                emit(pos - 1, l);
                 pos += geometricGap(lanes[l], inv_log2_q_);
             } while (pos <= sites);
             cnt_[l] = pos - sites;
-            return scatters;
+            return;
         }
         std::int64_t pos[kBatchLanes];
         double u[kBatchLanes];
@@ -388,9 +382,8 @@ class ClassDrawSampler
             ++n;
         }
         while (n) {
-            scatters += static_cast<std::int64_t>(n);
             for (std::size_t i = 0; i < n; ++i)
-                fires[pos[i] - 1] |= std::uint64_t{1} << lane[i];
+                emit(pos[i] - 1, static_cast<int>(lane[i]));
             for (std::size_t i = 0; i < n; ++i)
                 u[i] = lanes[lane[i]].uniform();
             geometricGapBlock(u, n, inv_log2_q_, g);
@@ -407,8 +400,8 @@ class ClassDrawSampler
             }
             n = keep;
         }
-        return scatters;
     }
+
     double p_;
     double inv_log2_q_;
     /** Trials remaining until lane's next success (valid when seen). */

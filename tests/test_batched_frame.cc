@@ -379,6 +379,65 @@ TEST(ClassDrawSampler, MatchesBernoulliStatistics)
     }
 }
 
+TEST(ClassDrawSampler, WalkWordEmitsTheFiresWalkLaneDoes)
+{
+    // walkWord batches the per-lane walks across a word: over several
+    // consecutive blocks, each lane's emitted (ordinal, lane) fires must
+    // be exactly the fires walkLane produces for it alone, in the same
+    // order and from the same stream draws, and the lane clocks must end
+    // where the per-lane walks leave them. Full, sparse and one-lane
+    // masks cover the vectorized sweep, the masked sweep and the
+    // one-firing-lane path; p = 0.5 drives the multi-round batched
+    // path with lanes firing many times per block.
+    const std::int64_t blocks[] = {1, 7, 64, 300, 2, 1000, 33, 2000};
+    for (const double p : {1e-3, 5e-2, 0.5}) {
+        for (int shape = 0; shape < 3; ++shape) {
+            SCOPED_TRACE(testing::Message() << "p = " << p << " masks "
+                                            << shape);
+            RngFamily family(404);
+            LaneRngs lanes;
+            for (std::size_t l = 0; l < kBatchLanes; ++l)
+                lanes[l] = family.stream(l);
+            LaneRngs ref_lanes = lanes;
+            ClassDrawSampler word(p);
+            ClassDrawSampler ref(p);
+            Rng mask_rng(17);
+            std::int64_t total = 0;
+            for (const std::int64_t sites : blocks) {
+                const std::uint64_t mask
+                    = shape == 0 ? ~std::uint64_t{0}
+                    : shape == 1 ? mask_rng.next64() & mask_rng.next64()
+                                 : std::uint64_t{1} << 37;
+                std::vector<std::vector<std::int64_t>> got(kBatchLanes);
+                word.walkWord(mask, sites, lanes,
+                              [&](std::int64_t ord, int lane) {
+                                  ASSERT_TRUE((mask >> lane) & 1);
+                                  ASSERT_LT(ord, sites);
+                                  got[lane].push_back(ord);
+                              });
+                for (std::size_t l = 0; l < kBatchLanes; ++l) {
+                    std::vector<std::int64_t> want;
+                    if ((mask >> l) & 1)
+                        ref.walkLane(l, sites, ref_lanes[l],
+                                     [&](std::int64_t o) {
+                                         want.push_back(o);
+                                     });
+                    ASSERT_EQ(got[l], want)
+                        << "block of " << sites << ", lane " << l;
+                    total += static_cast<std::int64_t>(want.size());
+                }
+            }
+            EXPECT_GT(total, 0);
+            for (std::size_t l = 0; l < kBatchLanes; ++l) {
+                EXPECT_EQ(word.exportLane(l), ref.exportLane(l))
+                    << "lane " << l;
+                EXPECT_EQ(lanes[l].next64(), ref_lanes[l].next64())
+                    << "lane " << l;
+            }
+        }
+    }
+}
+
 TEST(ClassDrawSampler, BlockBoundariesDoNotChangeFirePositions)
 {
     // Shot grouping and lane compaction change how a trace's sites are
@@ -528,6 +587,60 @@ otherBankUnseen(qla::arq::BatchedNoiseModel model, bool retry)
     return true;
 }
 
+/**
+ * The shapes of fire-key lists the replay tests must reach, read from
+ * BatchedNoiseModel::fireKeys after each planned word: a word that
+ * fires nowhere, a site fired by several lanes (the OR of a key run),
+ * a lane firing twice in one class block beside another firing lane
+ * (walkFiring's multi-round path) and a fire of an always-firing
+ * p >= 1 class.
+ */
+struct FireShapes
+{
+    bool noFire = false;
+    bool sharedSite = false;
+    bool laneRefires = false;
+    bool alwaysClass = false;
+
+    void add(const qla::arq::FrameTrace &trace,
+             const qla::arq::NoiseClassTable &classes,
+             const std::vector<std::uint32_t> &keys)
+    {
+        const auto &probs = classes.probabilities();
+        std::vector<std::array<int, kBatchLanes>> perClass(probs.size());
+        for (auto &counts : perClass)
+            counts.fill(0);
+        noFire = noFire || keys.empty();
+        for (std::size_t i = 0; i < keys.size(); ++i) {
+            const std::uint32_t site = keys[i] >> 6;
+            if (i > 0 && keys[i - 1] >> 6 == site)
+                sharedSite = true;
+            const std::uint8_t cls = trace.effects->sites[site].cls;
+            if (probs[cls] >= 1.0)
+                alwaysClass = true;
+            else
+                ++perClass[cls][keys[i] & 63];
+        }
+        for (const auto &counts : perClass) {
+            int firing = 0;
+            bool twice = false;
+            for (const int c : counts) {
+                firing += c > 0;
+                twice = twice || c > 1;
+            }
+            laneRefires = laneRefires || (firing >= 2 && twice);
+        }
+    }
+
+    void expectAllReached() const
+    {
+        EXPECT_TRUE(noFire) << "no active word without fires";
+        EXPECT_TRUE(sharedSite) << "no site fired by two lanes";
+        EXPECT_TRUE(laneRefires) << "no lane fired twice in a class block";
+        EXPECT_TRUE(alwaysClass) << "no p >= 1 class fired";
+    }
+};
+
 } // namespace
 
 TEST(GroupReplay, EveryWidthMatchesReferenceLaneByLane)
@@ -543,9 +656,10 @@ TEST(GroupReplay, EveryWidthMatchesReferenceLaneByLane)
     // 16, 31 and 32 cover wide groups up to the group cap. Inactive
     // words run (3-5) and sit between active ones (every fifth word
     // from 10); sparse and dense masks alternate. Two replays in a row
-    // carry lane clocks and plan scratch from the first to the second.
-    // Every case runs on the straight-line and on the retry clock bank,
-    // and the other bank must stay untouched.
+    // carry lane clocks from the first to the second. Every case runs on
+    // the straight-line and on the retry clock bank, and the other bank
+    // must stay untouched. The words must reach every fire-key shape
+    // (FireShapes).
     using namespace qla::arq;
     const std::size_t n = 6;
     struct Case
@@ -572,8 +686,8 @@ TEST(GroupReplay, EveryWidthMatchesReferenceLaneByLane)
         cases[0].trace = builder.take();
         finalizeTraceClassSites(cases[0].trace, cases[0].classes);
     }
-    // Live inputs, served from sparse event lists (mostly) and from the
-    // site-table scan (always-firing class, dense plans).
+    // Live inputs, a few fires per word (mostly) and, with the
+    // always-firing class, every active lane at its sites.
     cases[1].name = "mixed p=2e-2";
     cases[1].trace = mixedTrace(cases[1].classes, n, 2e-2, false);
     cases[2].name = "mixed p=5e-2 always";
@@ -602,6 +716,7 @@ TEST(GroupReplay, EveryWidthMatchesReferenceLaneByLane)
         }
     }
 
+    FireShapes shapes;
     for (std::size_t run = 0; run < 2 * cases.size(); ++run) {
         Case &c = cases[run / 2];
         const bool retry = run % 2 == 1;
@@ -642,6 +757,8 @@ TEST(GroupReplay, EveryWidthMatchesReferenceLaneByLane)
                 replayTraceGroup(c.trace, frames, models.data(),
                                  masks.data(), words, flips.data(), retry);
                 for (std::size_t w = 0; w < words; ++w) {
+                    if (masks[w])
+                        shapes.add(c.trace, c.classes, models[w].fireKeys);
                     // An inactive word's flip buffer is only cleared.
                     if (!masks[w]) {
                         ASSERT_TRUE(flips[w].empty())
@@ -678,18 +795,19 @@ TEST(GroupReplay, EveryWidthMatchesReferenceLaneByLane)
             }
         }
     }
+    shapes.expectAllReached();
 }
 
 TEST(TraceReplay, CompiledMatchesInterpreterLaneByLane)
 {
     // The production replay (a one-word replayTraceGroup, through the
     // trace's compiled effect model) and the reference op interpreter
-    // (replayTrace) consume the same fire plans and must leave
+    // (replayTrace) consume the same fire keys and must leave
     // identical flips and frames. Three consecutive replays per word
-    // carry lane clocks and plan scratch across replays, so a dense
-    // plan the compiled replay fails to drain back to zero shows up on
-    // the next replay. Every case runs on the straight-line and on the
-    // retry clock bank, and the other bank must stay untouched.
+    // carry lane clocks across replays. Every case runs on the
+    // straight-line and on the retry clock bank, and the other bank must
+    // stay untouched. The words must reach every fire-key shape
+    // (FireShapes).
     using namespace qla::arq;
     struct Case
     {
@@ -700,19 +818,19 @@ TEST(TraceReplay, CompiledMatchesInterpreterLaneByLane)
         bool alwaysFires;
     };
     const Case cases[] = {
-        // Few fires on a clean frame: every word is served from merged
-        // sparse event lists.
+        // Few fires on a clean frame: many words fire nowhere.
         {"sparse p=1e-3", 1e-3, true, false, false},
-        // The same words with an always-firing p = 1 class: the site
-        // table pass serves every word.
+        // The same words with an always-firing p = 1 class: every
+        // word fires every active lane at that class's sites.
         {"sparse p=1e-3 always", 1e-3, true, false, true},
-        // Full masks far above threshold: dense plans.
+        // Full masks far above threshold: many lanes per site, and
+        // lanes firing several times per class block.
         {"full p=5e-2", 5e-2, false, true, true},
-        // Few lanes at a high rate: dense plans with live input-frame
-        // coordinates.
+        // Few lanes at a high rate, with live input-frame coordinates.
         {"sparse p=5e-2", 5e-2, true, true, true},
     };
     const std::size_t n = 8;
+    FireShapes shapes;
     for (std::size_t run = 0; run < 2 * std::size(cases); ++run) {
         const Case &c = cases[run / 2];
         const bool retry = run % 2 == 1;
@@ -749,6 +867,8 @@ TEST(TraceReplay, CompiledMatchesInterpreterLaneByLane)
                             retry);
                 replayTraceGroup(trace, group, &model, &mask, 1,
                                  &replay_flips, retry);
+                if (mask)
+                    shapes.add(trace, classes, model.fireKeys);
                 flips.insert(flips.end(), replay_flips.begin(),
                              replay_flips.end());
                 ASSERT_TRUE(otherBankUnseen(ref_model, retry))
@@ -765,6 +885,7 @@ TEST(TraceReplay, CompiledMatchesInterpreterLaneByLane)
             }
         }
     }
+    shapes.expectAllReached();
 }
 
 TEST(BatchedExecutor, MatchesScalarFrameExecution)
