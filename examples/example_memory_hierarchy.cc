@@ -7,14 +7,14 @@
  * the cache ledger at each point, then size Shor design points at
  * N = 1024 and 2048 with the split chip model.
  *
- * Usage: example_memory_hierarchy [adder-bits]   (default 16)
+ * Usage: example_memory_hierarchy [adder-bits]   (1..4096, default 16)
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "apps/qcla.h"
 #include "apps/shor.h"
+#include "example_args.h"
 #include "network/cosim.h"
 
 using namespace qla;
@@ -22,9 +22,8 @@ using namespace qla;
 int
 main(int argc, char **argv)
 {
-    std::size_t bits = 16;
-    if (argc > 1)
-        bits = std::strtoull(argv[1], nullptr, 10);
+    const auto bits = static_cast<std::size_t>(
+        positionalArgument(argc, argv, 16, 1, 4096, "adder-bits"));
 
     // -- Compute-fraction sweep: one QCLA block, shrinking compute ----
     const network::ProgramWorkload program(apps::qclaAdderCircuit(bits));

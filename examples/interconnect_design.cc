@@ -4,13 +4,13 @@
  * chip, inspect the purification schedule behind it, and check the
  * bandwidth needed to hide communication under error correction.
  *
- * Usage: interconnect_design [distance-in-cells]   (default 6000)
+ * Usage: interconnect_design [distance-in-cells]   (1..1e9, default 6000)
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "apps/qcla.h"
+#include "example_args.h"
 #include "network/cosim.h"
 #include "network/scheduler.h"
 #include "teleport/connection_model.h"
@@ -21,9 +21,9 @@ using namespace qla::teleport;
 int
 main(int argc, char **argv)
 {
-    Cells distance = 6000;
-    if (argc > 1)
-        distance = std::strtoll(argv[1], nullptr, 10);
+    const Cells distance = positionalArgument(argc, argv, 6000, 1,
+                                              1000000000,
+                                              "distance-in-cells");
 
     const RepeaterChain chain{RepeaterConfig{}};
 

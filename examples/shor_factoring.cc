@@ -3,11 +3,10 @@
  * Shor's-algorithm planning on the QLA, plus a live run of the quantum
  * adder that modular exponentiation is built from.
  *
- * Usage: shor_factoring [bits]    (default 128)
+ * Usage: shor_factoring [bits]    (2..2^20, default 128)
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "apps/qcla.h"
 #include "apps/shor.h"
@@ -16,6 +15,7 @@
 #include "common/rng.h"
 #include "ecc/latency.h"
 #include "ecc/steane.h"
+#include "example_args.h"
 #include "quantum/statevector.h"
 
 using namespace qla;
@@ -24,9 +24,8 @@ using namespace qla::apps;
 int
 main(int argc, char **argv)
 {
-    std::uint64_t bits = 128;
-    if (argc > 1)
-        bits = std::strtoull(argv[1], nullptr, 10);
+    const auto bits = static_cast<std::uint64_t>(
+        positionalArgument(argc, argv, 128, 2, 1 << 20, "bits"));
 
     // Resource plan for factoring a `bits`-bit modulus.
     const ecc::EccLatencyModel latency(ecc::steaneCode(),

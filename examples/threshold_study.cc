@@ -4,14 +4,14 @@
  * each error source separately (gates, measurement, movement), and how
  * recursion level 2 behaves around the pseudo-threshold.
  *
- * Usage: threshold_study [shots]    (default 2000)
+ * Usage: threshold_study [shots]    (2..1e9, default 2000)
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "arq/monte_carlo.h"
 #include "ecc/steane.h"
+#include "example_args.h"
 
 using namespace qla;
 using namespace qla::arq;
@@ -19,9 +19,9 @@ using namespace qla::arq;
 int
 main(int argc, char **argv)
 {
-    std::size_t shots = 2000;
-    if (argc > 1)
-        shots = std::strtoull(argv[1], nullptr, 10);
+    // Level 2 runs shots / 2, so fewer than 2 shots would run none.
+    const auto shots = static_cast<std::size_t>(
+        positionalArgument(argc, argv, 2000, 2, 1000000000, "shots"));
     Rng rng(77);
 
     std::printf("== sensitivity of the level-1 logical qubit (%zu "

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Documentation consistency gate for docs/ and README.md.
+"""Documentation consistency gate for docs/, README.md and the
+markdown files code comments cite.
 
-Three checks, all hard failures:
+Four checks, all hard failures:
 
 1. Intra-repo markdown links must resolve. Every [text](target) in
    README.md and docs/*.md whose target is not an external URL or a
@@ -27,11 +28,18 @@ Three checks, all hard failures:
    member that moved to another class, since each part is looked up
    on its own.
 
+4. Markdown files named in code comments must exist. Every path ending
+   in .md inside a // or /* */ comment of a C++ source or header under
+   src/, tools/, bench/, tests/ or examples/ must name an existing
+   file, resolved from the repo root or from the commenting file's
+   directory. This catches a comment that still points readers at a
+   deleted or renamed document.
+
 Usage: check_docs.py [--root REPO_ROOT]
 
 Exit status: 0 when all checks pass, 1 on any broken link,
-undocumented flag or stale code name, 2 for usage errors (missing
-files to check).
+undocumented flag, stale code name or missing cited document, 2 for
+usage errors (missing files to check).
 """
 
 import argparse
@@ -55,6 +63,10 @@ WORD_RE = re.compile(r"[A-Za-z_]\w*")
 # Where a documented code name may live.
 CODE_DIRS = ("src", "tools", "bench", "tests", "perfbench", "scripts",
              ".github")
+# Whose comments may cite markdown files, and the comments themselves.
+COMMENT_DIRS = ("src", "tools", "bench", "tests", "examples")
+COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
+MD_PATH_RE = re.compile(r"[\w./-]*\w\.md\b")
 
 
 def markdown_files(root):
@@ -151,6 +163,23 @@ def check_code_names(root, files):
     return sorted(stale)
 
 
+def check_cited_docs(root):
+    missing = set()
+    for top in COMMENT_DIRS:
+        for path in sorted((root / top).rglob("*")):
+            if path.suffix not in (".cc", ".h"):
+                continue
+            text = path.read_text(encoding="utf-8")
+            for comment in COMMENT_RE.findall(text):
+                for cited in MD_PATH_RE.findall(comment):
+                    if not ((root / cited).is_file()
+                            or (path.parent / cited).is_file()):
+                        missing.add(f"{path.relative_to(root)}: comment "
+                                    f"cites {cited}, which does not "
+                                    "exist")
+    return sorted(missing)
+
+
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -166,7 +195,7 @@ def main(argv):
         return 2
 
     problems = (check_links(root, files) + check_gate_flags(root)
-                + check_code_names(root, files))
+                + check_code_names(root, files) + check_cited_docs(root))
     for problem in problems:
         print(f"check_docs: {problem}", file=sys.stderr)
     if problems:

@@ -104,7 +104,7 @@ executeOnStateVector(const circuit::QuantumCircuit &circuit,
 
 BatchedExecutionResult
 executeOnBatchedFrame(const circuit::QuantumCircuit &circuit,
-                      quantum::BatchedFrameBackend &frame,
+                      quantum::BatchedPauliFrame &frame,
                       std::uint64_t lanes)
 {
     using circuit::OpKind;

@@ -21,6 +21,7 @@
 #include "circuit/circuit.h"
 #include "common/rng.h"
 #include "quantum/backend.h"
+#include "quantum/batched_frame.h"
 #include "quantum/statevector.h"
 #include "quantum/tableau.h"
 
@@ -60,7 +61,7 @@ struct BatchedExecutionResult
 };
 
 /**
- * Execute a Clifford circuit on a batched frame engine for the shots in
+ * Execute a Clifford circuit on the batched frame engine for the shots in
  * @p lanes, 64 at a time. The frame picture has no classical outcomes,
  * only flips relative to the ideal ones, so classically conditioned ops
  * are rejected just as on the scalar PauliFrame; Pauli gates commute
@@ -68,7 +69,7 @@ struct BatchedExecutionResult
  */
 BatchedExecutionResult executeOnBatchedFrame(
     const circuit::QuantumCircuit &circuit,
-    quantum::BatchedFrameBackend &frame, std::uint64_t lanes);
+    quantum::BatchedPauliFrame &frame, std::uint64_t lanes);
 
 } // namespace qla::arq
 

@@ -541,7 +541,7 @@ struct ChunkResult
 
 /**
  * A worker's experiment and the sweep point it was built for. An
- * experiment holds several MB of frames and sampler rings, so a worker
+ * experiment holds several MB of frames and noise clocks, so a worker
  * keeps only the one it is using.
  */
 struct WorkerExperiment

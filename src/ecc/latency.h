@@ -8,7 +8,7 @@
  * structural knobs below (single measurement port per block, serial
  * conglomeration readout, lower-level EC rounds woven into preparation
  * and extraction) reproduce all three to within ~5% and are frozen as
- * defaults; see EXPERIMENTS.md experiment E5.
+ * defaults; the E5 rows of tools/claims.cc check them.
  *
  * Equation 1:
  *   T_L,ecc = 2 x T_L,synd                          (trivial syndrome)

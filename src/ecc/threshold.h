@@ -29,9 +29,6 @@ inline constexpr double kReichardt = 9e-3;
 /** The paper's empirical Figure-7 estimate for the QLA logical qubit. */
 inline constexpr double kEmpirical = 2.1e-3;
 
-/** Empirical estimate uncertainty (Figure 7: (2.1 +- 1.8) x 10^-3). */
-inline constexpr double kEmpiricalError = 1.8e-3;
-
 /** QLA level-1 block communication distance in cells. */
 inline constexpr double kCommunicationDistance = 12.0;
 

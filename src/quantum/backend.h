@@ -99,68 +99,6 @@ class SimulationBackend
     virtual std::unique_ptr<SimulationBackend> snapshot() const = 0;
 };
 
-/**
- * Abstract surface for engines that simulate 64 Monte-Carlo shots per
- * machine word (the batched counterpart of the frame picture of
- * SimulationBackend).
- *
- * Every operation takes a lane mask: bit l selects shot l of the word,
- * and lanes outside the mask are left untouched and consume no
- * randomness. That is what lets data-dependent control flow (verified
- * ancilla retry, syndrome-conditioned re-extraction) replay word-parallel:
- * the driver narrows the mask instead of branching. Measurements follow
- * flip semantics -- the returned word holds, per lane, whether the
- * observed outcome differs from the ideal deterministic one.
- */
-class BatchedFrameBackend
-{
-  public:
-    /** Shots per word; lane masks are words over these. */
-    static constexpr std::size_t kLanes = 64;
-
-    virtual ~BatchedFrameBackend() = default;
-
-    virtual const char *backendName() const = 0;
-    virtual std::size_t numQubits() const = 0;
-
-    /** Reset every lane to the fiducial no-error state. */
-    virtual void reset() = 0;
-
-    //
-    // Masked Clifford conjugation of the per-lane frames. Pauli gates
-    // commute with the frame up to phase, so the surface omits them.
-    //
-
-    virtual void h(std::size_t q, std::uint64_t lanes) = 0;
-    virtual void s(std::size_t q, std::uint64_t lanes) = 0;
-    virtual void cnot(std::size_t control, std::size_t target,
-                      std::uint64_t lanes) = 0;
-    virtual void cz(std::size_t a, std::size_t b, std::uint64_t lanes) = 0;
-    virtual void swap(std::size_t a, std::size_t b,
-                      std::uint64_t lanes) = 0;
-
-    //
-    // Error injection: flip the X / Z frame component on the given lanes.
-    //
-
-    virtual void injectX(std::size_t q, std::uint64_t lanes) = 0;
-    virtual void injectZ(std::size_t q, std::uint64_t lanes) = 0;
-
-    //
-    // Batched flip-readout: per selected lane, whether the measured
-    // outcome is flipped relative to the ideal one. The measured qubit's
-    // frame is cleared on those lanes.
-    //
-
-    virtual std::uint64_t measureZFlip(std::size_t q,
-                                       std::uint64_t lanes) = 0;
-    virtual std::uint64_t measureXFlip(std::size_t q,
-                                       std::uint64_t lanes) = 0;
-
-    /** Fresh |0> / |+> preparation: clear the qubit's frame per lane. */
-    virtual void resetQubit(std::size_t q, std::uint64_t lanes) = 0;
-};
-
 } // namespace qla::quantum
 
 #endif // QLA_QUANTUM_BACKEND_H

@@ -25,56 +25,68 @@
 
 #include "common/batched_sampler.h"
 #include "common/logging.h"
-#include "quantum/backend.h"
 
 namespace qla::quantum {
 
 /**
  * Error frames of 64 shots over n qubits, one X and one Z word per qubit
- * with lanes across the word. The masked operations skip bounds
- * checking: they are driven by traces whose operands were validated at
- * record time (see arq/frame_trace.h), and this is the replay hot path.
+ * with lanes across the word. Every operation takes a lane mask: bit l
+ * selects shot l, and lanes outside the mask are left untouched, which
+ * lets data-dependent control flow replay word-parallel by narrowing
+ * the mask instead of branching. Measurements return flips relative to
+ * the ideal outcome. The masked operations skip bounds checking: they
+ * are driven by traces whose operands were validated at record time
+ * (see arq/frame_trace.h), and this is the replay hot path.
  */
-class BatchedPauliFrame final : public BatchedFrameBackend
+class BatchedPauliFrame
 {
   public:
+    /** Shots per word; lane masks are words over these. */
+    static constexpr std::size_t kLanes = 64;
+
     explicit BatchedPauliFrame(std::size_t num_qubits)
         : n_(num_qubits), x_(num_qubits, 0), z_(num_qubits, 0)
     {
     }
 
-    const char *backendName() const override { return "batched-frame"; }
-    std::size_t numQubits() const override { return n_; }
+    const char *backendName() const { return "batched-frame"; }
+    std::size_t numQubits() const { return n_; }
 
-    void reset() override;
+    /** Reset every lane to the fiducial no-error state. */
+    void reset();
 
-    void h(std::size_t q, std::uint64_t lanes) override
+    //
+    // Masked Clifford conjugation of the per-lane frames. Pauli gates
+    // commute with the frame up to phase, so there are none.
+    //
+
+    void h(std::size_t q, std::uint64_t lanes)
     {
         const std::uint64_t d = (x_[q] ^ z_[q]) & lanes;
         x_[q] ^= d;
         z_[q] ^= d;
     }
 
-    void s(std::size_t q, std::uint64_t lanes) override
+    void s(std::size_t q, std::uint64_t lanes)
     {
         z_[q] ^= x_[q] & lanes;
     }
 
     void cnot(std::size_t control, std::size_t target,
-              std::uint64_t lanes) override
+              std::uint64_t lanes)
     {
         x_[target] ^= x_[control] & lanes;
         z_[control] ^= z_[target] & lanes;
     }
 
-    void cz(std::size_t a, std::size_t b, std::uint64_t lanes) override
+    void cz(std::size_t a, std::size_t b, std::uint64_t lanes)
     {
         const std::uint64_t xa = x_[a];
         z_[a] ^= x_[b] & lanes;
         z_[b] ^= xa & lanes;
     }
 
-    void swap(std::size_t a, std::size_t b, std::uint64_t lanes) override
+    void swap(std::size_t a, std::size_t b, std::uint64_t lanes)
     {
         const std::uint64_t dx = (x_[a] ^ x_[b]) & lanes;
         const std::uint64_t dz = (z_[a] ^ z_[b]) & lanes;
@@ -84,17 +96,27 @@ class BatchedPauliFrame final : public BatchedFrameBackend
         z_[b] ^= dz;
     }
 
-    void injectX(std::size_t q, std::uint64_t lanes) override
+    //
+    // Error injection: flip the X / Z frame component on the given lanes.
+    //
+
+    void injectX(std::size_t q, std::uint64_t lanes)
     {
         x_[q] ^= lanes;
     }
 
-    void injectZ(std::size_t q, std::uint64_t lanes) override
+    void injectZ(std::size_t q, std::uint64_t lanes)
     {
         z_[q] ^= lanes;
     }
 
-    std::uint64_t measureZFlip(std::size_t q, std::uint64_t lanes) override
+    //
+    // Flip readout: per selected lane, whether the measured outcome is
+    // flipped relative to the ideal one. The measured qubit's frame is
+    // cleared on those lanes.
+    //
+
+    std::uint64_t measureZFlip(std::size_t q, std::uint64_t lanes)
     {
         const std::uint64_t flips = x_[q] & lanes;
         x_[q] &= ~lanes;
@@ -102,7 +124,7 @@ class BatchedPauliFrame final : public BatchedFrameBackend
         return flips;
     }
 
-    std::uint64_t measureXFlip(std::size_t q, std::uint64_t lanes) override
+    std::uint64_t measureXFlip(std::size_t q, std::uint64_t lanes)
     {
         const std::uint64_t flips = z_[q] & lanes;
         x_[q] &= ~lanes;
@@ -110,7 +132,8 @@ class BatchedPauliFrame final : public BatchedFrameBackend
         return flips;
     }
 
-    void resetQubit(std::size_t q, std::uint64_t lanes) override
+    /** Fresh |0> / |+> preparation: clear the qubit's frame per lane. */
+    void resetQubit(std::size_t q, std::uint64_t lanes)
     {
         x_[q] &= ~lanes;
         z_[q] &= ~lanes;

@@ -39,7 +39,7 @@ struct RepeaterConfig
      * opError and targetInfidelity this is a calibrated reconstruction
      * parameter -- the frozen defaults reproduce Figure 9's curve
      * ordering, its ~0.1 s time scale, and the d=100/d=350 crossover
-     * near 6000 cells. See EXPERIMENTS.md experiment E3.
+     * near 6000 cells. The E3 row of tools/claims.cc checks the crossover.
      */
     double perCellError = 3e-4;
     /** Infidelity of a freshly created EPR pair. */
